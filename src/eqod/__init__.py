@@ -4,8 +4,7 @@ The package combines weak-form sparse regression with two automatic
 library-reduction mechanisms: a data-driven Galilean-invariance test
 that prunes reaction terms, and randomized-LASSO stability selection
 for everything else, guarded by a residual fallback to the full-library
-fit. A benchmark harness reproduces the eight-PDE, four-noise-level
-evaluation grid.
+fit.
 """
 
 from .core import (

@@ -45,6 +45,8 @@ class Grid1D:
             raise ValueError("domain length must be positive")
         if self.nx < 8 or self.nt < 8:
             raise ValueError("need at least 8 points in each direction")
+        if self.nx % 2:
+            raise ValueError(f"nx must be even for the spectral derivatives, got {self.nx}")
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
 

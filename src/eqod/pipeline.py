@@ -105,27 +105,30 @@ def run_eqod(
         ws_full, seed, lasso_config, identify_config, return_dense=True
     )
 
-    report = None
+    report, mode = None, "stability"  # the mode reported if detection itself fails
     try:
         report = detect_all(trajset, tau)
         if report.galilean.detected:
+            mode, gamma = "symmetry", GAMMA_SYMMETRY
             spec = galilean_reduced()
             if report.reflection_odd.detected:
                 spec = odd_reflection_prune(spec)
-            mode, gamma = "symmetry", GAMMA_SYMMETRY
         else:
+            mode, gamma = "stability", GAMMA_STABILITY
             gate_base = (
                 odd_reflection_prune(base) if report.reflection_odd.detected else base
             )
             spec, _ = stability_gate(trajset, gate_base, seed, stability_config)
-            mode, gamma = "stability", GAMMA_STABILITY
         ws_red = ws_full.restricted(spec)
         coeffs_red = identify_on_system(ws_red, seed, lasso_config, identify_config)
-    except Exception as exc:  # any reduced-path failure falls back to the full fit
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # Numerical failures of the reduced path (assembly, lstsq, LASSO,
+        # coefficient checks) fall back to the full fit; any other error
+        # is a programming error and propagates.
         warnings.warn(f"reduced path failed ({exc}); using full-library result")
         return IdentificationResult(
             coeffs=coeffs_full,
-            mode="stability",
+            mode=mode,
             fallback_triggered=True,
             library_used=base,
             library_size=len(base),

@@ -39,6 +39,8 @@ class TestGrid:
             Grid1D(0.0, 1.0, 4, 0.0, 1.0, 128)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 128, 1.0, 0.5, 128)
+        with pytest.raises(ValueError, match="nx must be even"):
+            Grid1D(0.0, 2 * np.pi, 127, 0.0, 1.0, 128)
 
     def test_trajectory_validation(self):
         g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 8)

@@ -13,6 +13,87 @@ def objective(theta, b, xi, lam):
     return np.sum((b - theta @ xi) ** 2) + lam * np.abs(xi).sum()
 
 
+def reference_cd_path(theta, b, lambdas, tol, max_sweeps):
+    """Scalar coordinate descent, one lambda and one coordinate at a time.
+
+    This is the arithmetic ``sparse._cd_path`` must reproduce bit for bit:
+    each element of q = gram @ xi gets a product then a sum per update, in
+    this order, and a lambda stops sweeping once a sweep moves none of its
+    coordinates by tol or more.
+    """
+    theta = np.ascontiguousarray(theta, dtype=float)
+    gram = theta.T @ theta
+    corr = theta.T @ b
+    diag = np.diag(gram).copy()
+    zero_col = diag <= 0
+    half_lam = np.asarray(lambdas, dtype=float) / 2.0
+    p, n_lam = theta.shape[1], len(half_lam)
+    xi = np.zeros((p, n_lam))
+    q = np.zeros_like(xi)
+    settled = np.zeros(n_lam, bool)
+    for _ in range(max_sweeps):
+        step = np.zeros(n_lam)
+        for j in range(p):
+            if zero_col[j]:
+                continue
+            for l in range(n_lam):
+                if settled[l]:
+                    continue
+                rho = corr[j] - q[j, l] + diag[j] * xi[j, l]
+                mag = abs(rho) - half_lam[l]
+                if mag <= 0.0:
+                    new = 0.0
+                elif rho > 0.0:
+                    new = mag / diag[j]
+                else:
+                    new = -mag / diag[j]
+                delta = new - xi[j, l]
+                if delta != 0.0:
+                    for k in range(p):
+                        q[k, l] += gram[k, j] * delta
+                    xi[j, l] = new
+                    if abs(delta) > step[l]:
+                        step[l] = abs(delta)
+        done = True
+        for l in range(n_lam):
+            if not settled[l]:
+                if step[l] < tol:
+                    settled[l] = True
+                else:
+                    done = False
+        if done:
+            return xi, True
+    return xi, False
+
+
+class TestCdPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.booleans(),
+        st.booleans(),
+        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5),
+        st.sampled_from([1, 3, 10_000]),
+    )
+    def test_bitwise_equal_to_scalar_reference(
+        self, seed, p, zero_col, near_dup, lambdas, max_sweeps
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(p + 1, 30))
+        theta = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+        if near_dup and p > 1:
+            theta[:, -1] = theta[:, 0] * (1.0 + 1e-3 * rng.standard_normal(n))
+        if zero_col:
+            theta[:, int(rng.integers(p))] = 0.0
+        b = rng.standard_normal(n)
+        args = (theta, b, sorted(lambdas), 1e-9, max_sweeps)
+        xi, ok = sparse._cd_path(*args)
+        xi_ref, ok_ref = reference_cd_path(*args)
+        assert np.array_equal(xi, xi_ref)
+        assert ok == ok_ref
+
+
 class TestLasso:
     def test_soft_threshold_closed_form(self):
         theta = np.eye(4)[:, :1]  # single unit column
@@ -132,6 +213,18 @@ class TestLassoCV:
         lam, xi, curve = lasso_cv(ws.theta, ws.b, seed=42, full=True)
         assert curve.shape == (60, 2)
         assert np.all(np.diff(curve[:, 0]) > 0)
+
+    def test_unconverged_folds_warn(self, heat_noisy10):
+        from eqod.weakform import assemble, make_test_grid
+
+        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        with (
+            pytest.warns(RuntimeWarning, match="fold") as record,
+            pytest.warns(RuntimeWarning, match="refit did not converge"),
+        ):
+            lasso_cv(ws.theta, ws.b, LassoConfig(max_sweeps=1), seed=42)
+        fold_msgs = [str(w.message) for w in record if "fold" in str(w.message)]
+        assert fold_msgs == ["lasso CV: 5 of 5 fold paths did not converge"]
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
