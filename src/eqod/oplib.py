@@ -15,6 +15,7 @@ __all__ = [
     "galilean_reduced",
     "odd_reflection_prune",
     "expanded_library",
+    "term_fields",
     "evaluate_term",
 ]
 
@@ -95,19 +96,27 @@ def expanded_library(size: int) -> LibrarySpec:
     return LibrarySpec(STANDARD_TERMS + extras, "custom")
 
 
-def evaluate_term(traj: Trajectory, term: LibraryTerm) -> np.ndarray:
-    """Pointwise (nt, nx) field of a candidate term on trajectory data.
+def term_fields(traj: Trajectory, terms):
+    """Yield the pointwise (nt, nx) field of each term, in order.
 
-    Spatial derivatives are spectral; products are formed in physical
-    space. Applied to noisy data this is deliberately the same path the
-    weak-form assembly uses.
+    Spatial derivatives are spectral and are computed once per order, on
+    first use, then reused by every later term; products are formed in
+    physical space. Applied to noisy data this is deliberately the same
+    path the weak-form assembly uses.
     """
     u = traj.values
-    length = traj.grid.length
-    out = np.ones_like(u)
-    for d, p in enumerate(term.powers):
-        if p == 0:
-            continue
-        f = u if d == 0 else spectral_derivative(u, d, length)
-        out = out * f**p
-    return out
+    derivs = {0: u}
+    for term in terms:
+        out = np.ones_like(u)
+        for d, p in enumerate(term.powers):
+            if p == 0:
+                continue
+            if d not in derivs:
+                derivs[d] = spectral_derivative(u, d, traj.grid.length)
+            out = out * derivs[d] ** p
+        yield out
+
+
+def evaluate_term(traj: Trajectory, term: LibraryTerm) -> np.ndarray:
+    """Pointwise (nt, nx) field of one candidate term: the one-term case of ``term_fields``."""
+    return next(term_fields(traj, (term,)))

@@ -18,10 +18,10 @@ import numpy as np
 
 from .core import CoefficientVector, TrajectorySet
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
-from .sparse import IdentifyConfig, LassoConfig, identify_on_system
+from .sparse import IdentifyConfig, LassoConfig, identify_on_system, wf_lasso_identify
 from .stability import StabilityConfig, stability_gate
 from .symmetry import GALILEAN_TAU, SymmetryReport, detect_all
-from .weakform import assemble, make_test_grid
+from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
 __all__ = ["IdentificationResult", "run_eqod", "run_wf_lasso_baseline"]
 
@@ -33,8 +33,6 @@ GAMMA_STABILITY = 1.2
 # excluded; noise overfit spread across junk columns stays well below
 # this fraction of the dominant coefficient.
 MATERIAL_FRACTION = 0.5
-
-IDENTIFY_GRID = (5, 7)  # test-function density of the identification stage
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,9 @@ def run_wf_lasso_baseline(
 ) -> IdentificationResult:
     """Identification stage alone, on the full base library."""
     base = base_library or standard_library()
-    ws = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
-    coeffs = identify_on_system(ws, seed, lasso_config, identify_config)
+    coeffs = wf_lasso_identify(
+        trajset, base, seed, lasso_config=lasso_config, identify_config=identify_config
+    )
     return IdentificationResult(
         coeffs=coeffs,
         mode="baseline",

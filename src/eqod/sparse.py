@@ -11,7 +11,7 @@ import numpy as np
 from .core import CoefficientVector
 from .oplib import LibrarySpec
 from .solvers import RngStream
-from .weakform import WeakSystem, assemble, make_test_grid
+from .weakform import IDENTIFY_GRID, WeakSystem, assemble, make_test_grid
 
 __all__ = [
     "LassoConfig",
@@ -221,8 +221,8 @@ def wf_lasso_identify(
     trajset,
     spec: LibrarySpec,
     seed: int,
-    n_t: int = 5,
-    n_x: int = 7,
+    n_t: int = IDENTIFY_GRID[0],
+    n_x: int = IDENTIFY_GRID[1],
     lasso_config: LassoConfig | None = None,
     identify_config: IdentifyConfig | None = None,
 ) -> CoefficientVector:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,7 @@ from .solvers import RngStream
 from .sparse import LassoConfig, lasso
 from .weakform import assemble, make_test_grid
 
-__all__ = ["StabilityConfig", "stability_select", "stability_gate", "profile_csv"]
+__all__ = ["StabilityConfig", "stability_select", "stability_gate"]
 
 STABILITY_STREAM = 23  # substream id namespace for subsample draws
 
@@ -126,11 +125,3 @@ def stability_gate(
     terms = tuple(t for j, t in enumerate(base_spec.terms) if j in stable)
     return LibrarySpec(terms, "stability_selected"), pi
 
-
-def profile_csv(spec: LibrarySpec, pi: np.ndarray) -> str:
-    """Selection-probability profile as (term, probability) CSV."""
-    buf = io.StringIO()
-    buf.write("term,probability\n")
-    for tag, p in zip(spec.tags, pi):
-        buf.write(f"{tag},{p!r}\n")
-    return buf.getvalue()

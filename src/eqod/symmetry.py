@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
-from .weakform import assemble, make_test_grid
+from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
 __all__ = [
     "SymbolEstimate",
@@ -153,10 +153,6 @@ def detect_spatial_translation(traj: Trajectory) -> DetectorResult:
     return DetectorResult(score < TRANSLATION_THRESHOLD, score)
 
 
-def _window_symbol(values, lo, hi, dt, length):
-    return _symbol_from_values(values[lo:hi], dt, length)
-
-
 def detect_temporal_translation(traj: Trajectory) -> DetectorResult:
     """Compare Re[sigma] between two time windows.
 
@@ -184,8 +180,8 @@ def detect_temporal_translation(traj: Trajectory) -> DetectorResult:
                 and energy[w : 2 * w].sum() >= 0.1 * total
             ):
                 break
-    a = _window_symbol(values, 0, w, traj.grid.dt, traj.grid.length)
-    b = _window_symbol(values, w, 2 * w, traj.grid.dt, traj.grid.length)
+    a = _symbol_from_values(values[:w], traj.grid.dt, traj.grid.length)
+    b = _symbol_from_values(values[w : 2 * w], traj.grid.dt, traj.grid.length)
     rel = a.reliable & b.reliable
     if not rel.any():
         raise ValueError("no commonly reliable modes between windows")
@@ -261,7 +257,7 @@ def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
 
 def _convective_fit(trajset: TrajectorySet):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
-    tg = make_test_grid(trajset.grid, 5, 7)
+    tg = make_test_grid(trajset.grid, *IDENTIFY_GRID)
     ws = assemble(trajset, GALILEAN_BASIS, tg)
     norms = np.linalg.norm(ws.theta, axis=0)
     norms = np.where(norms > 0, norms, 1.0)

@@ -1,24 +1,36 @@
 """Weak-form linear systems built from compactly supported bump test functions.
 
 Each test function is a tensor product of 1D bumps centered on a margin-
-shrunk grid of (t_c, x_c) points. The time derivative is moved onto the
-test function analytically, so the response vector never differentiates
-the data in time.
+shrunk grid of (t_c, x_c) points, so every weak-form integral separates:
+with dense bump matrices Phi_t (t-centers x nt) and Phi_x (x-centers x
+nx), zero outside each bump's support, a library field F contributes the
+column dx*dt * Phi_t F Phi_x^T over all centers at once. The time
+derivative is moved onto the test function analytically, so the response
+vector never differentiates the data in time.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid1D, TrajectorySet
-from .oplib import LibrarySpec, evaluate_term
+from .oplib import LibrarySpec, term_fields
 
-__all__ = ["bump", "bump_dt", "TestGrid", "make_test_grid", "WeakSystem", "assemble"]
+__all__ = [
+    "bump",
+    "bump_dt",
+    "TestGrid",
+    "make_test_grid",
+    "IDENTIFY_GRID",
+    "WeakSystem",
+    "assemble",
+]
 
 MARGIN = 1.05  # center-to-boundary clearance, in radii
+
+IDENTIFY_GRID = (5, 7)  # test-function density of the identification stage
 
 
 def bump(r) -> np.ndarray:
@@ -61,6 +73,8 @@ def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
     8 dx). Centers are inclusive linspaces over the margin-shrunk
     intervals.
     """
+    if n_t < 1 or n_x < 1:
+        raise ValueError(f"need at least one test-function center per axis, got {n_t} x {n_x}")
     t_range = grid.t_end - grid.t_start
     r_t = max(0.18 * t_range, 8 * grid.dt)
     r_x = max(0.20 * grid.length, 8 * grid.dx)
@@ -94,52 +108,39 @@ class WeakSystem:
         cols = [self.spec.index(t) for t in spec.terms]
         return WeakSystem(self.theta[:, cols], self.b, spec, self.row_meta)
 
-    def to_csv(self) -> str:
-        """Debug dump: row_meta columns, then one column per term, then b."""
-        buf = io.StringIO()
-        buf.write("trajectory,t_c,x_c," + ",".join(self.spec.tags) + ",b\n")
-        for (m, tc, xc), row, bm in zip(self.row_meta, self.theta, self.b):
-            vals = ",".join(repr(v) for v in row)
-            buf.write(f"{m},{tc!r},{xc!r},{vals},{bm!r}\n")
-        return buf.getvalue()
-
-
-def _support_slice(centers, c, r, n):
-    """Index range covering [c - r, c + r] plus one zero sample on each side."""
-    inside = np.nonzero(np.abs(centers - c) <= r)[0]
-    lo = max(int(inside[0]) - 1, 0)
-    hi = min(int(inside[-1]) + 1, n - 1)
-    return lo, hi + 1
-
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, tg: TestGrid) -> WeakSystem:
     """Build the weak-form system (Theta, b) for a trajectory set.
 
     Per trajectory and bump center, one row with b = -integral of
-    u * dphi/dt and Theta_j = integral of theta_j(u) * phi, both by the
-    trapezoidal rule restricted to the bump's support rectangle. Library
-    fields are evaluated once per trajectory and reused across centers.
+    u * dphi/dt and Theta_k = integral of theta_k(u) * phi, both by the
+    trapezoidal rule (the bumps vanish at the ends of their supports).
+    Each is a separable contraction with the dense, zero-padded bump
+    matrices, built once per call: b = -dx*dt * dPhi_t u Phi_x^T and
+    Theta_k = dx*dt * Phi_t F_k Phi_x^T, raveled t-major. The x-axis is
+    periodic, but the center margins keep every bump inside one period,
+    so no support wraps. Each field is contracted as soon as it is
+    formed, one column at a time.
     """
     grid = trajset.grid
     if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
         raise ValueError("test-function radius below two grid cells")
-    t, x = grid.t, grid.x
+    rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
+    phi_t, dphi_t = bump(rt), bump_dt(rt) / tg.r_t
+    phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
     dxdt = grid.dx * grid.dt
-    rows_theta, rows_b, meta = [], [], []
+    n_c = tg.n_centers
+    theta = np.empty((len(trajset) * n_c, len(spec)))
+    b = np.empty(len(trajset) * n_c)
     for m, traj in enumerate(trajset):
-        fields = np.stack([evaluate_term(traj, term) for term in spec.terms])
-        u = traj.values
-        for tc in tg.t_centers:
-            i0, i1 = _support_slice(t, tc, tg.r_t, grid.nt)
-            phi_t = bump((t[i0:i1] - tc) / tg.r_t)
-            dphi_t = bump_dt((t[i0:i1] - tc) / tg.r_t) / tg.r_t
-            for xc in tg.x_centers:
-                j0, j1 = _support_slice(x, xc, tg.r_x, grid.nx)
-                phi_x = bump((x[j0:j1] - xc) / tg.r_x)
-                w = np.outer(phi_t, phi_x)
-                w_t = np.outer(dphi_t, phi_x)
-                block = fields[:, i0:i1, j0:j1]
-                rows_theta.append(dxdt * np.einsum("kij,ij->k", block, w))
-                rows_b.append(-dxdt * float(np.sum(u[i0:i1, j0:j1] * w_t)))
-                meta.append((m, float(tc), float(xc)))
-    return WeakSystem(np.array(rows_theta), np.array(rows_b), spec, tuple(meta))
+        rows = slice(m * n_c, (m + 1) * n_c)
+        b[rows] = -dxdt * (dphi_t @ traj.values @ phi_x.T).ravel()
+        for k, field in enumerate(term_fields(traj, spec.terms)):
+            theta[rows, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
+    meta = tuple(
+        (m, float(tc), float(xc))
+        for m in range(len(trajset))
+        for tc in tg.t_centers
+        for xc in tg.x_centers
+    )
+    return WeakSystem(theta, b, spec, meta)

@@ -4,7 +4,7 @@ import pytest
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import standard_library
 from eqod.solvers import PDES, RngStream, generate_set
-from eqod.stability import StabilityConfig, profile_csv, stability_gate, stability_select
+from eqod.stability import StabilityConfig, stability_gate, stability_select
 from eqod.weakform import assemble, make_test_grid
 
 
@@ -117,10 +117,3 @@ class TestStabilityGate:
         spec, pi = stability_gate(ts, base, 42)
         assert spec is base
         assert np.all(pi <= 0.5)
-
-    def test_profile_csv(self, heat_clean):
-        spec, pi = stability_gate(heat_clean, standard_library(), 42)
-        text = profile_csv(standard_library(), pi)
-        lines = text.strip().split("\n")
-        assert lines[0] == "term,probability"
-        assert len(lines) == 11

@@ -2,12 +2,67 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+import eqod.oplib as oplib
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
-from eqod.oplib import LibrarySpec, evaluate_term, galilean_reduced
+from eqod.oplib import LibrarySpec, evaluate_term, galilean_reduced, standard_library, term_fields
 from eqod.symmetry import galilean_boost
-from eqod.weakform import assemble, bump, bump_dt, make_test_grid
+from eqod.weakform import WeakSystem, assemble, bump, bump_dt, make_test_grid
 
 UXX_ONLY = LibrarySpec((term_from_tag("u_xx"),))
+
+
+def _support_slice(centers, c, r, n):
+    """Index range covering [c - r, c + r] plus one zero sample on each side."""
+    inside = np.nonzero(np.abs(centers - c) <= r)[0]
+    lo = max(int(inside[0]) - 1, 0)
+    hi = min(int(inside[-1]) + 1, n - 1)
+    return lo, hi + 1
+
+
+def reference_assemble(trajset, spec, tg):
+    """Per-center loop over each bump's support rectangle: the arithmetic the
+    separable contraction in ``assemble`` must reproduce."""
+    grid = trajset.grid
+    t, x = grid.t, grid.x
+    dxdt = grid.dx * grid.dt
+    rows_theta, rows_b, meta = [], [], []
+    for m, traj in enumerate(trajset):
+        fields = np.stack([evaluate_term(traj, term) for term in spec.terms])
+        u = traj.values
+        for tc in tg.t_centers:
+            i0, i1 = _support_slice(t, tc, tg.r_t, grid.nt)
+            phi_t = bump((t[i0:i1] - tc) / tg.r_t)
+            dphi_t = bump_dt((t[i0:i1] - tc) / tg.r_t) / tg.r_t
+            for xc in tg.x_centers:
+                j0, j1 = _support_slice(x, xc, tg.r_x, grid.nx)
+                phi_x = bump((x[j0:j1] - xc) / tg.r_x)
+                w = np.outer(phi_t, phi_x)
+                w_t = np.outer(dphi_t, phi_x)
+                block = fields[:, i0:i1, j0:j1]
+                rows_theta.append(dxdt * np.einsum("kij,ij->k", block, w))
+                rows_b.append(-dxdt * float(np.sum(u[i0:i1, j0:j1] * w_t)))
+                meta.append((m, float(tc), float(xc)))
+    return WeakSystem(np.array(rows_theta), np.array(rows_b), spec, tuple(meta))
+
+
+def abs_quadrature(trajset, spec, tg):
+    """dx*dt * (phi_t |F_k| phi_x^T) and dx*dt * (|dphi_t| |u| phi_x^T) per row:
+    the scale of each weak-form integral before cancellation."""
+    g = trajset.grid
+    phi_t = bump((g.t[None, :] - tg.t_centers[:, None]) / tg.r_t)
+    dphi_t = np.abs(bump_dt((g.t[None, :] - tg.t_centers[:, None]) / tg.r_t) / tg.r_t)
+    phi_x = bump((g.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
+    dxdt = g.dx * g.dt
+    theta, b = [], []
+    for tr in trajset:
+        b.append(dxdt * (dphi_t @ np.abs(tr.values) @ phi_x.T).ravel())
+        theta.append(
+            np.stack(
+                [dxdt * (phi_t @ np.abs(evaluate_term(tr, t)) @ phi_x.T).ravel() for t in spec.terms],
+                axis=1,
+            )
+        )
+    return np.concatenate(theta), np.concatenate(b)
 
 
 class TestBump:
@@ -57,6 +112,12 @@ class TestTestGrid:
         g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
         with pytest.raises(ValueError, match="margins"):
             make_test_grid(g, 5, 7)
+
+    @pytest.mark.parametrize("n_t, n_x", [(0, 7), (5, 0), (-1, 7)])
+    def test_no_centers_errors(self, n_t, n_x):
+        g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
+        with pytest.raises(ValueError, match="at least one test-function center"):
+            make_test_grid(g, n_t, n_x)
 
 
 class TestAssemble:
@@ -153,12 +214,6 @@ class TestAssemble:
         boosted = ls_fit(galilean_boost(burgers_clean, 0.3))
         assert np.abs(base - boosted).max() < 5e-2
 
-    def test_csv_dump_shape(self, heat_clean):
-        ws = assemble(heat_clean, UXX_ONLY, make_test_grid(heat_clean.grid, 5, 7))
-        lines = ws.to_csv().strip().split("\n")
-        assert lines[0] == "trajectory,t_c,x_c,u_xx,b"
-        assert len(lines) == 106
-
     def test_degenerate_radius_errors(self):
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
         ts = TrajectorySet((Trajectory(g, np.ones((128, 128))),))
@@ -168,3 +223,37 @@ class TestAssemble:
         bad = dataclasses.replace(tg, r_t=g.dt)
         with pytest.raises(ValueError, match="radius"):
             assemble(ts, UXX_ONLY, bad)
+
+
+class TestSeparableAssembly:
+    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
+    @pytest.mark.parametrize("density", [(3, 3), (5, 7), (8, 10)])
+    def test_matches_reference_loop(self, data, density, request):
+        ts = request.getfixturevalue(data)
+        spec = standard_library()
+        tg = make_test_grid(ts.grid, *density)
+        ws = assemble(ts, spec, tg)
+        ref = reference_assemble(ts, spec, tg)
+        assert ws.row_meta == ref.row_meta
+        scale_theta, scale_b = abs_quadrature(ts, spec, tg)
+        assert np.all(np.abs(ws.theta - ref.theta) <= 1e-13 * scale_theta)
+        assert np.all(np.abs(ws.b - ref.b) <= 1e-13 * scale_b)
+
+    def test_each_derivative_order_computed_once(self, heat_noisy10, monkeypatch):
+        calls = []
+        real = oplib.spectral_derivative
+
+        def counting(row, order, length):
+            calls.append(order)
+            return real(row, order, length)
+
+        monkeypatch.setattr(oplib, "spectral_derivative", counting)
+        assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        assert len(calls) == 12
+        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+
+    def test_evaluate_term_is_the_assembly_field(self, burgers_clean):
+        spec = standard_library()
+        tr = burgers_clean.trajectories[0]
+        for term, field in zip(spec.terms, term_fields(tr, spec.terms)):
+            assert np.array_equal(evaluate_term(tr, term), field)
