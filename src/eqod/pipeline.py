@@ -1,11 +1,14 @@
 """Four-stage identification pipeline with automatic mode selection.
 
-Stage 1 runs the symmetry detectors. Stage 2 reduces the candidate
-library: the Galilean-reduced set when a boost is detected (optionally
-parity-pruned), otherwise stability selection. Stage 3 identifies
-coefficients by weak-form LASSO on the reduced library. Stage 4 reverts
-to the full-library fit when the reduced-library residual is more than a
-path-dependent factor worse.
+The base library is assembled once on the identification test grid;
+that system gives the full-library fit the guard compares against and,
+when the library holds every GALILEAN_BASIS term, the columns of the
+Galilean test. Stage 1 runs the symmetry detectors. Stage 2 reduces the
+candidate library: the Galilean-reduced set when a boost is detected
+(optionally parity-pruned), otherwise stability selection. Stage 3
+identifies coefficients by weak-form LASSO on the reduced library.
+Stage 4 reverts to the full-library fit when the reduced-library
+residual is more than a path-dependent factor worse.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoefficientVector, TrajectorySet
+from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import IdentifyConfig, LassoConfig, identify_on_system, wf_lasso_identify
 from .stability import StabilityConfig, stability_gate
-from .symmetry import GALILEAN_TAU, SymmetryReport, detect_all
+from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all, galilean_system
 from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
 __all__ = ["IdentificationResult", "run_eqod", "run_wf_lasso_baseline"]
@@ -52,9 +55,7 @@ class IdentificationResult:
     symmetry_report: SymmetryReport | None = None
     residual_ratio: float | None = None
 
-    def support(self, threshold: float = 1e-3) -> frozenset:
-        from .core import support_from_coeffs
-
+    def support(self, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
         return support_from_coeffs(self.coeffs, threshold)
 
     def to_json_dict(self) -> dict:
@@ -85,7 +86,6 @@ def _residual_sq(ws, coeffs: CoefficientVector) -> float:
 def run_eqod(
     trajset: TrajectorySet,
     seed: int,
-    tau: float = GALILEAN_TAU,
     base_library: LibrarySpec | None = None,
     lasso_config: LassoConfig | None = None,
     identify_config: IdentifyConfig | None = None,
@@ -105,7 +105,8 @@ def run_eqod(
 
     report, mode = None, "stability"  # the mode reported if detection itself fails
     try:
-        report = detect_all(trajset, tau)
+        has_basis = all(t in base for t in GALILEAN_BASIS.terms)
+        report = detect_all(trajset, ws_full if has_basis else galilean_system(trajset))
         if report.galilean.detected:
             mode, gamma = "symmetry", GAMMA_SYMMETRY
             spec = galilean_reduced()

@@ -43,7 +43,6 @@ class RngStream:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         if self.seed < 0:

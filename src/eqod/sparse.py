@@ -221,11 +221,10 @@ def wf_lasso_identify(
     trajset,
     spec: LibrarySpec,
     seed: int,
-    n_t: int = IDENTIFY_GRID[0],
-    n_x: int = IDENTIFY_GRID[1],
     lasso_config: LassoConfig | None = None,
     identify_config: IdentifyConfig | None = None,
 ) -> CoefficientVector:
-    """Assemble the weak system for ``spec`` and run the identification stage."""
-    ws = assemble(trajset, spec, make_test_grid(trajset.grid, n_t, n_x))
+    """Assemble the weak system for ``spec`` on IDENTIFY_GRID and run the
+    identification stage."""
+    ws = assemble(trajset, spec, make_test_grid(trajset.grid, *IDENTIFY_GRID))
     return identify_on_system(ws, seed, lasso_config, identify_config)

@@ -1,10 +1,10 @@
-"""Fourier differentiation and trapezoidal quadrature on periodic grids."""
+"""Fourier differentiation on periodic grids."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wavenumbers", "spectral_derivative", "trapezoid_2d"]
+__all__ = ["wavenumbers", "spectral_derivative"]
 
 
 def wavenumbers(nx: int, length: float) -> np.ndarray:
@@ -37,17 +37,3 @@ def spectral_derivative(row, order: int, length: float) -> np.ndarray:
     if order % 2 == 1:
         mult[nx // 2] = 0.0
     return np.fft.ifft(np.fft.fft(row, axis=-1) * mult, axis=-1).real
-
-
-def trapezoid_2d(values, dx: float, dt: float) -> float:
-    """Trapezoidal space-time integral of a (nt, nx) sample matrix.
-
-    Half weights apply to the first and last time rows; the space
-    direction is periodic so every column carries full weight.
-    """
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("input must be finite")
-    row_sums = values.sum(axis=1)
-    total = row_sums.sum() - 0.5 * (row_sums[0] + row_sums[-1])
-    return float(dt * dx * total)

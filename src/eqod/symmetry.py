@@ -1,9 +1,9 @@
 """Data-driven symmetry detectors.
 
-Four lightweight Fourier/parity diagnostics plus a weak-form structural
-test for Galilean invariance. Only the Galilean and odd-reflection
-outcomes steer the identification pipeline; the rest are reported as
-evidence.
+Three lightweight Fourier/parity diagnostics (temporal translation,
+scaling, even/odd reflection) plus a weak-form structural test for
+Galilean invariance. Only the Galilean and odd-reflection outcomes steer
+the identification pipeline; the rest are reported as evidence.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
-from .weakform import IDENTIFY_GRID, assemble, make_test_grid
+from .weakform import IDENTIFY_GRID, WeakSystem, assemble, make_test_grid
 
 __all__ = [
     "SymbolEstimate",
@@ -23,18 +23,16 @@ __all__ = [
     "SymmetryReport",
     "GALILEAN_BASIS",
     "estimate_symbol",
-    "detect_spatial_translation",
     "detect_temporal_translation",
     "detect_scaling",
     "detect_reflection",
     "detect_galilean",
     "galilean_boost",
-    "galilean_statistics",
+    "galilean_system",
     "detect_all",
 ]
 
 # Detection thresholds.
-TRANSLATION_THRESHOLD = 0.05
 TEMPORAL_THRESHOLD = 0.4
 SCALING_R2_THRESHOLD = 0.90
 REFLECTION_THRESHOLD = 0.1
@@ -68,9 +66,9 @@ class DetectorResult:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Outcomes of the five symmetry tests on a trajectory set."""
+    """Outcomes of the four symmetry tests on a trajectory set; reflection
+    reports its even and odd outcomes separately."""
 
-    spatial_translation: DetectorResult
     temporal_translation: DetectorResult
     galilean: DetectorResult
     scaling: DetectorResult
@@ -87,7 +85,6 @@ class SymmetryReport:
         out = {
             name: entry(getattr(self, name))
             for name in (
-                "spatial_translation",
                 "temporal_translation",
                 "galilean",
                 "scaling",
@@ -129,28 +126,6 @@ def estimate_symbol(traj: Trajectory) -> SymbolEstimate:
     power exceeds 1% of the maximum; an all-unreliable spectrum raises.
     """
     return _symbol_from_values(traj.values, traj.grid.dt, traj.grid.length)
-
-
-def detect_spatial_translation(traj: Trajectory) -> DetectorResult:
-    """Compare the symbol before and after circular shifts of the data.
-
-    A shift multiplies uhat(k) by a pure phase, which cancels in the
-    symbol estimate exactly when the data is consistent with an
-    x-autonomous evolution law.
-    """
-    nx = traj.grid.nx
-    if nx % 8 != 0:
-        raise ValueError("nx must be divisible by 8")
-    base = estimate_symbol(traj)
-    rel = base.reliable
-    ref = np.maximum(np.abs(base.sigma[rel]), 1e-12)
-    score = 0.0
-    for shift in (nx // 8, nx // 4, round(nx / 3)):
-        rolled = np.roll(traj.values, shift, axis=1)
-        est = _symbol_from_values(rolled, traj.grid.dt, traj.grid.length)
-        disc = np.abs(est.sigma[rel] - base.sigma[rel]) / ref
-        score = max(score, float(disc.max()))
-    return DetectorResult(score < TRANSLATION_THRESHOLD, score)
 
 
 def detect_temporal_translation(traj: Trajectory) -> DetectorResult:
@@ -255,10 +230,14 @@ def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
     return TrajectorySet(tuple(boosted))
 
 
-def _convective_fit(trajset: TrajectorySet):
+def galilean_system(trajset: TrajectorySet) -> WeakSystem:
+    """The GALILEAN_BASIS weak system on the identification test grid."""
+    return assemble(trajset, GALILEAN_BASIS, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+
+
+def _convective_fit(ws: WeakSystem):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
-    tg = make_test_grid(trajset.grid, *IDENTIFY_GRID)
-    ws = assemble(trajset, GALILEAN_BASIS, tg)
+    ws = ws.restricted(GALILEAN_BASIS)
     norms = np.linalg.norm(ws.theta, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
     chat_n, _, rank, _ = np.linalg.lstsq(ws.theta / norms, ws.b, rcond=None)
@@ -268,38 +247,31 @@ def _convective_fit(trajset: TrajectorySet):
     return f, float(chat[0]), bool(rank == ws.theta.shape[1])
 
 
-def galilean_statistics(trajset: TrajectorySet):
-    """Convective energy fraction, discounted by boost-refit instability.
-
-    A genuinely boost-invariant law refits with the same convective
-    coefficient on boosted data; advective or reaction leakage does not.
-    The raw fraction is divided by 1 + (gap/scale)^2 where gap is the
-    relative change of c1 under the boost.
-
-    Returns (f_discounted, c1, rank_ok).
-    """
-    f_raw, c1, rank_ok = _convective_fit(trajset)
-    if f_raw == 0.0:
-        return 0.0, c1, rank_ok
-    _, c1_boost, _ = _convective_fit(galilean_boost(trajset, GALILEAN_BOOST_C))
-    gap = abs(c1_boost - c1) / max(1.0, abs(c1))
-    return f_raw / (1.0 + (gap / BOOST_GAP_SCALE) ** 2), c1, rank_ok
-
-
-def detect_galilean(trajset: TrajectorySet, tau: float = GALILEAN_TAU):
+def detect_galilean(trajset: TrajectorySet, ws: WeakSystem):
     """Weak-form structural test for Galilean invariance.
 
-    Solves a 6-term regression (convection, two dissipative derivatives,
-    three reaction powers) on the standard identification test grid and
-    measures the energy fraction carried by the convective column,
-    discounted by its instability under a discrete Galilean boost.
+    ``ws`` is the weak system of ``trajset`` on the IDENTIFY_GRID test
+    grid, with a library that contains every GALILEAN_BASIS term (the
+    pipeline passes its full-library system). Solves the 6-term
+    regression (convection, two dissipative derivatives, three reaction
+    powers) on those columns and measures the energy fraction carried by
+    the convective column. A genuinely boost-invariant law refits with
+    the same convective coefficient on boosted data; advective or
+    reaction leakage does not. So the fraction is divided by
+    1 + (gap/BOOST_GAP_SCALE)^2, where gap is the relative change of c1
+    when the fit is repeated on a discrete Galilean boost of the data.
     Detection requires both the discounted fraction and the physical
-    convective coefficient to exceed tau.
+    convective coefficient to exceed GALILEAN_TAU.
 
     Returns (detected, energy_fraction, c1, rank_ok).
     """
-    f, c1, rank_ok = galilean_statistics(trajset)
-    detected = (f > tau) and (abs(c1) > tau)
+    f, c1, rank_ok = _convective_fit(ws)
+    if f != 0.0:
+        boosted = galilean_system(galilean_boost(trajset, GALILEAN_BOOST_C))
+        _, c1_boost, _ = _convective_fit(boosted)
+        gap = abs(c1_boost - c1) / max(1.0, abs(c1))
+        f = f / (1.0 + (gap / BOOST_GAP_SCALE) ** 2)
+    detected = (f > GALILEAN_TAU) and (abs(c1) > GALILEAN_TAU)
     return detected, f, c1, rank_ok
 
 
@@ -310,12 +282,14 @@ def _conservative(results: list[DetectorResult]) -> DetectorResult:
     )
 
 
-def detect_all(trajset: TrajectorySet, tau: float = GALILEAN_TAU) -> SymmetryReport:
-    """Run the five detectors on a trajectory set.
+def detect_all(trajset: TrajectorySet, ws: WeakSystem) -> SymmetryReport:
+    """Run the four detectors on a trajectory set.
 
-    The Galilean test uses the whole set; the others run per trajectory
-    and report the most conservative outcome. A detector error downgrades
-    that test to not-detected with a NaN score.
+    The Galilean test uses the whole set through ``ws``, its weak system
+    on the IDENTIFY_GRID test grid with a library that contains every
+    GALILEAN_BASIS term. The others run per trajectory and report the
+    most conservative outcome. A detector error downgrades that test to
+    not-detected with a NaN score.
     """
     failed = DetectorResult(False, float("nan"))
 
@@ -325,7 +299,6 @@ def detect_all(trajset: TrajectorySet, tau: float = GALILEAN_TAU) -> SymmetryRep
         except (ValueError, FloatingPointError):
             return failed
 
-    spatial = per_traj(detect_spatial_translation)
     temporal = per_traj(detect_temporal_translation)
     scaling = per_traj(detect_scaling)
     try:
@@ -335,12 +308,11 @@ def detect_all(trajset: TrajectorySet, tau: float = GALILEAN_TAU) -> SymmetryRep
     except (ValueError, FloatingPointError):
         even = odd = failed
     try:
-        g_detected, g_f, g_c1, g_rank = detect_galilean(trajset, tau)
+        g_detected, g_f, g_c1, g_rank = detect_galilean(trajset, ws)
         galilean = DetectorResult(g_detected, g_f)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError):
         galilean, g_c1, g_rank = failed, float("nan"), False
     return SymmetryReport(
-        spatial_translation=spatial,
         temporal_translation=temporal,
         galilean=galilean,
         scaling=scaling,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import eqod.pipeline as pipeline
+import eqod.stability as stability
+import eqod.symmetry as symmetry
 from eqod.core import term_from_tag
 from eqod.oplib import standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
+from eqod.weakform import IDENTIFY_GRID, assemble
 
 
 def tags(support):
@@ -39,6 +42,30 @@ class TestRunEqod:
         assert doc["mode"] == res.mode
         assert doc["library"] == list(res.library_used.tags)
         assert set(doc["coefficients"]) == set(standard_library().tags)
+        assert set(doc["detectors"]) == {
+            "temporal_translation",
+            "galilean",
+            "scaling",
+            "reflection_even",
+            "reflection_odd",
+        }
+
+    # The base library is assembled once and reused by the Galilean test;
+    # the boosted refit (skipped only when the raw fraction is 0) and the
+    # stability gate's (8,10) system are the other assemblies.
+    @pytest.mark.parametrize("name, expected", [("heat_clean", 3), ("burgers_clean", 2)])
+    def test_assembly_count(self, name, expected, request, monkeypatch):
+        calls = []
+
+        def counting(trajset, spec, tg):
+            calls.append((spec, (len(tg.t_centers), len(tg.x_centers))))
+            return assemble(trajset, spec, tg)
+
+        for module in (pipeline, symmetry, stability):
+            monkeypatch.setattr(module, "assemble", counting)
+        run_eqod(request.getfixturevalue(name), 42)
+        assert len(calls) == expected
+        assert calls.count((standard_library(), IDENTIFY_GRID)) == 1
 
 
 def _raise(exc):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from eqod.spectral import spectral_derivative, trapezoid_2d, wavenumbers
-from eqod.weakform import bump
+from eqod.spectral import spectral_derivative, wavenumbers
 
 
 class TestWavenumbers:
@@ -70,23 +69,3 @@ class TestDerivative:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             spectral_derivative(np.ones(16), 5, 2 * np.pi)
-
-
-class TestTrapezoid:
-    def test_ones_with_time_half_weights(self):
-        assert trapezoid_2d(np.ones((3, 4)), 1.0, 1.0) == pytest.approx(8.0)
-
-    def test_zero(self):
-        assert trapezoid_2d(np.zeros((5, 5)), 0.1, 0.2) == 0.0
-
-    def test_against_dense_grid_oracle(self):
-        # separable sin(x) * bump(t): refine the time axis 10x and compare
-        def value(nt):
-            t = np.linspace(0.0, 1.0, nt)
-            x = 2 * np.pi * np.arange(64) / 64
-            f = np.outer(bump((t - 0.5) / 0.3), np.sin(x) ** 2)
-            return trapezoid_2d(f, 2 * np.pi / 64, t[1] - t[0])
-
-        coarse = value(201)
-        fine = value(2001)
-        assert abs(coarse - fine) / abs(fine) < 1e-6

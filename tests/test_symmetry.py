@@ -2,23 +2,30 @@ import numpy as np
 import pytest
 
 from eqod.core import Grid1D, Trajectory, TrajectorySet
+from eqod.oplib import standard_library
 from eqod.solvers import PDES, generate_set
 from eqod.symmetry import (
     detect_all,
     detect_galilean,
     detect_reflection,
     detect_scaling,
-    detect_spatial_translation,
     detect_temporal_translation,
     estimate_symbol,
     galilean_boost,
+    galilean_system,
 )
+from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
 
 
 def make_traj(values, t_end=1.0, length=2 * np.pi):
     nt, nx = values.shape
     g = Grid1D(0.0, length, nx, 0.0, t_end, nt)
     return Trajectory(g, values)
+
+
+def standard_system(ts):
+    """The full-library system that run_eqod hands to the Galilean test."""
+    return assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))
 
 
 def analytic_field(fn, nt=128, nx=128, t_end=1.0):
@@ -50,27 +57,6 @@ class TestSymbol:
         tr = make_traj(np.zeros((16, 32)))
         with pytest.raises(ValueError):
             estimate_symbol(tr)
-
-
-class TestSpatialTranslation:
-    @pytest.mark.parametrize("name", ["heat", "burgers", "adv_diff"])
-    def test_benchmark_pdes_detected(self, name):
-        pde = PDES[name]
-        ts = generate_set(pde, pde.default_grid(), 1, 0.0, 42)
-        res = detect_spatial_translation(ts.trajectories[0])
-        assert res.detected
-
-    def test_pre_shift_invariance(self, heat_clean):
-        tr = heat_clean.trajectories[0]
-        shifted = Trajectory(tr.grid, np.roll(tr.values, 16, axis=1))
-        a = detect_spatial_translation(tr)
-        b = detect_spatial_translation(shifted)
-        assert abs(a.score - b.score) < 1e-12
-
-    def test_nx_not_divisible_errors(self):
-        tr = make_traj(np.sin(np.arange(12 * 20).reshape(12, 20)))
-        with pytest.raises(ValueError):
-            detect_spatial_translation(tr)
 
 
 class TestTemporalTranslation:
@@ -162,19 +148,19 @@ class TestReflection:
 
 class TestGalilean:
     def test_burgers_detected(self, burgers_clean):
-        detected, f, c1, rank_ok = detect_galilean(burgers_clean)
+        detected, f, c1, rank_ok = detect_galilean(burgers_clean, standard_system(burgers_clean))
         assert detected
         assert f >= 0.08
         assert c1 == pytest.approx(-1.0, abs=0.05)
         assert rank_ok
 
     def test_heat_not_detected(self, heat_clean):
-        detected, f, c1, _ = detect_galilean(heat_clean)
+        detected, f, c1, _ = detect_galilean(heat_clean, standard_system(heat_clean))
         assert not detected
         assert f <= 0.03
 
     def test_kdv_detected(self, kdv_clean):
-        detected, f, c1, _ = detect_galilean(kdv_clean)
+        detected, f, c1, _ = detect_galilean(kdv_clean, standard_system(kdv_clean))
         assert detected
         assert c1 == pytest.approx(-1.0, abs=0.05)
 
@@ -189,37 +175,45 @@ class TestGalilean:
 
     def test_order_independent(self, burgers_clean):
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))
-        a = detect_galilean(burgers_clean)
-        b = detect_galilean(flipped)
+        a = detect_galilean(burgers_clean, standard_system(burgers_clean))
+        b = detect_galilean(flipped, standard_system(flipped))
         assert a[1] == pytest.approx(b[1], rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["burgers_clean", "heat_clean", "kdv_clean"])
+    def test_full_library_system_matches_own_assembly(self, name, request):
+        ts = request.getfixturevalue(name)
+        detected, f, c1, rank_ok = detect_galilean(ts, standard_system(ts))
+        own = detect_galilean(ts, galilean_system(ts))
+        assert (detected, rank_ok) == (own[0], own[3])
+        assert f == pytest.approx(own[1], rel=1e-9)
+        assert c1 == pytest.approx(own[2], rel=1e-9)
 
 
 class TestDetectAll:
     def test_burgers_report(self, burgers_clean):
-        rep = detect_all(burgers_clean)
+        rep = detect_all(burgers_clean, standard_system(burgers_clean))
         assert rep.galilean.detected
         assert rep.reflection_odd.detected
         assert not rep.reflection_even.detected
 
     def test_kdv_report(self, kdv_clean):
-        rep = detect_all(kdv_clean)
+        rep = detect_all(kdv_clean, standard_system(kdv_clean))
         assert rep.galilean.detected
         assert not rep.reflection_odd.detected
 
     def test_heat_report(self, heat_clean):
-        rep = detect_all(heat_clean)
+        rep = detect_all(heat_clean, standard_system(heat_clean))
         assert not rep.galilean.detected
-        assert rep.spatial_translation.detected
 
     def test_deterministic(self, heat_clean):
-        assert detect_all(heat_clean) == detect_all(heat_clean)
+        assert detect_all(heat_clean, standard_system(heat_clean)) == detect_all(heat_clean, standard_system(heat_clean))
 
     def test_failed_detector_downgrades(self):
         # constant nonzero field: no reliable modes -> symbol tests go NaN
-        g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 16)
-        ts = TrajectorySet((Trajectory(g, np.ones((16, 32))),))
-        rep = detect_all(ts)
-        assert not rep.spatial_translation.detected
-        assert np.isnan(rep.spatial_translation.score)
+        g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)
+        ts = TrajectorySet((Trajectory(g, np.ones((32, 32))),))
+        rep = detect_all(ts, galilean_system(ts))
+        assert not rep.scaling.detected
+        assert np.isnan(rep.scaling.score)
         d = rep.to_json_dict()
-        assert d["spatial_translation"]["score"] is None
+        assert d["scaling"]["score"] is None
