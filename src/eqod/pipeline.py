@@ -109,7 +109,8 @@ def run_eqod(
         report = detect_all(trajset, ws_full if has_basis else galilean_system(trajset))
         if report.galilean.detected:
             mode, gamma = "symmetry", GAMMA_SYMMETRY
-            spec = galilean_reduced()
+            reduced = galilean_reduced()
+            spec = LibrarySpec(tuple(t for t in base.terms if t in reduced), reduced.provenance)
             if report.reflection_odd.detected:
                 spec = odd_reflection_prune(spec)
         else:

@@ -1,5 +1,6 @@
-"""LASSO coordinate descent, cross-validated regularization, and the
-threshold-plus-debias weak-form identification stage."""
+"""Exact LASSO by feature-sign search with a KKT certificate on every
+solve, cross-validated regularization, and the threshold-plus-debias
+weak-form identification stage."""
 
 from __future__ import annotations
 
@@ -24,6 +25,15 @@ __all__ = [
 
 CV_STREAM = 11  # substream id for the CV row permutation
 
+# A solve is certified when its KKT residual (see _kkt_residual) is at
+# most KKT_TOL; an uncertified warm-started solve is redone once from
+# zero, and a solve that still fails warns "... did not converge".
+KKT_TOL = 1e-6
+# Feature-sign search stops once no zero coefficient violates its
+# condition by more than this fraction of the certificate's scale. It
+# sits well below KKT_TOL so rounding, not the stop, sets the residual.
+ACTIVATE_TOL = 1e-9
+
 
 def _default_lambda_grid() -> np.ndarray:
     return np.logspace(-6, -1, 60)
@@ -31,12 +41,10 @@ def _default_lambda_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Regularization grid and coordinate-descent controls."""
+    """Regularization grid and fold count for ``lasso_cv``."""
 
     lambda_grid: np.ndarray = field(default_factory=_default_lambda_grid)
     cv_folds: int = 5
-    coord_tol: float = 1e-9
-    max_sweeps: int = 10_000
 
     def __post_init__(self):
         grid = np.asarray(self.lambda_grid, dtype=float)
@@ -56,66 +64,129 @@ class IdentifyConfig:
     debias_rounds: int = 2
 
 
-def _cd_path(theta, b, lambdas, tol, max_sweeps):
-    """Cyclic coordinate descent on ||b - theta xi||^2 + lambda ||xi||_1,
-    run simultaneously for every lambda via the Gram matrix.
+def _kkt_scale(corr, lam: float) -> float:
+    """lambda, or for lambda = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|."""
+    if lam > 0:
+        return lam
+    return max(2.0 * float(np.abs(corr).max(initial=0.0)), np.finfo(float).tiny)
 
-    Each coordinate update is soft(theta_j . r_j, lambda/2) / ||theta_j||^2,
-    taken for every unsettled lambda at once. q = gram @ xi is updated by a
-    product then a sum per moved entry, never by a matrix product, so each
-    lambda's iterate is bitwise that of a scalar loop over it alone
-    (``reference_cd_path`` in the tests). A lambda settles, and leaves later
-    sweeps, once a full sweep moves none of its coordinates by tol or more.
-    Returns (xi of shape (p, len(lambdas)), all-settled flag).
+
+def _kkt_residual(gram, corr, lam: float, xi) -> float:
+    """Worst violation of the LASSO optimality conditions over the scale.
+
+    With d = 2 Theta^T (b - Theta xi) = 2 (corr - gram xi), xi minimizes
+    ||b - Theta xi||^2 + lam ||xi||_1 iff d_j = lam sign(xi_j) where
+    xi_j != 0 and |d_j| <= lam where xi_j = 0.
     """
-    theta = np.ascontiguousarray(theta, dtype=float)
+    d = 2.0 * (corr - gram @ xi)
+    viol = np.where(xi != 0.0, np.abs(d - lam * np.sign(xi)), np.maximum(np.abs(d) - lam, 0.0))
+    return float(viol.max(initial=0.0)) / _kkt_scale(corr, lam)
+
+
+def _feature_sign(gram, corr, lam: float, xi) -> np.ndarray:
+    """Feature-sign search (Lee et al. 2007) for one lambda, started at xi.
+
+    A step solves the active set's equations gram_AA x = corr_A - lam s/2
+    for the current signs s, then moves to the point of lowest objective
+    among that solution and the points on the way where a coefficient
+    crosses zero (which is set to zero there). Landing on the solution
+    with consistent signs makes the active set optimal; then the zero
+    coefficient that most violates |d_j| <= lam enters with the sign of
+    d_j. Every step lowers the objective strictly; a step that cannot,
+    or the step cap (a guard, far above the few steps a warm start
+    needs), ends the search and leaves the verdict to the certificate.
+    The steps assume linearly independent active columns, as weak-form
+    systems with more rows than columns have; a rank-deficient active
+    set (for example more columns than rows) can stop the search short
+    of the optimum, which the certificate then reports.
+    """
+    xi = np.array(xi, dtype=float)
+    tol = ACTIVATE_TOL * _kkt_scale(corr, lam)
+    signs = np.sign(xi)
+    optimal_on_active = not signs.any()
+    for _ in range(20 * xi.size + 50):
+        d = 2.0 * (corr - gram @ xi)
+        if optimal_on_active:
+            viol = np.where(signs == 0.0, np.abs(d) - lam, -np.inf)
+            j = int(np.argmax(viol))
+            if not viol[j] > tol:
+                return xi
+            signs[j] = np.sign(d[j])
+        idx = np.flatnonzero(signs)
+        g = gram[np.ix_(idx, idx)]
+        rhs = corr[idx] - 0.5 * lam * signs[idx]
+        try:
+            target = np.linalg.solve(g, rhs)
+        except np.linalg.LinAlgError:  # exactly singular active Gram
+            target = np.linalg.lstsq(g, rhs, rcond=None)[0]
+        if np.all(np.sign(target) == signs[idx]):
+            # The minimizer of the objective on the current orthant.
+            xi[idx] = target
+            optimal_on_active = True
+            continue
+        cur = xi[idx]
+        crossing = np.flatnonzero((cur != 0.0) & (np.sign(target) != np.sign(cur)))
+        ts = np.append(cur[crossing] / (cur[crossing] - target[crossing]), 1.0)
+        cand = cur + ts[:, None] * (target - cur)
+        cand[np.arange(crossing.size), crossing] = 0.0
+        # Objective change from cur, formed from the step so that small
+        # changes are not lost to the rounding of the O(1) objective.
+        step = cand - cur
+        change = (
+            np.einsum("ij,jk,ik->i", step, g, step)
+            - step @ d[idx]
+            + lam * (np.abs(cand).sum(axis=1) - np.abs(cur).sum())
+        )
+        best = int(np.argmin(change))
+        if not change[best] < 0.0:
+            return xi
+        xi[idx] = cand[best]
+        optimal_on_active = False
+        signs = np.sign(xi)
+    return xi
+
+
+def _lasso_path(theta, b, lambdas):
+    """Exact LASSO solutions of ||b - theta xi||^2 + lambda ||xi||_1 for
+    each lambda, with their KKT residuals.
+
+    The lambdas are solved from the largest down, each started at the
+    previous solution; a warm-started solve whose residual exceeds
+    KKT_TOL is redone from zero. Returns (xi of shape (p, len(lambdas)), residuals).
+    """
+    theta = np.asarray(theta, dtype=float)
     gram = theta.T @ theta
-    corr = theta.T @ b
-    diag = np.diag(gram)
-    cols = np.flatnonzero(~(diag <= 0))  # a zero column keeps xi = 0
-    half_lam = np.asarray(lambdas, dtype=float) / 2.0
-    xi = np.zeros((theta.shape[1], len(half_lam)))
-    q = np.zeros_like(xi)
-    live = np.arange(len(half_lam))  # lambda columns not yet settled
-    for _ in range(max_sweeps):
-        x, g, hl = xi[:, live], q[:, live], half_lam[live]
-        step = np.zeros(len(live))
-        for j in cols:
-            rho = corr[j] - g[j] + diag[j] * x[j]
-            mag = np.abs(rho) - hl
-            new = np.where(mag <= 0.0, 0.0, np.where(rho > 0.0, mag, -mag) / diag[j])
-            delta = new - x[j]
-            moved = delta != 0.0
-            g[:, moved] += gram[:, j, None] * delta[moved]
-            x[j, moved] = new[moved]
-            size = np.abs(delta)
-            step = np.where(size > step, size, step)
-        xi[:, live], q[:, live] = x, g
-        live = live[~(step < tol)]
-        if live.size == 0:
-            return xi, True
-    return xi, False
+    corr = theta.T @ np.asarray(b, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
+    xi = np.zeros((theta.shape[1], lambdas.size))
+    kkt = np.zeros(lambdas.size)
+    x = np.zeros(theta.shape[1])
+    for i in np.argsort(-lambdas, kind="stable"):
+        warm = x.any()
+        x = _feature_sign(gram, corr, lambdas[i], x)
+        kkt[i] = _kkt_residual(gram, corr, lambdas[i], x)
+        if warm and not kkt[i] <= KKT_TOL:
+            x = _feature_sign(gram, corr, lambdas[i], np.zeros_like(x))
+            kkt[i] = _kkt_residual(gram, corr, lambdas[i], x)
+        xi[:, i] = x
+    return xi, kkt
 
 
 def lasso(theta_norm, b_norm, lam: float, config: LassoConfig | None = None) -> np.ndarray:
-    """Solve one LASSO problem; non-convergence warns and returns the iterate.
+    """Solve one LASSO problem exactly; an uncertified solve warns.
 
     The objective is the plain squared residual plus lambda times the
-    l1 norm (no 1/2 and no 1/n factor), so the coordinate update is
-    soft(theta_j . r_j, lambda/2) / ||theta_j||^2.
+    l1 norm (no 1/2 and no 1/n factor). The solution is found by
+    feature-sign search from zero and carries a KKT certificate: if its
+    residual exceeds KKT_TOL, a RuntimeWarning says "lasso did not
+    converge" and the iterate is returned. lambda = 0 is least squares. ``config`` is accepted for the signature shared with
+    ``lasso_cv``; a single solve reads none of its fields.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    config = config or LassoConfig()
-    xi, ok = _cd_path(
-        np.asarray(theta_norm, float),
-        np.asarray(b_norm, float),
-        [lam],
-        config.coord_tol,
-        config.max_sweeps,
-    )
-    if not ok:
-        warnings.warn("lasso coordinate descent did not converge", RuntimeWarning)
+    xi, kkt = _lasso_path(theta_norm, b_norm, [lam])
+    if not kkt[0] <= KKT_TOL:
+        warnings.warn(f"lasso did not converge (KKT residual {kkt[0]:.3g})", RuntimeWarning)
     return xi[:, 0]
 
 
@@ -127,11 +198,14 @@ def lasso_cv(theta, b, config: LassoConfig | None = None, seed: int = 0, full: b
     """Column/response-normalized LASSO with lambda chosen by 5-fold CV.
 
     Rows are permuted by a seed-derived shuffle before the contiguous
-    fold split; the score is held-out R^2 and ties go to the smaller
-    lambda. Returns (lambda_star, xi_norm) for the normalized system,
-    plus the (lambda, mean R^2) curve when ``full`` is set. Fold paths
-    that stop at the sweep cap are still scored, with one RuntimeWarning
-    that counts them; an unconverged refit warns on its own.
+    fold split; each fold's training rows get the exact path over the
+    whole lambda grid, the score is held-out R^2 and ties go to the
+    smaller lambda. Returns (lambda_star, xi_norm) for the normalized
+    system, plus the (lambda, mean R^2) curve when ``full`` is set.
+    Every fold solve and the refit at lambda_star carry a KKT
+    certificate (tolerance KKT_TOL); uncertified fold solves are still
+    scored, with one RuntimeWarning that counts them, and an uncertified
+    refit warns on its own.
     """
     config = config or LassoConfig()
     theta = np.asarray(theta, dtype=float)
@@ -148,30 +222,27 @@ def lasso_cv(theta, b, config: LassoConfig | None = None, seed: int = 0, full: b
     perm = _cv_permutation(seed, n)
     folds = np.array_split(perm, config.cv_folds)
     scores = np.zeros(len(config.lambda_grid))
-    unconverged = 0
+    uncertified = []
     for held in folds:
         train = np.setdiff1d(perm, held, assume_unique=True)
-        xi, ok = _cd_path(
-            theta_n[train], b_n[train], config.lambda_grid, config.coord_tol, config.max_sweeps
-        )
-        unconverged += not ok
+        xi, kkt = _lasso_path(theta_n[train], b_n[train], config.lambda_grid)
+        uncertified.extend(kkt[~(kkt <= KKT_TOL)])
         resid = b_n[held, None] - theta_n[held] @ xi
         denom = float(np.sum((b_n[held] - b_n[held].mean()) ** 2))
         denom = denom if denom > 0 else 1e-300
         scores += 1.0 - np.sum(resid**2, axis=0) / denom
     scores /= len(folds)
-    if unconverged:
+    if uncertified:
         warnings.warn(
-            f"lasso CV: {unconverged} of {len(folds)} fold paths did not converge",
+            f"lasso CV: {len(uncertified)} of {len(folds) * len(scores)} fold solves did not"
+            f" converge (KKT residual up to {max(uncertified):.3g})",
             RuntimeWarning,
         )
     best = int(np.argmax(scores))  # first maximum = smallest lambda on ties
     lambda_star = float(config.lambda_grid[best])
-    xi_all, ok = _cd_path(
-        theta_n, b_n, [lambda_star], config.coord_tol, config.max_sweeps
-    )
-    if not ok:
-        warnings.warn("lasso refit did not converge", RuntimeWarning)
+    xi_all, kkt = _lasso_path(theta_n, b_n, [lambda_star])
+    if not kkt[0] <= KKT_TOL:
+        warnings.warn(f"lasso refit did not converge (KKT residual {kkt[0]:.3g})", RuntimeWarning)
     if full:
         return lambda_star, xi_all[:, 0], np.column_stack([config.lambda_grid, scores])
     return lambda_star, xi_all[:, 0]

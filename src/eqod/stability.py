@@ -9,7 +9,7 @@ import numpy as np
 from .core import TrajectorySet
 from .oplib import LibrarySpec
 from .solvers import RngStream
-from .sparse import LassoConfig, lasso
+from .sparse import lasso
 from .weakform import assemble, make_test_grid
 
 __all__ = ["StabilityConfig", "stability_select", "stability_gate"]
@@ -55,8 +55,10 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     Columns and response are normalized once. Each iteration draws a
     floor(n/2)-row subset without replacement and per-column penalty
     weights from Uniform(weight_low, weight_high), solves LASSO at the
-    fixed lambda on the weight-scaled design, and counts coefficients
-    with magnitude above activity_eps. Iteration i draws from substream
+    fixed lambda on the weight-scaled design with ``sparse.lasso`` (an
+    exact solve whose KKT residual must be at most ``sparse.KKT_TOL``, or
+    it warns "lasso did not converge"), and counts coefficients with
+    magnitude above activity_eps. Iteration i draws from substream
     (seed, STABILITY_STREAM, i) so results are schedule-independent.
 
     The penalty is noise-adaptive: each iteration solves with a
@@ -87,7 +89,6 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
     alpha = PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT
     alpha = (config.lam / LAM_NEUTRAL) * min(alpha, PENALTY_CAP)
-    lasso_cfg = LassoConfig()
     stream = RngStream(seed)
     counts = np.zeros(p)
     half = n // 2
@@ -96,7 +97,7 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
         rng = stream.generator(STABILITY_STREAM, it)
         rows = rng.permutation(n)[:half]
         w = rng.uniform(config.weight_low, config.weight_high, p)
-        xi = lasso(theta_n[rows] / w, b_n[rows], lam_objective, lasso_cfg)
+        xi = lasso(theta_n[rows] / w, b_n[rows], lam_objective)
         counts += np.abs(xi) > config.activity_eps
     pi = counts / config.n_iterations
     stable = frozenset(np.nonzero(pi > config.pi_threshold)[0].tolist())

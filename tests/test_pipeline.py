@@ -7,7 +7,7 @@ import eqod.pipeline as pipeline
 import eqod.stability as stability
 import eqod.symmetry as symmetry
 from eqod.core import term_from_tag
-from eqod.oplib import standard_library
+from eqod.oplib import LibrarySpec, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.weakform import IDENTIFY_GRID, assemble
 
@@ -35,6 +35,15 @@ class TestRunEqod:
         assert tags(res.support()) == {"u*u_x", "u_xx"}
         for tag in ("u", "u^2", "u^3"):
             assert res.coeffs.value(term_from_tag(tag)) == 0.0
+
+    def test_symmetry_on_base_without_reduced_terms(self, burgers_clean):
+        base = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
+        res = run_eqod(burgers_clean, 42, base_library=base)
+        assert res.mode == "symmetry"
+        assert not res.fallback_triggered
+        assert res.library_used.tags == ("u_x", "u_xx", "u*u_x")
+        assert res.coeffs.value(term_from_tag("u_xx")) == pytest.approx(0.1, abs=1e-3)
+        assert res.coeffs.value(term_from_tag("u*u_x")) == pytest.approx(-1.0, abs=1e-2)
 
     def test_to_json_parses(self, heat_result):
         res = heat_result

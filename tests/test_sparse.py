@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import eqod.sparse as sparse
 from eqod.core import coefficient_error, support_from_coeffs, term_from_tag
@@ -16,10 +16,10 @@ def objective(theta, b, xi, lam):
 def reference_cd_path(theta, b, lambdas, tol, max_sweeps):
     """Scalar coordinate descent, one lambda and one coordinate at a time.
 
-    This is the arithmetic ``sparse._cd_path`` must reproduce bit for bit:
-    each element of q = gram @ xi gets a product then a sum per update, in
-    this order, and a lambda stops sweeping once a sweep moves none of its
-    coordinates by tol or more.
+    An independent reference for the exact solver: its objective can only
+    be at or above the exact one. A lambda stops sweeping once a sweep
+    moves none of its coordinates by tol or more; the flag says whether
+    every lambda stopped before max_sweeps.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     gram = theta.T @ theta
@@ -66,32 +66,98 @@ def reference_cd_path(theta, b, lambdas, tol, max_sweeps):
     return xi, False
 
 
-class TestCdPath:
+def normalized_system(rng, n, p):
+    theta = rng.standard_normal((n, p))
+    theta /= np.linalg.norm(theta, axis=0)
+    b = rng.standard_normal(n)
+    return theta, b / np.linalg.norm(b)
+
+
+def fold_systems(ws, seed):
+    """The normalized training systems of lasso_cv's five folds."""
+    theta = ws.theta / np.linalg.norm(ws.theta, axis=0)
+    b = ws.b / np.linalg.norm(ws.b)
+    perm = sparse._cv_permutation(seed, len(b))
+    for held in np.array_split(perm, 5):
+        train = np.setdiff1d(perm, held, assume_unique=True)
+        yield theta[train], b[train]
+
+
+def kkt_from_rows(theta, b, xi, lam):
+    """Worst optimality-condition violation over lambda, from the rows."""
+    grad = 2.0 * theta.T @ (b - theta @ xi)
+    viol = np.where(xi != 0.0, np.abs(grad - lam * np.sign(xi)), np.maximum(np.abs(grad) - lam, 0.0))
+    return viol.max() / lam
+
+
+class TestExactPath:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
         st.booleans(),
-        st.booleans(),
         st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5),
-        st.sampled_from([1, 3, 10_000]),
     )
-    def test_bitwise_equal_to_scalar_reference(
-        self, seed, p, zero_col, near_dup, lambdas, max_sweeps
-    ):
+    def test_objective_and_kkt_against_reference(self, seed, p, zero_col, lambdas):
+        rng = np.random.default_rng(seed)
+        theta, b = normalized_system(rng, int(rng.integers(2 * p + 5, 40)), p)
+        if zero_col:
+            theta[:, int(rng.integers(p))] = 0.0
+        lambdas = sorted(lambdas)
+        xi_ref, ok_ref = reference_cd_path(theta, b, lambdas, 1e-9, 10_000)
+        assume(ok_ref)
+        xi, kkt = sparse._lasso_path(theta, b, lambdas)
+        for k, lam in enumerate(lambdas):
+            exact = objective(theta, b, xi[:, k], lam)
+            assert exact <= objective(theta, b, xi_ref[:, k], lam) + 1e-12 * abs(exact)
+            assert kkt[k] <= 1e-8
+            assert kkt_from_rows(theta, b, xi[:, k], lam) <= 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.booleans(),
+        st.sampled_from([None, 1e-3, 0.0]),
+        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5),
+    )
+    def test_degenerate_columns(self, seed, p, zero_col, dup_noise, lambdas):
+        """Zero, near-duplicate and duplicate columns (a singular Gram)
+        neither raise nor break least squares at lambda = 0."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(p + 1, 30))
         theta = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
-        if near_dup and p > 1:
-            theta[:, -1] = theta[:, 0] * (1.0 + 1e-3 * rng.standard_normal(n))
+        if dup_noise is not None and p > 1:
+            theta[:, -1] = theta[:, 0] * (1.0 + dup_noise * rng.standard_normal(n))
         if zero_col:
             theta[:, int(rng.integers(p))] = 0.0
         b = rng.standard_normal(n)
-        args = (theta, b, sorted(lambdas), 1e-9, max_sweeps)
-        xi, ok = sparse._cd_path(*args)
-        xi_ref, ok_ref = reference_cd_path(*args)
-        assert np.array_equal(xi, xi_ref)
-        assert ok == ok_ref
+        lambdas = [0.0] + sorted(lambdas)
+        xi, kkt = sparse._lasso_path(theta, b, lambdas)
+        assert np.all(xi[~theta.any(axis=0)] == 0.0)
+        assert kkt[0] <= sparse.KKT_TOL
+        ols, *_ = np.linalg.lstsq(theta, b, rcond=None)
+        assert np.sum((b - theta @ xi[:, 0]) ** 2) <= np.sum((b - theta @ ols) ** 2) * (1 + 1e-9) + 1e-12
+
+    def test_certificate_scale(self):
+        """The residual is relative to lambda, and to 2 max|Theta^T b| at lambda = 0."""
+        theta, b = normalized_system(np.random.default_rng(6), 30, 5)
+        gram, corr = theta.T @ theta, theta.T @ b
+        xi = np.array([0.3, 0.0, -0.2, 0.0, 1e-3])
+        for lam in (1e-5, 0.2):
+            rel = sparse._kkt_residual(gram, corr, lam, xi)
+            assert rel == pytest.approx(kkt_from_rows(theta, b, xi, lam), rel=1e-9)
+        grad = 2.0 * theta.T @ (b - theta @ xi)
+        rel0 = sparse._kkt_residual(gram, corr, 0.0, xi)
+        assert rel0 == pytest.approx(np.abs(grad).max() / (2.0 * np.abs(corr).max()), rel=1e-9)
+
+    def test_warm_start_matches_cold_start(self):
+        theta, b = normalized_system(np.random.default_rng(5), 40, 8)
+        lambdas = np.logspace(-4, 0, 15)
+        path, _ = sparse._lasso_path(theta, b, lambdas)
+        for k, lam in enumerate(lambdas):
+            cold, _ = sparse._lasso_path(theta, b, [lam])
+            assert np.abs(path[:, k] - cold[:, 0]).max() < 1e-10
 
 
 class TestLasso:
@@ -121,21 +187,6 @@ class TestLasso:
         with pytest.raises(ValueError):
             lasso(np.eye(2), np.ones(2), -0.1)
 
-    def test_objective_monotone_in_sweeps(self):
-        rng = np.random.default_rng(2)
-        theta = rng.standard_normal((25, 6))
-        b = rng.standard_normal(25)
-        lam = 0.05
-        cfg_prev = None
-        prev = np.inf
-        for sweeps in (1, 2, 3, 5, 10, 50):
-            cfg = LassoConfig(max_sweeps=sweeps)
-            with pytest.warns(RuntimeWarning) if sweeps < 50 else _nullcontext():
-                xi = lasso(theta, b, lam, cfg)
-            val = objective(theta, b, xi, lam)
-            assert val <= prev + 1e-12
-            prev = val
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(1e-4, 0.5))
     def test_kkt_conditions(self, seed, lam):
@@ -163,14 +214,6 @@ class TestLasso:
         for lam in np.logspace(-6, -1, 12):
             norms.append(np.abs(lasso(theta, b, lam)).sum())
         assert np.all(np.diff(norms) <= 1e-6)
-
-
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 class TestLassoCV:
@@ -214,21 +257,76 @@ class TestLassoCV:
         assert curve.shape == (60, 2)
         assert np.all(np.diff(curve[:, 0]) > 0)
 
-    def test_unconverged_folds_warn(self, heat_noisy10):
+    # Clean fisher_kpp and kdv have normalized Gram conditions near 1e8
+    # and 5e6; reference_cd_path stops at 10 000 sweeps on every fold.
+    @pytest.mark.parametrize("name", ["fisher_kpp_clean", "kdv_clean"])
+    def test_kkt_on_ill_conditioned_folds(self, name, request):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
-        with (
-            pytest.warns(RuntimeWarning, match="fold") as record,
-            pytest.warns(RuntimeWarning, match="refit did not converge"),
-        ):
-            lasso_cv(ws.theta, ws.b, LassoConfig(max_sweeps=1), seed=42)
-        fold_msgs = [str(w.message) for w in record if "fold" in str(w.message)]
-        assert fold_msgs == ["lasso CV: 5 of 5 fold paths did not converge"]
+        ts = request.getfixturevalue(name)
+        ws = assemble(ts, standard_library(), make_test_grid(ts.grid, 5, 7))
+        grid = LassoConfig().lambda_grid
+        for theta, b in fold_systems(ws, 42):
+            xi, kkt = sparse._lasso_path(theta, b, grid)
+            assert kkt.max() <= sparse.KKT_TOL
+            for k, lam in enumerate(grid):
+                assert kkt_from_rows(theta, b, xi[:, k], lam) <= sparse.KKT_TOL
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             lasso_cv(np.ones((3, 2)), np.ones(3), LassoConfig(cv_folds=5))
+
+
+def _perturbed_solver(monkeypatch):
+    """Make every solve return an iterate off its optimum."""
+    exact = sparse._feature_sign
+    monkeypatch.setattr(
+        sparse, "_feature_sign", lambda gram, corr, lam, xi: exact(gram, corr, lam, xi) + 1e-3
+    )
+
+
+class TestUncertified:
+    def test_restart_from_zero_repairs(self, monkeypatch):
+        """A warm-started solve that misses the certificate is redone from zero."""
+        theta, b = normalized_system(np.random.default_rng(4), 40, 6)
+        exact = sparse._feature_sign
+
+        def bad_warm_start(gram, corr, lam, xi):
+            return exact(gram, corr, lam, xi) + (1e-3 if xi.any() else 0.0)
+
+        monkeypatch.setattr(sparse, "_feature_sign", bad_warm_start)
+        lambdas = np.logspace(-4, -1, 8)
+        xi, kkt = sparse._lasso_path(theta, b, lambdas)
+        assert kkt.max() <= 1e-8
+        for k, lam in enumerate(lambdas):
+            assert kkt_from_rows(theta, b, xi[:, k], lam) <= 1e-8
+
+    def test_lasso_warns(self, monkeypatch):
+        theta, b = normalized_system(np.random.default_rng(3), 30, 5)
+        _perturbed_solver(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="lasso did not converge"):
+            lasso(theta, b, 0.05)
+
+    def test_lasso_cv_warns(self, heat_noisy10, monkeypatch):
+        from eqod.weakform import assemble, make_test_grid
+
+        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        _perturbed_solver(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="did not converge") as record:
+            lasso_cv(ws.theta, ws.b, seed=42)
+        msgs = [str(w.message) for w in record]
+        assert any(m.startswith("lasso CV: 300 of 300 fold solves did not converge") for m in msgs)
+        assert any(m.startswith("lasso refit did not converge") for m in msgs)
+
+    def test_stability_select_warns(self, heat_noisy10, monkeypatch):
+        from eqod.stability import StabilityConfig, stability_select
+        from eqod.weakform import assemble, make_test_grid
+
+        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 8, 10))
+        _perturbed_solver(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="lasso did not converge") as record:
+            stability_select(ws.theta, ws.b, StabilityConfig(n_iterations=3), seed=42)
+        assert len(record) == 3
 
 
 class TestIdentify:
