@@ -31,7 +31,7 @@ from .pipeline import IdentificationResult, run_eqod, run_wf_lasso_baseline
 from .solvers import PDES, PdeSpec, RngStream, add_noise, generate_set, initial_condition, solve
 from .sparse import IdentifyConfig, LassoConfig, lasso, lasso_cv, wf_lasso_identify
 from .stability import StabilityConfig, stability_gate, stability_select
-from .symmetry import SymmetryReport, detect_all, detect_galilean, estimate_symbol
+from .symmetry import SymmetryReport, detect_all, detect_galilean
 from .weakform import TestGrid, WeakSystem, assemble, bump, make_test_grid
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "coefficient_error",
     "detect_all",
     "detect_galilean",
-    "estimate_symbol",
     "evaluate_term",
     "expanded_library",
     "f1_score",

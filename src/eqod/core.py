@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,10 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
+        ends = {"x0": self.x0, "length": self.length, "t_start": self.t_start, "t_end": self.t_end}
+        for name, v in ends.items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.length <= 0:
             raise ValueError("domain length must be positive")
         if self.nx < 8 or self.nt < 8:

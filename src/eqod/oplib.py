@@ -39,7 +39,6 @@ class LibrarySpec:
     """Ordered, duplicate-free list of candidate terms."""
 
     terms: tuple[LibraryTerm, ...]
-    provenance: str = "custom"
 
     def __post_init__(self):
         if not self.terms:
@@ -63,7 +62,7 @@ class LibrarySpec:
 
 def standard_library() -> LibrarySpec:
     """The canonical 10-term candidate set."""
-    return LibrarySpec(STANDARD_TERMS, "standard")
+    return LibrarySpec(STANDARD_TERMS)
 
 
 def galilean_reduced() -> LibrarySpec:
@@ -74,16 +73,13 @@ def galilean_reduced() -> LibrarySpec:
     the sparse regression.
     """
     keep = tuple(t for t in STANDARD_TERMS if t not in (U, U2, U3))
-    return LibrarySpec(keep, "galilean")
+    return LibrarySpec(keep)
 
 
 def odd_reflection_prune(spec: LibrarySpec) -> LibrarySpec:
     """Drop the parity-incompatible terms u*u_xx and (if present) u^2."""
     keep = tuple(t for t in spec.terms if t not in (U_UXX, U2))
-    if keep == spec.terms:
-        return spec
-    provenance = "galilean_odd" if spec.provenance in ("galilean", "galilean_odd") else spec.provenance
-    return LibrarySpec(keep, provenance)
+    return spec if keep == spec.terms else LibrarySpec(keep)
 
 
 def expanded_library(size: int) -> LibrarySpec:
@@ -93,7 +89,7 @@ def expanded_library(size: int) -> LibrarySpec:
     if size == 10:
         return standard_library()
     extras = tuple(term_from_tag(tag) for tag in _EXPANSION_TAGS[: size - 10])
-    return LibrarySpec(STANDARD_TERMS + extras, "custom")
+    return LibrarySpec(STANDARD_TERMS + extras)
 
 
 def term_fields(traj: Trajectory, terms):

@@ -3,9 +3,11 @@
 The base library is assembled once on the identification test grid;
 that system gives the full-library fit the guard compares against and,
 when the library holds every GALILEAN_BASIS term, the columns of the
-Galilean test. Stage 1 runs the symmetry detectors. Stage 2 reduces the
-candidate library: the Galilean-reduced set when a boost is detected
-(optionally parity-pruned), otherwise stability selection. Stage 3
+Galilean test. Stage 1 runs the two symmetry tests that steer the run:
+the weak-form Galilean test and the odd-reflection test. Stage 2 reduces
+the candidate library: the Galilean-reduced set when a boost is detected,
+otherwise stability selection; an odd field also drops the
+parity-incompatible terms on either path. Stage 3
 identifies coefficients by weak-form LASSO on the reduced library.
 Stage 4 reverts to the full-library fit when the reduced-library
 residual is more than a path-dependent factor worse.
@@ -110,7 +112,7 @@ def run_eqod(
         if report.galilean.detected:
             mode, gamma = "symmetry", GAMMA_SYMMETRY
             reduced = galilean_reduced()
-            spec = LibrarySpec(tuple(t for t in base.terms if t in reduced), reduced.provenance)
+            spec = LibrarySpec(tuple(t for t in base.terms if t in reduced))
             if report.reflection_odd.detected:
                 spec = odd_reflection_prune(spec)
         else:

@@ -172,15 +172,14 @@ def _lasso_path(theta, b, lambdas):
     return xi, kkt
 
 
-def lasso(theta_norm, b_norm, lam: float, config: LassoConfig | None = None) -> np.ndarray:
+def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     """Solve one LASSO problem exactly; an uncertified solve warns.
 
     The objective is the plain squared residual plus lambda times the
     l1 norm (no 1/2 and no 1/n factor). The solution is found by
     feature-sign search from zero and carries a KKT certificate: if its
     residual exceeds KKT_TOL, a RuntimeWarning says "lasso did not
-    converge" and the iterate is returned. lambda = 0 is least squares. ``config`` is accepted for the signature shared with
-    ``lasso_cv``; a single solve reads none of its fields.
+    converge" and the iterate is returned. lambda = 0 is least squares.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")

@@ -30,14 +30,12 @@ PENALTY_SCALE = 0.6
 PENALTY_EXPONENT = 0.75
 RESIDUAL_FLOOR = 1e-6
 PENALTY_CAP = 2.1e-3
-LAM_NEUTRAL = 1e-3  # documented default; config.lam rescales relative to it
 
 
 @dataclass(frozen=True)
 class StabilityConfig:
     n_iterations: int = 50
     pi_threshold: float = 0.5
-    lam: float = 1e-3
     weight_low: float = 0.5
     weight_high: float = 1.0
     activity_eps: float = 1e-6
@@ -62,14 +60,13 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     (seed, STABILITY_STREAM, i) so results are schedule-independent.
 
     The penalty is noise-adaptive: each iteration solves with a
-    mean-squared-error penalty alpha = (lam / 1e-3) * PENALTY_SCALE *
-    clip(s2, RESIDUAL_FLOOR, .)**PENALTY_EXPONENT capped at PENALTY_CAP,
-    where s2 is the mean squared OLS residual of the full normalized
-    system; the summed objective passed to the solver uses
-    2 * n_subsample * alpha. A fixed absolute penalty cannot separate
-    stable from spurious terms across systems whose residual energies
-    span five orders of magnitude; scaling with the noise level does,
-    and the default lam is neutral under this calibration.
+    mean-squared-error penalty alpha = min(PENALTY_SCALE *
+    max(s2, RESIDUAL_FLOOR)**PENALTY_EXPONENT, PENALTY_CAP), where s2 is
+    the mean squared OLS residual of the full normalized system; the
+    summed objective passed to the solver uses 2 * n_subsample * alpha.
+    A fixed absolute penalty cannot separate stable from spurious terms
+    across systems whose residual energies span five orders of
+    magnitude; scaling with the noise level does.
 
     Returns (pi, stable) with stable = indices where pi > pi_threshold
     (strict).
@@ -87,8 +84,7 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     b_n = b / (b_norm if b_norm > 0 else 1.0)
     ols, *_ = np.linalg.lstsq(theta_n, b_n, rcond=None)
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
-    alpha = PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT
-    alpha = (config.lam / LAM_NEUTRAL) * min(alpha, PENALTY_CAP)
+    alpha = min(PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT, PENALTY_CAP)
     stream = RngStream(seed)
     counts = np.zeros(p)
     half = n // 2
@@ -124,5 +120,5 @@ def stability_gate(
     if not stable:
         return base_spec, pi
     terms = tuple(t for j, t in enumerate(base_spec.terms) if j in stable)
-    return LibrarySpec(terms, "stability_selected"), pi
+    return LibrarySpec(terms), pi
 

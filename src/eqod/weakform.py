@@ -92,7 +92,7 @@ def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
 
 @dataclass(frozen=True)
 class WeakSystem:
-    """Design matrix, response, and per-row provenance of a weak-form system."""
+    """Design matrix, response, and the origin of each row of a weak-form system."""
 
     theta: np.ndarray
     b: np.ndarray

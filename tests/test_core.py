@@ -42,6 +42,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="nx must be even"):
             Grid1D(0.0, 2 * np.pi, 127, 0.0, 1.0, 128)
 
+    @pytest.mark.parametrize(
+        "name, value", [("x0", np.nan), ("length", np.nan), ("t_start", -np.inf), ("t_end", np.inf)]
+    )
+    def test_rejects_non_finite_ends(self, name, value):
+        args = {"x0": 0.0, "length": 2 * np.pi, "nx": 16, "t_start": 0.0, "t_end": 1.0, "nt": 8}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Grid1D(**{**args, name: value})
+
     def test_trajectory_validation(self):
         g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 8)
         Trajectory(g, np.zeros((8, 16)))

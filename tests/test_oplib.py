@@ -22,7 +22,6 @@ class TestLibraries:
     def test_standard_order(self):
         spec = standard_library()
         assert spec.terms == STANDARD_TERMS
-        assert spec.provenance == "standard"
 
     def test_galilean_reduced(self):
         spec = galilean_reduced()
@@ -42,7 +41,6 @@ class TestLibraries:
         spec = odd_reflection_prune(galilean_reduced())
         assert len(spec) == 6
         assert term_from_tag("u*u_xx") not in spec
-        assert spec.provenance == "galilean_odd"
 
     def test_odd_prune_on_standard(self):
         spec = odd_reflection_prune(standard_library())

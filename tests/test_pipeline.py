@@ -51,13 +51,7 @@ class TestRunEqod:
         assert doc["mode"] == res.mode
         assert doc["library"] == list(res.library_used.tags)
         assert set(doc["coefficients"]) == set(standard_library().tags)
-        assert set(doc["detectors"]) == {
-            "temporal_translation",
-            "galilean",
-            "scaling",
-            "reflection_even",
-            "reflection_odd",
-        }
+        assert set(doc["detectors"]) == {"galilean", "reflection_odd"}
 
     # The base library is assembled once and reused by the Galilean test;
     # the boosted refit (skipped only when the raw fraction is 0) and the

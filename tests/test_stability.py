@@ -99,7 +99,6 @@ class TestStabilityGate:
     def test_heat_collapses_to_diffusion(self, heat_clean):
         spec, _ = stability_gate(heat_clean, standard_library(), 42)
         assert spec.tags == ("u_xx",)
-        assert spec.provenance == "stability_selected"
 
     def test_adv_diff_two_terms(self):
         pde = PDES["adv_diff"]
