@@ -1,9 +1,17 @@
 """Benchmark PDE trajectory generation.
 
-All eight benchmark equations are integrated as Fourier coefficients on a
-periodic grid: adaptive RK45 for the non-stiff cases and fixed-step ETDRK4
-for the stiff one. Nonlinear products are formed in physical space with a
-2/3-rule dealias.
+All eight benchmark equations are propagated as Fourier coefficients on a
+periodic grid, by one of three paths:
+
+- exact, for a law with no nonlinear term (heat, adv_diff): each mode is
+  multiplied by exp(symbol * t), with no time stepping;
+- fixed-step ETDRK4 for the stiff law (ks);
+- adaptive RK45 for the rest.
+
+Nonlinear products are formed in physical space with a 2/3-rule dealias.
+A trajectory set's initial conditions are propagated together: the exact
+path and ETDRK4 carry them as a leading batch axis, RK45 integrates each
+on its own so its step control is per trajectory.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import CoefficientVector, Grid1D, LibraryTerm, Trajectory, TrajectorySet
 
@@ -145,24 +152,33 @@ def _split_terms(coeffs: CoefficientVector):
     return linear, nonlinear
 
 
-def _nonlinear_rhs(uhat, k, mask, nonlinear: list[tuple[LibraryTerm, float]], nx: int):
-    """Nonlinear tendency, formed pointwise on dealiased fields."""
-    uhat = np.where(mask, uhat, 0.0)
-    fields = {}
+def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int, dealias: bool):
+    """N(v): the nonlinear tendency of Fourier rows v, formed pointwise on dealiased fields.
 
-    def deriv(d):
-        if d not in fields:
-            fields[d] = np.fft.irfft(uhat * (1j * k) ** d, n=nx)
-        return fields[d]
+    The derivative multipliers and the 2/3-rule cut are built once per
+    solve. v holds rfft coefficients along its last axis; any leading axes
+    are a batch. Modes above the cut are dropped on the way in and zeroed
+    on the way out.
+    """
+    keep = nx // 3 + 1 if dealias else nx // 2 + 1
+    orders = sorted({d for term, _ in nonlinear for d, p in enumerate(term.powers) if p})
+    mults = {d: (1j * k[:keep]) ** d for d in orders}
 
-    out = np.zeros(nx)
-    for term, c in nonlinear:
-        prod = np.ones(nx)
-        for d, p in enumerate(term.powers):
-            if p:
-                prod = prod * deriv(d) ** p
-        out = out + c * prod
-    return np.where(mask, np.fft.rfft(out), 0.0)
+    def apply(v):
+        low = v[..., :keep]
+        fields = {d: np.fft.irfft(low * mults[d], n=nx) for d in orders}
+        out = np.zeros(v.shape[:-1] + (nx,))
+        for term, c in nonlinear:
+            prod = np.ones(nx)
+            for d, p in enumerate(term.powers):
+                if p:
+                    prod = prod * fields[d] ** p
+            out = out + c * prod
+        nv = np.fft.rfft(out)
+        nv[..., keep:] = 0.0
+        return nv
+
+    return apply
 
 
 def _linear_symbol(k, linear):
@@ -185,26 +201,26 @@ def _etdrk4_coeffs(sym, h, m=32):
     return e_full, e_half, q, f1, f2, f3
 
 
-def _solve_etdrk4(pde, u0, grid, dealias, steps_per_sample=6):
-    """Fixed-step ETDRK4 with the linear part handled exactly.
+def _propagate_exact(pde, v0, grid, sym):
+    """A law with no nonlinear term in closed form: v(t) = exp(sym (transient + t)) v(0)."""
+    growth = np.exp(np.outer(pde.transient + grid.t, sym))
+    return np.fft.irfft(v0[:, None, :] * growth, n=grid.nx)
+
+
+def _solve_etdrk4(pde, v0, grid, sym, nl, steps_per_sample=6):
+    """Fixed-step ETDRK4 with the linear part handled exactly, all rows in one step loop.
 
     The step size divides the output interval so samples land on step
     boundaries; the transient is an integer number of the same steps.
     """
     nx = grid.nx
-    k = 2 * np.pi * np.arange(nx // 2 + 1) / grid.length
-    mask = np.arange(nx // 2 + 1) <= nx // 3 if dealias else np.ones(nx // 2 + 1, bool)
-    linear, nonlinear = _split_terms(pde.true_coeffs)
-    sym = _linear_symbol(k, linear).real  # stiff benchmark symbols are real
+    sym = sym.real  # stiff benchmark symbols are real
     h = grid.dt / steps_per_sample
     n_transient = int(round(pde.transient / h))
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(sym, h)
 
-    def nl(v):
-        return _nonlinear_rhs(v, k, mask, nonlinear, nx)
-
-    v = np.fft.rfft(np.asarray(u0, float))
-    out = np.empty((grid.nt, nx))
+    v = v0
+    out = np.empty((len(v0), grid.nt, nx))
     total = n_transient + (grid.nt - 1) * steps_per_sample
     sample = 0
     for step in range(total + 1):
@@ -213,7 +229,7 @@ def _solve_etdrk4(pde, u0, grid, dealias, steps_per_sample=6):
             if not np.all(np.isfinite(u)):
                 t = step * h - pde.transient
                 raise SolverBlowUpError(f"{pde.name} blew up at step {step}, t={t:.4g}")
-            out[sample] = u
+            out[:, sample] = u
             sample += 1
         if step == total:
             break
@@ -228,69 +244,81 @@ def _solve_etdrk4(pde, u0, grid, dealias, steps_per_sample=6):
     return out
 
 
-def _solve_rk45(pde, u0, grid, dealias):
-    """Adaptive RK45 on phase-rotated Fourier coefficients.
+def _solve_rk45(pde, v0, grid, sym, nl):
+    """Adaptive RK45 on phase-rotated Fourier coefficients, one integration per row.
 
     The imaginary (dispersive/advective) part of the linear symbol is
     absorbed into an exact integrating-factor rotation so the step size
-    is set by the dynamics, not by high-wavenumber oscillation.
+    is set by the dynamics, not by high-wavenumber oscillation. Each row
+    keeps its own step control.
     """
-    nx = grid.nx
-    k = 2 * np.pi * np.arange(nx // 2 + 1) / grid.length
-    mask = np.arange(nx // 2 + 1) <= nx // 3 if dealias else np.ones(nx // 2 + 1, bool)
-    linear, nonlinear = _split_terms(pde.true_coeffs)
-    sym = _linear_symbol(k, linear)
+    from scipy.integrate import solve_ivp  # only this path needs scipy
+
     omega = sym.imag
     decay = sym.real
 
     def rhs(t, v):
         rot = np.exp(1j * omega * t)
-        dv = decay * v
-        if nonlinear:
-            dv = dv + _nonlinear_rhs(rot * v, k, mask, nonlinear, nx) / rot
-        return dv
+        return decay * v + nl(rot * v) / rot
 
     t_eval = pde.transient + grid.t
-    res = solve_ivp(
-        rhs,
-        (0.0, pde.transient + grid.t_end),
-        np.fft.rfft(np.asarray(u0, float)).astype(complex),
-        method="RK45",
-        t_eval=t_eval,
-        rtol=1e-7,
-        atol=1e-9,
-    )
-    if not res.success:
-        raise SolverBlowUpError(f"{pde.name} integration failed: {res.message}")
-    uhat = res.y.T * np.exp(1j * omega[None, :] * t_eval[:, None])
-    out = np.fft.irfft(uhat, n=nx)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(out).all(axis=1)))
-        raise SolverBlowUpError(
-            f"{pde.name} blew up at sample {bad}, t={grid.t[bad]:.4g}"
+    out = np.empty((len(v0), grid.nt, grid.nx))
+    for i, row in enumerate(v0):
+        res = solve_ivp(
+            rhs,
+            (0.0, pde.transient + grid.t_end),
+            row.astype(complex),
+            method="RK45",
+            t_eval=t_eval,
+            rtol=1e-7,
+            atol=1e-9,
         )
+        if not res.success:
+            raise SolverBlowUpError(f"{pde.name} integration failed: {res.message}")
+        uhat = res.y.T * np.exp(1j * omega[None, :] * t_eval[:, None])
+        out[i] = np.fft.irfft(uhat, n=grid.nx)
+    finite = np.isfinite(out).all(axis=(0, 2))
+    if not finite.all():
+        bad = int(np.argmax(~finite))
+        raise SolverBlowUpError(f"{pde.name} blew up at sample {bad}, t={grid.t[bad]:.4g}")
     return out
 
 
-def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool = True) -> Trajectory:
-    """Integrate a benchmark PDE from u0, sampling on the grid's nt output times.
+def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool) -> np.ndarray:
+    """Values (rows, nt, nx) of the law from each row of u0 (rows, nx)."""
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("u0 must be finite")
+    k = 2 * np.pi * np.arange(grid.nx // 2 + 1) / grid.length
+    linear, nonlinear = _split_terms(pde.true_coeffs)
+    sym = _linear_symbol(k, linear)
+    v0 = np.fft.rfft(u0)
+    if not nonlinear:
+        return _propagate_exact(pde, v0, grid, sym)
+    nl = _nonlinear_operator(nonlinear, k, grid.nx, dealias)
+    if pde.stiff:
+        return _solve_etdrk4(pde, v0, grid, sym, nl)
+    return _solve_rk45(pde, v0, grid, sym, nl)
 
-    Stiff equations use fixed-step ETDRK4; the rest use adaptive RK45 on
-    the Fourier coefficients (rtol 1e-7, atol 1e-9). Any configured
-    transient is integrated and discarded before the first sample.
+
+def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool = True) -> Trajectory:
+    """Propagate a benchmark PDE from u0, sampling on the grid's nt output times.
+
+    A law with no nonlinear term is evaluated exactly from its Fourier
+    symbol; a stiff one is integrated by fixed-step ETDRK4; the rest by
+    adaptive RK45 on the Fourier coefficients (rtol 1e-7, atol 1e-9). Any
+    configured transient is propagated and discarded before the first
+    sample. u0 must be finite.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):
         raise ValueError("u0 length must equal grid.nx")
-    if pde.stiff:
-        values = _solve_etdrk4(pde, u0, grid, dealias)
-    else:
-        values = _solve_rk45(pde, u0, grid, dealias)
-    return Trajectory(grid, values)
+    return Trajectory(grid, _propagate(pde, u0[None], grid, dealias)[0])
 
 
 def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
     """Additive Gaussian noise scaled by sigma times the field's standard deviation."""
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
@@ -306,15 +334,18 @@ def generate_set(
     """Generate M trajectories; seed drives the solver ICs, seed+1000 the noise.
 
     Trajectory i uses substream (seed, i) for its initial condition and
-    substream (seed+1000, i) for its noise realization.
+    substream (seed+1000, i) for its noise realization. The M initial
+    conditions are propagated together, in one call to the solver.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     ic_stream = RngStream(seed)
     noise_stream = RngStream(seed + NOISE_SEED_OFFSET)
-    trajs = []
-    for i in range(m):
-        u0 = initial_condition(pde, grid, ic_stream.generator(i))
-        traj = solve(pde, u0, grid, dealias=dealias)
-        trajs.append(add_noise(traj, sigma, noise_stream.generator(i)))
-    return TrajectorySet(tuple(trajs))
+    u0 = np.stack([initial_condition(pde, grid, ic_stream.generator(i)) for i in range(m)])
+    values = _propagate(pde, u0, grid, dealias)
+    return TrajectorySet(
+        tuple(
+            add_noise(Trajectory(grid, v), sigma, noise_stream.generator(i))
+            for i, v in enumerate(values)
+        )
+    )

@@ -1,5 +1,12 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import eqod
 
 from eqod.core import Grid1D
 from eqod.solvers import (
@@ -54,8 +61,6 @@ class TestInitialConditions:
         assert g.x[np.argmax(u0)] == pytest.approx(np.pi, abs=g.dx)
 
     def test_unknown_pde(self):
-        import dataclasses
-
         fake = dataclasses.replace(PDES["heat"], name="nonsense")
         with pytest.raises(ValueError):
             initial_condition(fake, PDES["heat"].default_grid(), RngStream(1).generator(0))
@@ -67,14 +72,21 @@ class TestSolve:
         g = pde.default_grid()
         tr = solve(pde, np.sin(g.x), g)
         exact = np.exp(-0.1) * np.sin(g.x)
-        assert np.abs(tr.values[-1] - exact).max() < 1e-6
+        assert np.abs(tr.values[-1] - exact).max() < 1e-12
 
     def test_adv_diff_analytic(self):
         pde = PDES["adv_diff"]
         g = pde.default_grid()
         tr = solve(pde, np.sin(g.x), g)
         exact = np.exp(-0.05) * np.sin(g.x - 1.0)
-        assert np.abs(tr.values[-1] - exact).max() < 1e-6
+        assert np.abs(tr.values[-1] - exact).max() < 1e-12
+
+    def test_exact_path_counts_transient(self):
+        pde = dataclasses.replace(PDES["heat"], transient=0.3)
+        g = pde.default_grid()
+        tr = solve(pde, np.sin(g.x), g)
+        exact = np.exp(-0.1 * (0.3 + g.t))[:, None] * np.sin(g.x)[None, :]
+        assert np.abs(tr.values - exact).max() < 1e-12
 
     def test_heat_l2_nonincreasing(self, heat_clean):
         for tr in heat_clean:
@@ -101,8 +113,6 @@ class TestSolve:
     def test_heat_spectral_convergence(self):
         # geometric-spectrum IC (Poisson kernel): doubling nx must shrink
         # the spatial discretization error by 10x or more
-        import dataclasses
-
         pde = dataclasses.replace(PDES["heat"], t_end=0.1)
         a = 0.7
         fine = 4096
@@ -126,6 +136,33 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(pde, np.zeros(64), pde.default_grid())
 
+    @pytest.mark.parametrize("name", ["heat", "burgers", "ks"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_ic(self, name, bad):
+        pde = PDES[name]
+        g = pde.default_grid()
+        u0 = np.zeros(g.nx)
+        u0[7] = bad
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            solve(pde, u0, g)
+
+    def test_import_loads_no_scipy(self):
+        # only the RK45 path needs scipy, and it imports it on first use
+        src = os.path.dirname(os.path.dirname(eqod.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = (
+            "import sys, numpy as np, eqod\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded(), loaded()\n"
+            "pde = eqod.PDES['burgers']\n"
+            "g = pde.default_grid(32, 8)\n"
+            "tr = eqod.solve(pde, -np.sin(g.x), g)\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
 
 class TestNoise:
     def test_sigma_zero_identity(self, heat_clean):
@@ -138,6 +175,12 @@ class TestNoise:
         noisy = add_noise(tr, 0.1, RngStream(1042).generator(0))
         ratio = np.std(noisy.values - tr.values) / np.std(tr.values)
         assert 0.095 < ratio < 0.105
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sigma(self, heat_clean, sigma):
+        tr = heat_clean.trajectories[0]
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            add_noise(tr, sigma, RngStream(1).generator(0))
 
     def test_same_seed_same_noise(self, heat_clean):
         tr = heat_clean.trajectories[0]
@@ -165,6 +208,27 @@ class TestGenerateSet:
         pde = PDES["heat"]
         other = generate_set(pde, pde.default_grid(), 3, 0.0, 43)
         assert not np.array_equal(heat_clean.trajectories[0].values, other.trajectories[0].values)
+
+    @pytest.mark.parametrize("name", ["ks", "burgers"])
+    def test_rows_equal_single_solves(self, name):
+        # the batched integration of a set must not drift from solve
+        pde = PDES[name]
+        g = pde.default_grid(64, 32)
+        ts = generate_set(pde, g, 3, 0.0, 42)
+        for i, tr in enumerate(ts):
+            u0 = initial_condition(pde, g, RngStream(42).generator(i))
+            assert np.array_equal(tr.values, solve(pde, u0, g).values)
+
+    def test_rejects_non_finite_ic(self, monkeypatch):
+        import eqod.solvers as solvers
+
+        def nan_ic(pde, grid, rng):
+            return np.full(grid.nx, np.nan)
+
+        monkeypatch.setattr(solvers, "initial_condition", nan_ic)
+        pde = PDES["ks"]
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            generate_set(pde, pde.default_grid(), 3, 0.0, 42)
 
     def test_dealias_insensitive_identification(self, burgers_clean):
         # identification quality must not hinge on the solver's dealiasing
