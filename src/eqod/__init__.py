@@ -29,8 +29,8 @@ from .oplib import (
 )
 from .pipeline import IdentificationResult, run_eqod, run_wf_lasso_baseline
 from .solvers import PDES, PdeSpec, RngStream, add_noise, generate_set, initial_condition, solve
-from .sparse import IdentifyConfig, LassoConfig, lasso, lasso_cv, wf_lasso_identify
-from .stability import StabilityConfig, stability_gate, stability_select
+from .sparse import lasso, lasso_cv, wf_lasso_identify
+from .stability import stability_gate, stability_select
 from .symmetry import SymmetryReport, detect_all, detect_galilean
 from .weakform import TestGrid, WeakSystem, assemble, bump, make_test_grid
 
@@ -40,15 +40,12 @@ __all__ = [
     "CoefficientVector",
     "Grid1D",
     "IdentificationResult",
-    "IdentifyConfig",
-    "LassoConfig",
     "LibrarySpec",
     "LibraryTerm",
     "PDES",
     "PdeSpec",
     "RngStream",
     "STANDARD_TERMS",
-    "StabilityConfig",
     "SymmetryReport",
     "TestGrid",
     "Trajectory",

@@ -10,7 +10,9 @@ otherwise stability selection; an odd field also drops the
 parity-incompatible terms on either path. Stage 3
 identifies coefficients by weak-form LASSO on the reduced library.
 Stage 4 reverts to the full-library fit when the reduced-library
-residual is more than a path-dependent factor worse.
+residual is more than GAMMA_SYMMETRY or GAMMA_STABILITY times worse and
+the dense full-library fit carries at least MATERIAL_FRACTION of its
+largest coefficient on a term the reduced library left out.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
-from .sparse import IdentifyConfig, LassoConfig, identify_on_system, wf_lasso_identify
-from .stability import StabilityConfig, stability_gate
+from .sparse import identify_on_system, wf_lasso_identify
+from .stability import stability_gate
 from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all, galilean_system
 from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
@@ -89,21 +91,22 @@ def run_eqod(
     trajset: TrajectorySet,
     seed: int,
     base_library: LibrarySpec | None = None,
-    lasso_config: LassoConfig | None = None,
-    identify_config: IdentifyConfig | None = None,
-    stability_config: StabilityConfig | None = None,
 ) -> IdentificationResult:
     """Run the full four-stage pipeline on a trajectory set.
 
     The one seed drives both the stability-selection subsampling and the
     CV fold permutation. ``base_library`` defaults to the standard
-    10-term set and also serves as the fallback comparator library.
+    10-term set and also serves as the fallback comparator library. The
+    calibration is the module constants: ``sparse.LAMBDA_GRID``,
+    ``CV_FOLDS``, ``THRESHOLD_FLOOR``, ``THRESHOLD_FRAC`` and
+    ``DEBIAS_ROUNDS``; ``stability.N_SUBSAMPLES`` and ``PI_THRESHOLD``
+    with the penalty constants beside them; the ``symmetry`` thresholds;
+    and this module's GAMMA_SYMMETRY, GAMMA_STABILITY and
+    MATERIAL_FRACTION.
     """
     base = base_library or standard_library()
     ws_full = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
-    coeffs_full, dense_full = identify_on_system(
-        ws_full, seed, lasso_config, identify_config, return_dense=True
-    )
+    coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
     report, mode = None, "stability"  # the mode reported if detection itself fails
     try:
@@ -120,9 +123,9 @@ def run_eqod(
             gate_base = (
                 odd_reflection_prune(base) if report.reflection_odd.detected else base
             )
-            spec, _ = stability_gate(trajset, gate_base, seed, stability_config)
+            spec, _ = stability_gate(trajset, gate_base, seed)
         ws_red = ws_full.restricted(spec)
-        coeffs_red = identify_on_system(ws_red, seed, lasso_config, identify_config)
+        coeffs_red, _ = identify_on_system(ws_red, seed)
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # Numerical failures of the reduced path (assembly, lstsq, LASSO,
         # coefficient checks) fall back to the full fit; any other error
@@ -184,14 +187,10 @@ def run_wf_lasso_baseline(
     trajset: TrajectorySet,
     seed: int,
     base_library: LibrarySpec | None = None,
-    lasso_config: LassoConfig | None = None,
-    identify_config: IdentifyConfig | None = None,
 ) -> IdentificationResult:
     """Identification stage alone, on the full base library."""
     base = base_library or standard_library()
-    coeffs = wf_lasso_identify(
-        trajset, base, seed, lasso_config=lasso_config, identify_config=identify_config
-    )
+    coeffs = wf_lasso_identify(trajset, base, seed)
     return IdentificationResult(
         coeffs=coeffs,
         mode="baseline",

@@ -5,7 +5,8 @@ periodic grid, by one of three paths:
 
 - exact, for a law with no nonlinear term (heat, adv_diff): each mode is
   multiplied by exp(symbol * t), with no time stepping;
-- fixed-step ETDRK4 for the stiff law (ks);
+- fixed-step ETDRK4 for the stiff law (ks), whose linear symbol must be
+  real;
 - adaptive RK45 for the rest.
 
 Nonlinear products are formed in physical space with a 2/3-rule dealias.
@@ -16,6 +17,7 @@ on its own so its step control is per trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,32 +209,11 @@ def _propagate_exact(pde, v0, grid, sym):
     return np.fft.irfft(v0[:, None, :] * growth, n=grid.nx)
 
 
-def _solve_etdrk4(pde, v0, grid, sym, nl, steps_per_sample=6):
-    """Fixed-step ETDRK4 with the linear part handled exactly, all rows in one step loop.
-
-    The step size divides the output interval so samples land on step
-    boundaries; the transient is an integer number of the same steps.
-    """
-    nx = grid.nx
-    sym = sym.real  # stiff benchmark symbols are real
-    h = grid.dt / steps_per_sample
-    n_transient = int(round(pde.transient / h))
+def _etdrk4_step(sym, h, nl):
+    """One ETDRK4 step of size h (Cox & Matthews 2002) as a function of v."""
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(sym, h)
 
-    v = v0
-    out = np.empty((len(v0), grid.nt, nx))
-    total = n_transient + (grid.nt - 1) * steps_per_sample
-    sample = 0
-    for step in range(total + 1):
-        if step >= n_transient and (step - n_transient) % steps_per_sample == 0:
-            u = np.fft.irfft(v, n=nx)
-            if not np.all(np.isfinite(u)):
-                t = step * h - pde.transient
-                raise SolverBlowUpError(f"{pde.name} blew up at step {step}, t={t:.4g}")
-            out[:, sample] = u
-            sample += 1
-        if step == total:
-            break
+    def step(v):
         nv = nl(v)
         a = e_half * v + q * nv
         na = nl(a)
@@ -240,7 +221,51 @@ def _solve_etdrk4(pde, v0, grid, sym, nl, steps_per_sample=6):
         nb = nl(b)
         c = e_half * a + q * (2 * nb - nv)
         nc = nl(c)
-        v = e_full * v + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
+        return e_full * v + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
+
+    return step
+
+
+def _solve_etdrk4(pde, v0, grid, sym, nl, steps_per_sample=6):
+    """Fixed-step ETDRK4 with the linear part handled exactly, all rows in one step loop.
+
+    Samples are steps_per_sample steps of h = grid.dt / steps_per_sample
+    apart. The lead-in from u0 at t = 0 to the first sample at
+    transient + t_start takes the fewest equal steps no longer than h;
+    when it is a whole number of h steps, they are h steps. The scheme's
+    coefficients are real, so a law whose linear symbol is not real (an
+    odd-order linear term) is rejected.
+    """
+    if np.any(sym.imag != 0.0):
+        raise ValueError(
+            f"{pde.name}: the stiff (ETDRK4) path needs a real linear symbol; "
+            "odd-order linear terms make it complex"
+        )
+    lead = pde.transient + grid.t_start
+    sym = sym.real
+    h = grid.dt / steps_per_sample
+    step = _etdrk4_step(sym, h, nl)
+    steps = lead / h
+    n_lead = round(steps)
+    if abs(steps - n_lead) <= 1e-9 * max(1.0, steps):
+        lead_step = step
+    else:
+        n_lead = math.ceil(steps)
+        lead_step = _etdrk4_step(sym, lead / n_lead, nl)
+
+    v = v0
+    for _ in range(n_lead):
+        v = lead_step(v)
+    out = np.empty((len(v0), grid.nt, grid.nx))
+    for sample in range(grid.nt):
+        if sample:
+            for _ in range(steps_per_sample):
+                v = step(v)
+        u = np.fft.irfft(v, n=grid.nx)
+        if not np.all(np.isfinite(u)):
+            t = grid.t[sample]
+            raise SolverBlowUpError(f"{pde.name} blew up by sample {sample}, t={t:.4g}")
+        out[:, sample] = u
     return out
 
 
@@ -288,6 +313,8 @@ def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool) -> np.
     """Values (rows, nt, nx) of the law from each row of u0 (rows, nx)."""
     if not np.all(np.isfinite(u0)):
         raise ValueError("u0 must be finite")
+    if pde.transient + grid.t_start < 0:
+        raise ValueError(f"{pde.name}: the first sample lies before the initial condition")
     k = 2 * np.pi * np.arange(grid.nx // 2 + 1) / grid.length
     linear, nonlinear = _split_terms(pde.true_coeffs)
     sym = _linear_symbol(k, linear)
@@ -307,7 +334,8 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool = True) -> T
     symbol; a stiff one is integrated by fixed-step ETDRK4; the rest by
     adaptive RK45 on the Fourier coefficients (rtol 1e-7, atol 1e-9). Any
     configured transient is propagated and discarded before the first
-    sample. u0 must be finite.
+    sample. u0 must be finite, and u0 is the state at t = 0, so the first
+    sample, at transient + t_start, may not lie before it.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):

@@ -1,11 +1,16 @@
 """Exact LASSO by feature-sign search with a KKT certificate on every
 solve, cross-validated regularization, and the threshold-plus-debias
-weak-form identification stage."""
+weak-form identification stage.
+
+The calibration is the module constants: ``LAMBDA_GRID`` and
+``CV_FOLDS`` for the cross-validation, ``THRESHOLD_FLOOR``,
+``THRESHOLD_FRAC`` and ``DEBIAS_ROUNDS`` for the identification stage,
+and ``KKT_TOL`` for the certificate.
+"""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,8 +20,6 @@ from .solvers import RngStream
 from .weakform import IDENTIFY_GRID, WeakSystem, assemble, make_test_grid
 
 __all__ = [
-    "LassoConfig",
-    "IdentifyConfig",
     "lasso",
     "lasso_cv",
     "identify_on_system",
@@ -35,33 +38,30 @@ KKT_TOL = 1e-6
 ACTIVATE_TOL = 1e-9
 
 
-def _default_lambda_grid() -> np.ndarray:
-    return np.logspace(-6, -1, 60)
+# Cross-validation: penalties tried (ascending; read-only) and fold count.
+LAMBDA_GRID = np.logspace(-6, -1, 60)
+LAMBDA_GRID.setflags(write=False)
+CV_FOLDS = 5
+
+# Identification: each debias round zeroes coefficients below
+# eta = max(THRESHOLD_FLOOR, THRESHOLD_FRAC * max|xi|) and refits OLS.
+THRESHOLD_FLOOR = 1e-3
+THRESHOLD_FRAC = 0.03
+DEBIAS_ROUNDS = 2
 
 
-@dataclass(frozen=True)
-class LassoConfig:
-    """Regularization grid and fold count for ``lasso_cv``."""
+def _normalize(theta, b):
+    """Scale each column and the response to unit norm; a zero norm scales by 1.
 
-    lambda_grid: np.ndarray = field(default_factory=_default_lambda_grid)
-    cv_folds: int = 5
-
-    def __post_init__(self):
-        grid = np.asarray(self.lambda_grid, dtype=float)
-        if np.any(np.diff(grid) < 0):
-            raise ValueError("lambda grid must be sorted ascending")
-        if self.cv_folds < 2:
-            raise ValueError("need at least 2 folds")
-        object.__setattr__(self, "lambda_grid", grid)
-
-
-@dataclass(frozen=True)
-class IdentifyConfig:
-    """Adaptive threshold and debias controls for the final stage."""
-
-    threshold_floor: float = 1e-3
-    threshold_frac: float = 0.03
-    debias_rounds: int = 2
+    Returns (theta_n, b_n, col_norms, b_norm): the normalized system, the
+    zero-guarded column norms and the response's own norm (0 for b = 0).
+    """
+    theta = np.asarray(theta, dtype=float)
+    b = np.asarray(b, dtype=float)
+    col_norms = np.linalg.norm(theta, axis=0)
+    col_norms = np.where(col_norms > 0, col_norms, 1.0)
+    b_norm = float(np.linalg.norm(b))
+    return theta / col_norms, b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
 
 
 def _kkt_scale(corr, lam: float) -> float:
@@ -193,38 +193,31 @@ def _cv_permutation(seed: int, n: int) -> np.ndarray:
     return RngStream(seed).generator(CV_STREAM).permutation(n)
 
 
-def lasso_cv(theta, b, config: LassoConfig | None = None, seed: int = 0, full: bool = False):
-    """Column/response-normalized LASSO with lambda chosen by 5-fold CV.
+def lasso_cv(theta, b, seed: int = 0):
+    """Column/response-normalized LASSO with lambda chosen by CV_FOLDS-fold CV.
 
     Rows are permuted by a seed-derived shuffle before the contiguous
-    fold split; each fold's training rows get the exact path over the
-    whole lambda grid, the score is held-out R^2 and ties go to the
-    smaller lambda. Returns (lambda_star, xi_norm) for the normalized
-    system, plus the (lambda, mean R^2) curve when ``full`` is set.
-    Every fold solve and the refit at lambda_star carry a KKT
+    fold split; each fold's training rows get the exact path over
+    LAMBDA_GRID, the score is held-out R^2 and ties go to the smaller
+    lambda. Returns (lambda_star, xi_norm, curve): xi_norm solves the
+    normalized system at lambda_star and curve holds the (lambda, mean
+    R^2) rows. Every fold solve and the refit at lambda_star carry a KKT
     certificate (tolerance KKT_TOL); uncertified fold solves are still
     scored, with one RuntimeWarning that counts them, and an uncertified
     refit warns on its own.
     """
-    config = config or LassoConfig()
-    theta = np.asarray(theta, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = theta.shape[0]
-    if n < config.cv_folds:
+    theta_n, b_n, _, _ = _normalize(theta, b)
+    n = theta_n.shape[0]
+    if n < CV_FOLDS:
         raise ValueError("fewer rows than folds")
-    col_norms = np.linalg.norm(theta, axis=0)
-    col_norms = np.where(col_norms > 0, col_norms, 1.0)
-    b_norm = np.linalg.norm(b)
-    theta_n = theta / col_norms
-    b_n = b / (b_norm if b_norm > 0 else 1.0)
 
     perm = _cv_permutation(seed, n)
-    folds = np.array_split(perm, config.cv_folds)
-    scores = np.zeros(len(config.lambda_grid))
+    folds = np.array_split(perm, CV_FOLDS)
+    scores = np.zeros(len(LAMBDA_GRID))
     uncertified = []
     for held in folds:
         train = np.setdiff1d(perm, held, assume_unique=True)
-        xi, kkt = _lasso_path(theta_n[train], b_n[train], config.lambda_grid)
+        xi, kkt = _lasso_path(theta_n[train], b_n[train], LAMBDA_GRID)
         uncertified.extend(kkt[~(kkt <= KKT_TOL)])
         resid = b_n[held, None] - theta_n[held] @ xi
         denom = float(np.sum((b_n[held] - b_n[held].mean()) ** 2))
@@ -238,63 +231,42 @@ def lasso_cv(theta, b, config: LassoConfig | None = None, seed: int = 0, full: b
             RuntimeWarning,
         )
     best = int(np.argmax(scores))  # first maximum = smallest lambda on ties
-    lambda_star = float(config.lambda_grid[best])
+    lambda_star = float(LAMBDA_GRID[best])
     xi_all, kkt = _lasso_path(theta_n, b_n, [lambda_star])
     if not kkt[0] <= KKT_TOL:
         warnings.warn(f"lasso refit did not converge (KKT residual {kkt[0]:.3g})", RuntimeWarning)
-    if full:
-        return lambda_star, xi_all[:, 0], np.column_stack([config.lambda_grid, scores])
-    return lambda_star, xi_all[:, 0]
+    return lambda_star, xi_all[:, 0], np.column_stack([LAMBDA_GRID, scores])
 
 
-def identify_on_system(
-    ws: WeakSystem,
-    seed: int,
-    lasso_config: LassoConfig | None = None,
-    identify_config: IdentifyConfig | None = None,
-    return_dense: bool = False,
-):
+def identify_on_system(ws: WeakSystem, seed: int):
     """CV LASSO, rescale to physical units, then threshold + OLS debias rounds.
 
-    Each round zeroes coefficients below eta = max(floor, frac * max|xi|)
-    and refits ordinary least squares on the survivors; eta is recomputed
-    from the debiased values between rounds. An empty support returns the
-    all-zero vector.
-
-    With ``return_dense`` the pre-threshold CV-LASSO coefficients (in
-    physical units) come back as a second vector; the residual guard
-    compares pruned models against this dense fit.
+    Returns (coeffs, dense). dense is the pre-threshold CV-LASSO fit in
+    physical units, which the residual guard compares pruned models
+    against. Each of the DEBIAS_ROUNDS rounds zeroes coefficients below
+    eta = max(THRESHOLD_FLOOR, THRESHOLD_FRAC * max|xi|) and refits
+    ordinary least squares on the survivors; eta is recomputed from the
+    debiased values between rounds. An empty support gives the all-zero
+    coeffs.
     """
-    icfg = identify_config or IdentifyConfig()
     theta, b = ws.theta, ws.b
-    col_norms = np.linalg.norm(theta, axis=0)
-    safe_norms = np.where(col_norms > 0, col_norms, 1.0)
-    b_norm = float(np.linalg.norm(b))
-    _, xi_n = lasso_cv(theta, b, lasso_config, seed)
-    xi = xi_n / safe_norms * b_norm
-    dense = xi.copy()
-    for _ in range(icfg.debias_rounds):
-        eta = max(icfg.threshold_floor, icfg.threshold_frac * float(np.abs(xi).max(initial=0.0)))
+    _, _, col_norms, b_norm = _normalize(theta, b)
+    _, xi_n, _ = lasso_cv(theta, b, seed)
+    xi = xi_n / col_norms * b_norm
+    dense = CoefficientVector(ws.spec.terms, xi)
+    for _ in range(DEBIAS_ROUNDS):
+        eta = max(THRESHOLD_FLOOR, THRESHOLD_FRAC * float(np.abs(xi).max(initial=0.0)))
         support = np.abs(xi) >= eta
         xi = np.zeros_like(xi)
         if not support.any():
             break
         sol, *_ = np.linalg.lstsq(theta[:, support], b, rcond=None)
         xi[support] = sol
-    coeffs = CoefficientVector(ws.spec.terms, xi)
-    if return_dense:
-        return coeffs, CoefficientVector(ws.spec.terms, dense)
-    return coeffs
+    return CoefficientVector(ws.spec.terms, xi), dense
 
 
-def wf_lasso_identify(
-    trajset,
-    spec: LibrarySpec,
-    seed: int,
-    lasso_config: LassoConfig | None = None,
-    identify_config: IdentifyConfig | None = None,
-) -> CoefficientVector:
+def wf_lasso_identify(trajset, spec: LibrarySpec, seed: int) -> CoefficientVector:
     """Assemble the weak system for ``spec`` on IDENTIFY_GRID and run the
-    identification stage."""
+    identification stage; returns its thresholded coefficients."""
     ws = assemble(trajset, spec, make_test_grid(trajset.grid, *IDENTIFY_GRID))
-    return identify_on_system(ws, seed, lasso_config, identify_config)
+    return identify_on_system(ws, seed)[0]

@@ -1,18 +1,24 @@
-"""Randomized-LASSO stability selection for library pruning."""
+"""Randomized-LASSO stability selection for library pruning.
+
+The calibration is the module constants: ``N_SUBSAMPLES`` draws with
+penalty weights from Uniform(``WEIGHT_LOW``, ``WEIGHT_HIGH``), a
+coefficient counting as selected above ``ACTIVITY_EPS``, the cut
+pi > ``PI_THRESHOLD``, the noise-adaptive penalty (``PENALTY_SCALE``,
+``PENALTY_EXPONENT``, ``RESIDUAL_FLOOR``, ``PENALTY_CAP``) and the test
+grid ``STABILITY_GRID``.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TrajectorySet
 from .oplib import LibrarySpec
 from .solvers import RngStream
-from .sparse import lasso
+from .sparse import _normalize, lasso
 from .weakform import assemble, make_test_grid
 
-__all__ = ["StabilityConfig", "stability_select", "stability_gate"]
+__all__ = ["stability_select", "stability_gate"]
 
 STABILITY_STREAM = 23  # substream id namespace for subsample draws
 
@@ -31,35 +37,28 @@ PENALTY_EXPONENT = 0.75
 RESIDUAL_FLOOR = 1e-6
 PENALTY_CAP = 2.1e-3
 
-
-@dataclass(frozen=True)
-class StabilityConfig:
-    n_iterations: int = 50
-    pi_threshold: float = 0.5
-    weight_low: float = 0.5
-    weight_high: float = 1.0
-    activity_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if not 0 < self.pi_threshold < 1:
-            raise ValueError("pi threshold must lie in (0, 1)")
+# Subsample draws, per-column penalty weight range, the magnitude above
+# which a coefficient counts as selected, and the selection cut on pi.
+N_SUBSAMPLES = 50
+WEIGHT_LOW, WEIGHT_HIGH = 0.5, 1.0
+ACTIVITY_EPS = 1e-6
+PI_THRESHOLD = 0.5
 
 
-def stability_select(theta, b, config: StabilityConfig | None = None, seed: int = 0):
+def stability_select(theta, b, seed: int = 0):
     """Selection probabilities from randomized LASSO on half-subsamples.
 
-    Columns and response are normalized once. Each iteration draws a
-    floor(n/2)-row subset without replacement and per-column penalty
-    weights from Uniform(weight_low, weight_high), solves LASSO at the
-    fixed lambda on the weight-scaled design with ``sparse.lasso`` (an
-    exact solve whose KKT residual must be at most ``sparse.KKT_TOL``, or
-    it warns "lasso did not converge"), and counts coefficients with
-    magnitude above activity_eps. Iteration i draws from substream
-    (seed, STABILITY_STREAM, i) so results are schedule-independent.
+    Columns and response are normalized once. Each of the N_SUBSAMPLES
+    draws takes a floor(n/2)-row subset without replacement and
+    per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH),
+    solves LASSO at the fixed lambda on the weight-scaled design with
+    ``sparse.lasso`` (an exact solve whose KKT residual must be at most
+    ``sparse.KKT_TOL``, or it warns "lasso did not converge"), and counts
+    coefficients with magnitude above ACTIVITY_EPS. Draw i comes from
+    substream (seed, STABILITY_STREAM, i) so results are
+    schedule-independent.
 
-    The penalty is noise-adaptive: each iteration solves with a
+    The penalty is noise-adaptive: each draw solves with a
     mean-squared-error penalty alpha = min(PENALTY_SCALE *
     max(s2, RESIDUAL_FLOOR)**PENALTY_EXPONENT, PENALTY_CAP), where s2 is
     the mean squared OLS residual of the full normalized system; the
@@ -68,20 +67,13 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     across systems whose residual energies span five orders of
     magnitude; scaling with the noise level does.
 
-    Returns (pi, stable) with stable = indices where pi > pi_threshold
+    Returns (pi, stable) with stable = indices where pi > PI_THRESHOLD
     (strict).
     """
-    config = config or StabilityConfig()
-    theta = np.asarray(theta, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, p = theta.shape
+    theta_n, b_n, _, _ = _normalize(theta, b)
+    n, p = theta_n.shape
     if n < 4:
         raise ValueError("need at least 4 rows")
-    col_norms = np.linalg.norm(theta, axis=0)
-    col_norms = np.where(col_norms > 0, col_norms, 1.0)
-    theta_n = theta / col_norms
-    b_norm = np.linalg.norm(b)
-    b_n = b / (b_norm if b_norm > 0 else 1.0)
     ols, *_ = np.linalg.lstsq(theta_n, b_n, rcond=None)
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
     alpha = min(PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT, PENALTY_CAP)
@@ -89,36 +81,30 @@ def stability_select(theta, b, config: StabilityConfig | None = None, seed: int 
     counts = np.zeros(p)
     half = n // 2
     lam_objective = 2.0 * half * alpha
-    for it in range(config.n_iterations):
+    for it in range(N_SUBSAMPLES):
         rng = stream.generator(STABILITY_STREAM, it)
         rows = rng.permutation(n)[:half]
-        w = rng.uniform(config.weight_low, config.weight_high, p)
+        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, p)
         xi = lasso(theta_n[rows] / w, b_n[rows], lam_objective)
-        counts += np.abs(xi) > config.activity_eps
-    pi = counts / config.n_iterations
-    stable = frozenset(np.nonzero(pi > config.pi_threshold)[0].tolist())
+        counts += np.abs(xi) > ACTIVITY_EPS
+    pi = counts / N_SUBSAMPLES
+    stable = frozenset(np.nonzero(pi > PI_THRESHOLD)[0].tolist())
     return pi, stable
 
 
-def stability_gate(
-    trajset: TrajectorySet,
-    base_spec: LibrarySpec,
-    seed: int,
-    config: StabilityConfig | None = None,
-):
+def stability_gate(trajset: TrajectorySet, base_spec: LibrarySpec, seed: int):
     """Prune a library to its stably selected terms.
 
-    Assembles the dense (8 x 10 per trajectory) weak system on the base
-    library and keeps terms with majority selection probability. An
-    empty stable set returns the base library unchanged.
+    Assembles the dense (STABILITY_GRID per trajectory) weak system on
+    the base library and keeps terms with pi > PI_THRESHOLD. An empty
+    stable set returns the base library unchanged.
 
     Returns (spec, pi).
     """
     tg = make_test_grid(trajset.grid, *STABILITY_GRID)
     ws = assemble(trajset, base_spec, tg)
-    pi, stable = stability_select(ws.theta, ws.b, config, seed)
+    pi, stable = stability_select(ws.theta, ws.b, seed)
     if not stable:
         return base_spec, pi
     terms = tuple(t for j, t in enumerate(base_spec.terms) if j in stable)
     return LibrarySpec(terms), pi
-

@@ -110,6 +110,29 @@ class TestSolve:
         tr = solve(pde, u0, g)
         assert np.abs(tr.values).max() < 10.0
 
+    @pytest.mark.parametrize("t_start", [0.5, 0.1])
+    def test_etdrk4_samples_from_t_start(self, t_start):
+        # the lead-in to 0.5 is a whole number of sample steps, to 0.1 it is not
+        g = Grid1D(0.0, 2 * np.pi, 64, t_start, 1.0, 8)
+        u0 = -np.sin(g.x)
+        stiff = solve(dataclasses.replace(PDES["burgers"], stiff=True), u0, g)
+        assert np.abs(stiff.values - solve(PDES["burgers"], u0, g).values).max() < 1e-6
+
+    def test_etdrk4_rejects_complex_symbol(self):
+        # u_xxx makes kdv's symbol imaginary, which ETDRK4's real coefficients would drop
+        pde = dataclasses.replace(PDES["kdv"], stiff=True)
+        g = pde.default_grid(64, 16)
+        with pytest.raises(ValueError, match="kdv: .*real linear symbol"):
+            solve(pde, -np.sin(g.x), g)
+
+    # one law per path: exact, RK45, ETDRK4
+    @pytest.mark.parametrize("name, stiff", [("heat", False), ("burgers", False), ("burgers", True)])
+    def test_rejects_first_sample_before_u0(self, name, stiff):
+        pde = dataclasses.replace(PDES[name], stiff=stiff)
+        g = Grid1D(0.0, 2 * np.pi, 64, -0.5, 1.0, 8)
+        with pytest.raises(ValueError, match=f"{name}: the first sample lies before"):
+            solve(pde, -np.sin(g.x), g)
+
     def test_heat_spectral_convergence(self):
         # geometric-spectrum IC (Poisson kernel): doubling nx must shrink
         # the spatial discretization error by 10x or more

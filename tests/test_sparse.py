@@ -6,7 +6,7 @@ import eqod.sparse as sparse
 from eqod.core import coefficient_error, support_from_coeffs, term_from_tag
 from eqod.oplib import galilean_reduced, standard_library
 from eqod.solvers import PDES
-from eqod.sparse import IdentifyConfig, LassoConfig, lasso, lasso_cv, wf_lasso_identify
+from eqod.sparse import lasso, lasso_cv, wf_lasso_identify
 
 
 def objective(theta, b, xi, lam):
@@ -221,7 +221,7 @@ class TestLassoCV:
         from eqod.weakform import assemble, make_test_grid
 
         ws = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
-        lam, xi_n = lasso_cv(ws.theta, ws.b, seed=42)
+        lam, xi_n, _ = lasso_cv(ws.theta, ws.b, seed=42)
         tags = standard_library().tags
         top = tags[int(np.argmax(np.abs(xi_n)))]
         assert top == "u_xx"
@@ -239,13 +239,13 @@ class TestLassoCV:
         from eqod.weakform import assemble, make_test_grid
 
         ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
-        lam_ref, xi_ref = lasso_cv(ws.theta, ws.b, seed=3)
+        lam_ref, xi_ref, _ = lasso_cv(ws.theta, ws.b, seed=3)
         perm = np.random.default_rng(123).permutation(len(ws.b))
         base = sparse._cv_permutation(3, len(ws.b))
         # rows permuted by P with the fold permutation composed to match
         inv = np.argsort(perm)
         monkeypatch.setattr(sparse, "_cv_permutation", lambda s, n: inv[base])
-        lam_p, xi_p = lasso_cv(ws.theta[perm], ws.b[perm], seed=3)
+        lam_p, xi_p, _ = lasso_cv(ws.theta[perm], ws.b[perm], seed=3)
         assert lam_p == lam_ref
         assert np.abs(xi_p - xi_ref).max() < 1e-12
 
@@ -253,7 +253,7 @@ class TestLassoCV:
         from eqod.weakform import assemble, make_test_grid
 
         ws = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
-        lam, xi, curve = lasso_cv(ws.theta, ws.b, seed=42, full=True)
+        lam, xi, curve = lasso_cv(ws.theta, ws.b, seed=42)
         assert curve.shape == (60, 2)
         assert np.all(np.diff(curve[:, 0]) > 0)
 
@@ -265,7 +265,7 @@ class TestLassoCV:
 
         ts = request.getfixturevalue(name)
         ws = assemble(ts, standard_library(), make_test_grid(ts.grid, 5, 7))
-        grid = LassoConfig().lambda_grid
+        grid = sparse.LAMBDA_GRID
         for theta, b in fold_systems(ws, 42):
             xi, kkt = sparse._lasso_path(theta, b, grid)
             assert kkt.max() <= sparse.KKT_TOL
@@ -274,7 +274,7 @@ class TestLassoCV:
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            lasso_cv(np.ones((3, 2)), np.ones(3), LassoConfig(cv_folds=5))
+            lasso_cv(np.ones((3, 2)), np.ones(3))
 
 
 def _perturbed_solver(monkeypatch):
@@ -319,13 +319,14 @@ class TestUncertified:
         assert any(m.startswith("lasso refit did not converge") for m in msgs)
 
     def test_stability_select_warns(self, heat_noisy10, monkeypatch):
-        from eqod.stability import StabilityConfig, stability_select
+        from eqod import stability
         from eqod.weakform import assemble, make_test_grid
 
         ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 8, 10))
         _perturbed_solver(monkeypatch)
+        monkeypatch.setattr(stability, "N_SUBSAMPLES", 3)
         with pytest.warns(RuntimeWarning, match="lasso did not converge") as record:
-            stability_select(ws.theta, ws.b, StabilityConfig(n_iterations=3), seed=42)
+            stability.stability_select(ws.theta, ws.b, seed=42)
         assert len(record) == 3
 
 
@@ -355,14 +356,30 @@ class TestIdentify:
 
         spec = galilean_reduced()
         ws = assemble(burgers_clean, spec, make_test_grid(burgers_clean.grid, 5, 7))
-        coeffs = sparse.identify_on_system(ws, 42)
+        coeffs, _ = sparse.identify_on_system(ws, 42)
         support = coeffs.values != 0.0
         ols, *_ = np.linalg.lstsq(ws.theta[:, support], ws.b, rcond=None)
         assert np.abs(coeffs.values[support] - ols).max() < 1e-12
 
     def test_threshold_floor_respected(self, burgers_clean):
-        coeffs = wf_lasso_identify(
-            burgers_clean, standard_library(), 42, identify_config=IdentifyConfig()
-        )
+        coeffs = wf_lasso_identify(burgers_clean, standard_library(), 42)
         nonzero = np.abs(coeffs.values[coeffs.values != 0.0])
         assert nonzero.min() >= 1e-3
+
+    def test_dense_is_the_rescaled_cv_fit(self, burgers_clean):
+        """The guard's comparator: dense is lasso_cv's fit in physical units,
+        and the thresholded coeffs are zero wherever dense is below eta."""
+        from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+
+        tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
+        ws = assemble(burgers_clean, standard_library(), tg)
+        coeffs, dense = sparse.identify_on_system(ws, 42)
+        norms = np.linalg.norm(ws.theta, axis=0)
+        norms = np.where(norms > 0, norms, 1.0)
+        _, xi_n, _ = lasso_cv(ws.theta, ws.b, seed=42)
+        assert dense.terms == coeffs.terms == ws.spec.terms
+        assert np.array_equal(dense.values, xi_n / norms * np.linalg.norm(ws.b))
+        eta = max(sparse.THRESHOLD_FLOOR, sparse.THRESHOLD_FRAC * np.abs(dense.values).max())
+        below = np.abs(dense.values) < eta
+        assert below.any()
+        assert np.all(coeffs.values[below] == 0.0)

@@ -4,7 +4,8 @@ import pytest
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import standard_library
 from eqod.solvers import PDES, RngStream, generate_set
-from eqod.stability import StabilityConfig, stability_gate, stability_select
+from eqod import stability
+from eqod.stability import stability_gate, stability_select
 from eqod.weakform import assemble, make_test_grid
 
 
@@ -52,10 +53,9 @@ class TestStabilitySelect:
         assert stable == {0}
 
     def test_probabilities_are_count_fractions(self, heat10_system):
-        cfg = StabilityConfig()
-        pi, _ = stability_select(heat10_system.theta, heat10_system.b, cfg, seed=9)
+        pi, _ = stability_select(heat10_system.theta, heat10_system.b, seed=9)
         assert np.all(pi >= 0) and np.all(pi <= 1)
-        counts = pi * cfg.n_iterations
+        counts = pi * stability.N_SUBSAMPLES
         assert np.abs(counts - np.round(counts)).max() < 1e-9
 
     def test_deterministic(self, heat10_system):
@@ -72,25 +72,25 @@ class TestStabilitySelect:
         spread = np.max(pis, axis=0) - np.min(pis, axis=0)
         assert np.quantile(spread, 0.99) <= 3 / (2 * np.sqrt(50)) + 1e-9
 
-    def test_monotone_signal_on_orthogonal_design(self):
+    def test_monotone_signal_on_orthogonal_design(self, monkeypatch):
         # pi of the true column never drops as its coefficient grows
         rng = np.random.default_rng(3)
         theta, _ = np.linalg.qr(rng.standard_normal((80, 5)))
         noise = 0.02 * rng.standard_normal(80)
-        cfg = StabilityConfig(n_iterations=200)
+        monkeypatch.setattr(stability, "N_SUBSAMPLES", 200)
         ladder = []
         for a in (0.005, 0.01, 0.02, 0.05, 0.1):
-            pi, _ = stability_select(theta, a * theta[:, 0] + noise, cfg, seed=21)
+            pi, _ = stability_select(theta, a * theta[:, 0] + noise, seed=21)
             ladder.append(pi[0])
         assert all(b >= a - 1e-12 for a, b in zip(ladder, ladder[1:]))
 
-    def test_strict_majority_threshold(self):
+    def test_strict_majority_threshold(self, monkeypatch):
         # a term selected in exactly half the runs is not stable
-        cfg = StabilityConfig(n_iterations=2)
+        monkeypatch.setattr(stability, "N_SUBSAMPLES", 2)
         rng = np.random.default_rng(8)
         theta = rng.standard_normal((40, 3))
         b = rng.standard_normal(40)
-        pi, stable = stability_select(theta, b, cfg, seed=2)
+        pi, stable = stability_select(theta, b, seed=2)
         for j, p in enumerate(pi):
             assert (j in stable) == (p > 0.5)
 
