@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STANDARD_TERMS, LibraryTerm, Trajectory, term_from_tag
-from .spectral import spectral_derivative
+from .spectral import spectral_derivatives
 
 __all__ = [
     "LibrarySpec",
@@ -95,21 +95,29 @@ def expanded_library(size: int) -> LibrarySpec:
 def term_fields(traj: Trajectory, terms):
     """Yield the pointwise (nt, nx) field of each term, in order.
 
-    Spatial derivatives are spectral and are computed once per order, on
-    first use, then reused by every later term; products are formed in
-    physical space. Applied to noisy data this is deliberately the same
-    path the weak-form assembly uses.
+    The spatial derivatives the terms need come from one
+    ``spectral_derivatives`` call (one real FFT of u, one inverse per
+    order) and are shared by every term. Each product is formed in
+    physical space by repeated multiplication, so u^3 is u*u*u. Applied
+    to noisy data this is deliberately the same path the weak-form
+    assembly uses.
+
+    The fields are read-only: a single-factor term's field is the
+    derivative buffer itself, and the field of u is a view of
+    ``traj.values``.
     """
+    terms = tuple(terms)
     u = traj.values
-    derivs = {0: u}
+    orders = sorted({d for term in terms for d, p in enumerate(term.powers) if d and p})
+    derivs = dict(zip(orders, spectral_derivatives(u, orders, traj.grid.length))) if orders else {}
+    derivs[0] = u
     for term in terms:
-        out = np.ones_like(u)
+        out = None
         for d, p in enumerate(term.powers):
-            if p == 0:
-                continue
-            if d not in derivs:
-                derivs[d] = spectral_derivative(u, d, traj.grid.length)
-            out = out * derivs[d] ** p
+            for _ in range(p):
+                out = derivs[d] if out is None else out * derivs[d]
+        out = out.view()
+        out.flags.writeable = False
         yield out
 
 

@@ -1,10 +1,13 @@
 """Four-stage identification pipeline with automatic mode selection.
 
-The base library is assembled once on the identification test grid;
-that system gives the full-library fit the guard compares against and,
-when the library holds every GALILEAN_BASIS term, the columns of the
-Galilean test. Stage 1 runs the two symmetry tests that steer the run:
-the weak-form Galilean test and the odd-reflection test. Stage 2 reduces
+The base library is assembled once, in one field pass per trajectory,
+on both the identification and the stability test grids. The
+identification system gives the full-library fit the guard compares
+against and, when the library holds every GALILEAN_BASIS term, the
+columns of the Galilean test; the stability system, restricted to the
+library being pruned, is what the stability gate selects on. Stage 1
+runs the two symmetry tests that steer the run: the weak-form Galilean
+test and the odd-reflection test. Stage 2 reduces
 the candidate library: the Galilean-reduced set when a boost is detected,
 otherwise stability selection; an odd field also drops the
 parity-incompatible terms on either path. Stage 3
@@ -26,7 +29,7 @@ import numpy as np
 from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import identify_on_system, wf_lasso_identify
-from .stability import stability_gate
+from .stability import STABILITY_GRID, stability_gate
 from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all, galilean_system
 from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
@@ -105,7 +108,14 @@ def run_eqod(
     MATERIAL_FRACTION.
     """
     base = base_library or standard_library()
-    ws_full = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+    # Both test grids share their radii and margins, so the second grid
+    # adds no failure path to the first.
+    ws_full, ws_stab = assemble(
+        trajset,
+        base,
+        make_test_grid(trajset.grid, *IDENTIFY_GRID),
+        make_test_grid(trajset.grid, *STABILITY_GRID),
+    )
     coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
     report, mode = None, "stability"  # the mode reported if detection itself fails
@@ -123,7 +133,7 @@ def run_eqod(
             gate_base = (
                 odd_reflection_prune(base) if report.reflection_odd.detected else base
             )
-            spec, _ = stability_gate(trajset, gate_base, seed)
+            spec, _ = stability_gate(ws_stab.restricted(gate_base), seed)
         ws_red = ws_full.restricted(spec)
         coeffs_red, _ = identify_on_system(ws_red, seed)
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:

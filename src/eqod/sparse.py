@@ -268,5 +268,5 @@ def identify_on_system(ws: WeakSystem, seed: int):
 def wf_lasso_identify(trajset, spec: LibrarySpec, seed: int) -> CoefficientVector:
     """Assemble the weak system for ``spec`` on IDENTIFY_GRID and run the
     identification stage; returns its thresholded coefficients."""
-    ws = assemble(trajset, spec, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+    (ws,) = assemble(trajset, spec, make_test_grid(trajset.grid, *IDENTIFY_GRID))
     return identify_on_system(ws, seed)[0]

@@ -1,10 +1,15 @@
-"""Fourier differentiation on periodic grids."""
+"""Fourier differentiation on periodic grids.
+
+A real field has a Hermitian spectrum, so one real FFT (``rfft``) of the
+nx // 2 + 1 non-negative modes serves every derivative order; each order
+is one multiplication and one inverse real FFT.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wavenumbers", "spectral_derivative"]
+__all__ = ["wavenumbers", "spectral_derivatives", "spectral_derivative"]
 
 
 def wavenumbers(nx: int, length: float) -> np.ndarray:
@@ -19,21 +24,40 @@ def wavenumbers(nx: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx) / length
 
 
-def spectral_derivative(row, order: int, length: float) -> np.ndarray:
-    """d^order/dx^order of a periodic sample row via the FFT.
+def spectral_derivatives(u, orders, length: float) -> list[np.ndarray]:
+    """d^order/dx^order of a periodic field for each order in ``orders``.
 
     Rows or full (nt, nx) arrays are differentiated along the last axis.
-    For odd orders the Nyquist mode is zeroed before the inverse
-    transform so the result stays real.
+    The orders and the finiteness of ``u`` are checked before any
+    transform; then one ``rfft`` of ``u`` is shared by every order, and
+    each order costs one multiplication and one ``irfft``. For odd orders
+    the Nyquist mode is zeroed, since its derivative has no real
+    representation on the grid.
+
+    Returns one (nt, nx) array per order, in the order given.
     """
-    row = np.asarray(row, dtype=float)
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
-    if not np.all(np.isfinite(row)):
+    u = np.asarray(u, dtype=float)
+    orders = tuple(orders)
+    if any(order not in (1, 2, 3, 4) for order in orders):
+        raise ValueError(f"orders must be in 1..4, got {orders}")
+    if not np.all(np.isfinite(u)):
         raise ValueError("input must be finite")
-    nx = row.shape[-1]
-    k = wavenumbers(nx, length)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[nx // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(row, axis=-1) * mult, axis=-1).real
+    nx = u.shape[-1]
+    # The last entry is the Nyquist bin, stored as -nx/2: its sign drops
+    # out of the even orders, and the odd orders zero it.
+    ik = 1j * wavenumbers(nx, length)[: nx // 2 + 1]
+    u_hat = np.fft.rfft(u, axis=-1)
+    out = []
+    for order in orders:
+        mult = ik**order
+        if order % 2 == 1:
+            mult[nx // 2] = 0.0
+        out.append(np.fft.irfft(u_hat * mult, n=nx, axis=-1))
+    return out
+
+
+def spectral_derivative(row, order: int, length: float) -> np.ndarray:
+    """d^order/dx^order of a periodic sample row: the one-order case of
+    ``spectral_derivatives``."""
+    (d,) = spectral_derivatives(row, (order,), length)
+    return d

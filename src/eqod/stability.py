@@ -5,18 +5,19 @@ penalty weights from Uniform(``WEIGHT_LOW``, ``WEIGHT_HIGH``), a
 coefficient counting as selected above ``ACTIVITY_EPS``, the cut
 pi > ``PI_THRESHOLD``, the noise-adaptive penalty (``PENALTY_SCALE``,
 ``PENALTY_EXPONENT``, ``RESIDUAL_FLOOR``, ``PENALTY_CAP``) and the test
-grid ``STABILITY_GRID``.
+grid ``STABILITY_GRID``. This module assembles nothing: the pipeline
+builds the ``STABILITY_GRID`` system in the same field pass as the
+identification system and hands it to ``stability_gate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import TrajectorySet
 from .oplib import LibrarySpec
 from .solvers import RngStream
 from .sparse import _normalize, lasso
-from .weakform import assemble, make_test_grid
+from .weakform import WeakSystem
 
 __all__ = ["stability_select", "stability_gate"]
 
@@ -92,19 +93,18 @@ def stability_select(theta, b, seed: int = 0):
     return pi, stable
 
 
-def stability_gate(trajset: TrajectorySet, base_spec: LibrarySpec, seed: int):
+def stability_gate(ws: WeakSystem, seed: int):
     """Prune a library to its stably selected terms.
 
-    Assembles the dense (STABILITY_GRID per trajectory) weak system on
-    the base library and keeps terms with pi > PI_THRESHOLD. An empty
-    stable set returns the base library unchanged.
+    ``ws`` is the dense (STABILITY_GRID per trajectory) weak system on
+    the library to prune, ``ws.spec``; the pipeline passes its stability
+    system restricted to that library. Keeps the terms with
+    pi > PI_THRESHOLD; an empty stable set returns ``ws.spec`` unchanged.
 
     Returns (spec, pi).
     """
-    tg = make_test_grid(trajset.grid, *STABILITY_GRID)
-    ws = assemble(trajset, base_spec, tg)
     pi, stable = stability_select(ws.theta, ws.b, seed)
     if not stable:
-        return base_spec, pi
-    terms = tuple(t for j, t in enumerate(base_spec.terms) if j in stable)
+        return ws.spec, pi
+    terms = tuple(t for j, t in enumerate(ws.spec.terms) if j in stable)
     return LibrarySpec(terms), pi

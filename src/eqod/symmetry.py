@@ -74,8 +74,7 @@ def detect_reflection(traj: Trajectory) -> DetectorResult:
     ||U + U_flip||^2 / ||U||^2, and a zero field raises.
     """
     u = traj.values
-    nx = traj.grid.nx
-    flipped = u[:, (nx - np.arange(nx)) % nx]
+    flipped = np.roll(u[:, ::-1], 1, axis=1)
     norm = float(np.sum(u**2))
     if norm == 0:
         raise ValueError("zero field")
@@ -87,22 +86,21 @@ def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
     """Discrete boost u -> u + c, x -> x + c t.
 
     Each time slice is circularly shifted by the nearest whole number of
-    grid cells, then offset by c. Solutions of a boost-invariant law map
-    to solutions of the same law.
+    grid cells (ties to even), then offset by c; all slices are shifted
+    by one index gather. Solutions of a boost-invariant law map to
+    solutions of the same law.
     """
     g = trajset.grid
-    boosted = []
-    for tr in trajset:
-        v = np.empty_like(tr.values)
-        for i, t in enumerate(g.t):
-            v[i] = np.roll(tr.values[i], int(round(c * t / g.dx))) + c
-        boosted.append(Trajectory(g, v))
-    return TrajectorySet(tuple(boosted))
+    shift = np.rint(c * g.t / g.dx).astype(np.int64)
+    rows = np.arange(g.nt)[:, None]
+    cols = (np.arange(g.nx) - shift[:, None]) % g.nx
+    return TrajectorySet(tuple(Trajectory(g, tr.values[rows, cols] + c) for tr in trajset))
 
 
 def galilean_system(trajset: TrajectorySet) -> WeakSystem:
     """The GALILEAN_BASIS weak system on the identification test grid."""
-    return assemble(trajset, GALILEAN_BASIS, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+    (ws,) = assemble(trajset, GALILEAN_BASIS, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+    return ws
 
 
 def _convective_fit(ws: WeakSystem):

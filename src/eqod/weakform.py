@@ -7,6 +7,10 @@ nx), zero outside each bump's support, a library field F contributes the
 column dx*dt * Phi_t F Phi_x^T over all centers at once. The time
 derivative is moved onto the test function analytically, so the response
 vector never differentiates the data in time.
+
+One ``assemble`` call serves any number of test grids: each trajectory's
+library fields are formed once and contracted on every grid, so the
+identification and stability systems share one field pass.
 """
 
 from __future__ import annotations
@@ -109,38 +113,57 @@ class WeakSystem:
         return WeakSystem(self.theta[:, cols], self.b, spec, self.row_meta)
 
 
-def assemble(trajset: TrajectorySet, spec: LibrarySpec, tg: TestGrid) -> WeakSystem:
-    """Build the weak-form system (Theta, b) for a trajectory set.
+def _bump_matrices(grid: Grid1D, tg: TestGrid):
+    """Dense, zero-padded (Phi_t, dPhi_t/dt, Phi_x) of one test grid."""
+    if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
+        raise ValueError("test-function radius below two grid cells")
+    rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
+    phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
+    return bump(rt), bump_dt(rt) / tg.r_t, phi_x
+
+
+def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tuple[WeakSystem, ...]:
+    """Build the weak-form system (Theta, b) of a trajectory set on each test grid.
 
     Per trajectory and bump center, one row with b = -integral of
     u * dphi/dt and Theta_k = integral of theta_k(u) * phi, both by the
     trapezoidal rule (the bumps vanish at the ends of their supports).
     Each is a separable contraction with the dense, zero-padded bump
-    matrices, built once per call: b = -dx*dt * dPhi_t u Phi_x^T and
-    Theta_k = dx*dt * Phi_t F_k Phi_x^T, raveled t-major. The x-axis is
-    periodic, but the center margins keep every bump inside one period,
-    so no support wraps. Each field is contracted as soon as it is
-    formed, one column at a time.
+    matrices, built once per grid and call: b = -dx*dt * dPhi_t u Phi_x^T
+    and Theta_k = dx*dt * Phi_t F_k Phi_x^T, raveled t-major. The x-axis
+    is periodic, but the center margins keep every bump inside one
+    period, so no support wraps.
+
+    The fields of a trajectory are formed once (``term_fields``), and
+    each is contracted against every grid's own bump matrices as soon as
+    it is formed, one matmul pair per grid; so every system is bitwise
+    the one a one-grid call gives.
+
+    Returns one WeakSystem per grid, in the order given.
     """
     grid = trajset.grid
-    if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
-        raise ValueError("test-function radius below two grid cells")
-    rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
-    phi_t, dphi_t = bump(rt), bump_dt(rt) / tg.r_t
-    phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
+    bumps = [_bump_matrices(grid, tg) for tg in grids]
     dxdt = grid.dx * grid.dt
-    n_c = tg.n_centers
-    theta = np.empty((len(trajset) * n_c, len(spec)))
-    b = np.empty(len(trajset) * n_c)
+    thetas = [np.empty((len(trajset) * tg.n_centers, len(spec))) for tg in grids]
+    bs = [np.empty(len(trajset) * tg.n_centers) for tg in grids]
     for m, traj in enumerate(trajset):
-        rows = slice(m * n_c, (m + 1) * n_c)
-        b[rows] = -dxdt * (dphi_t @ traj.values @ phi_x.T).ravel()
+        rows = [slice(m * tg.n_centers, (m + 1) * tg.n_centers) for tg in grids]
+        for (_, dphi_t, phi_x), b, r in zip(bumps, bs, rows):
+            b[r] = -dxdt * (dphi_t @ traj.values @ phi_x.T).ravel()
         for k, field in enumerate(term_fields(traj, spec.terms)):
-            theta[rows, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
-    meta = tuple(
-        (m, float(tc), float(xc))
-        for m in range(len(trajset))
-        for tc in tg.t_centers
-        for xc in tg.x_centers
+            for (phi_t, _, phi_x), theta, r in zip(bumps, thetas, rows):
+                theta[r, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
+    return tuple(
+        WeakSystem(
+            theta,
+            b,
+            spec,
+            tuple(
+                (m, float(tc), float(xc))
+                for m in range(len(trajset))
+                for tc in tg.t_centers
+                for xc in tg.x_centers
+            ),
+        )
+        for tg, theta, b in zip(grids, thetas, bs)
     )
-    return WeakSystem(theta, b, spec, meta)

@@ -9,6 +9,7 @@ from eqod.oplib import (
     galilean_reduced,
     odd_reflection_prune,
     standard_library,
+    term_fields,
 )
 
 
@@ -113,3 +114,25 @@ class TestEvaluateTerm:
             tr, term_from_tag(tag)
         )
         assert np.abs(ratio - 2.0**degree).max() < 1e-8
+
+
+class TestTermFields:
+    def test_cube_within_two_ulp_of_pow(self):
+        rng = np.random.default_rng(5)
+        g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 1.0, 16)
+        tr = Trajectory(g, rng.standard_normal((16, 64)) * np.logspace(-3, 3, 64))
+        (field,) = term_fields(tr, (term_from_tag("u^3"),))
+        ref = tr.values**3
+        assert np.all(np.abs(field - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_fields_are_read_only(self):
+        tr = flat_trajectory(np.sin)
+        before = tr.values.copy()
+        terms = tuple(term_from_tag(t) for t in ("u", "u_x", "u*u_x"))
+        u, ux, uux = term_fields(tr, terms)
+        assert np.shares_memory(u, tr.values)
+        for field in (u, ux, uux):
+            with pytest.raises(ValueError):
+                field[0, 0] = 1.0
+        assert np.array_equal(tr.values, before)
+        assert tr.values.flags.writeable

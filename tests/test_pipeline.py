@@ -9,6 +9,7 @@ import eqod.symmetry as symmetry
 from eqod.core import term_from_tag
 from eqod.oplib import LibrarySpec, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
+from eqod.stability import STABILITY_GRID
 from eqod.weakform import IDENTIFY_GRID, assemble
 
 
@@ -53,22 +54,24 @@ class TestRunEqod:
         assert set(doc["coefficients"]) == set(standard_library().tags)
         assert set(doc["detectors"]) == {"galilean", "reflection_odd"}
 
-    # The base library is assembled once and reused by the Galilean test;
-    # the boosted refit (skipped only when the raw fraction is 0) and the
-    # stability gate's (8,10) system are the other assemblies.
-    @pytest.mark.parametrize("name, expected", [("heat_clean", 3), ("burgers_clean", 2)])
+    # The base library is assembled once, on the identification and the
+    # stability grids together, and reused by the Galilean test and the
+    # stability gate; the boosted refit (skipped only when the raw fraction
+    # is 0) is the other assembly. The stability module assembles nothing.
+    @pytest.mark.parametrize("name, expected", [("heat_clean", 2), ("burgers_clean", 2)])
     def test_assembly_count(self, name, expected, request, monkeypatch):
         calls = []
 
-        def counting(trajset, spec, tg):
-            calls.append((spec, (len(tg.t_centers), len(tg.x_centers))))
-            return assemble(trajset, spec, tg)
+        def counting(trajset, spec, *grids):
+            calls.append((spec, tuple((len(tg.t_centers), len(tg.x_centers)) for tg in grids)))
+            return assemble(trajset, spec, *grids)
 
-        for module in (pipeline, symmetry, stability):
+        for module in (pipeline, symmetry):
             monkeypatch.setattr(module, "assemble", counting)
         run_eqod(request.getfixturevalue(name), 42)
         assert len(calls) == expected
-        assert calls.count((standard_library(), IDENTIFY_GRID)) == 1
+        assert calls.count((standard_library(), (IDENTIFY_GRID, STABILITY_GRID))) == 1
+        assert not hasattr(stability, "assemble")
 
 
 def _raise(exc):

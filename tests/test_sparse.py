@@ -207,7 +207,7 @@ class TestLasso:
     def test_lambda_path_l1_monotone(self, heat_noisy10):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
         theta = ws.theta / np.linalg.norm(ws.theta, axis=0)
         b = ws.b / np.linalg.norm(ws.b)
         norms = []
@@ -220,7 +220,7 @@ class TestLassoCV:
     def test_heat_support(self, heat_clean):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
+        (ws,) = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
         lam, xi_n, _ = lasso_cv(ws.theta, ws.b, seed=42)
         tags = standard_library().tags
         top = tags[int(np.argmax(np.abs(xi_n)))]
@@ -229,7 +229,7 @@ class TestLassoCV:
     def test_deterministic(self, heat_noisy10):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
         a = lasso_cv(ws.theta, ws.b, seed=7)
         b = lasso_cv(ws.theta, ws.b, seed=7)
         assert a[0] == b[0]
@@ -238,7 +238,7 @@ class TestLassoCV:
     def test_permutation_coupled_replay(self, heat_noisy10, monkeypatch):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
         lam_ref, xi_ref, _ = lasso_cv(ws.theta, ws.b, seed=3)
         perm = np.random.default_rng(123).permutation(len(ws.b))
         base = sparse._cv_permutation(3, len(ws.b))
@@ -252,7 +252,7 @@ class TestLassoCV:
     def test_curve_output(self, heat_clean):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
+        (ws,) = assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, 5, 7))
         lam, xi, curve = lasso_cv(ws.theta, ws.b, seed=42)
         assert curve.shape == (60, 2)
         assert np.all(np.diff(curve[:, 0]) > 0)
@@ -264,7 +264,7 @@ class TestLassoCV:
         from eqod.weakform import assemble, make_test_grid
 
         ts = request.getfixturevalue(name)
-        ws = assemble(ts, standard_library(), make_test_grid(ts.grid, 5, 7))
+        (ws,) = assemble(ts, standard_library(), make_test_grid(ts.grid, 5, 7))
         grid = sparse.LAMBDA_GRID
         for theta, b in fold_systems(ws, 42):
             xi, kkt = sparse._lasso_path(theta, b, grid)
@@ -310,7 +310,7 @@ class TestUncertified:
     def test_lasso_cv_warns(self, heat_noisy10, monkeypatch):
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
         _perturbed_solver(monkeypatch)
         with pytest.warns(RuntimeWarning, match="did not converge") as record:
             lasso_cv(ws.theta, ws.b, seed=42)
@@ -322,7 +322,7 @@ class TestUncertified:
         from eqod import stability
         from eqod.weakform import assemble, make_test_grid
 
-        ws = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 8, 10))
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 8, 10))
         _perturbed_solver(monkeypatch)
         monkeypatch.setattr(stability, "N_SUBSAMPLES", 3)
         with pytest.warns(RuntimeWarning, match="lasso did not converge") as record:
@@ -355,7 +355,7 @@ class TestIdentify:
         from eqod.weakform import assemble, make_test_grid
 
         spec = galilean_reduced()
-        ws = assemble(burgers_clean, spec, make_test_grid(burgers_clean.grid, 5, 7))
+        (ws,) = assemble(burgers_clean, spec, make_test_grid(burgers_clean.grid, 5, 7))
         coeffs, _ = sparse.identify_on_system(ws, 42)
         support = coeffs.values != 0.0
         ols, *_ = np.linalg.lstsq(ws.theta[:, support], ws.b, rcond=None)
@@ -372,7 +372,7 @@ class TestIdentify:
         from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
 
         tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
-        ws = assemble(burgers_clean, standard_library(), tg)
+        (ws,) = assemble(burgers_clean, standard_library(), tg)
         coeffs, dense = sparse.identify_on_system(ws, 42)
         norms = np.linalg.norm(ws.theta, axis=0)
         norms = np.where(norms > 0, norms, 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqod.spectral import spectral_derivative, wavenumbers
+from eqod.spectral import spectral_derivative, spectral_derivatives, wavenumbers
 
 
 class TestWavenumbers:
@@ -69,3 +69,36 @@ class TestDerivative:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             spectral_derivative(np.ones(16), 5, 2 * np.pi)
+
+
+class TestDerivatives:
+    x = 2 * np.pi * np.arange(64) / 64
+
+    def test_nyquist_mode(self):
+        # cos(nx/2 x) alternates sign on the grid: odd orders have no real
+        # representation and give 0, even orders scale it by (-1)^(d/2) (nx/2)^d
+        u = np.cos(32 * self.x)
+        d1, d2, d3, d4 = spectral_derivatives(u, (1, 2, 3, 4), 2 * np.pi)
+        assert np.abs(d1).max() < 1e-9
+        assert np.abs(d3).max() < 1e-9
+        assert np.abs(d2 - (-(32.0**2)) * u).max() < 1e-9 * 32.0**2
+        assert np.abs(d4 - 32.0**4 * u).max() < 1e-9 * 32.0**4
+
+    @pytest.mark.parametrize("shape", [(64,), (5, 64)])
+    def test_equals_one_order_calls_bitwise(self, shape):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(shape)
+        orders = (3, 1, 4, 2)
+        for order, d in zip(orders, spectral_derivatives(u, orders, 3.0)):
+            assert np.array_equal(d, spectral_derivative(u, order, 3.0))
+
+    def test_bad_order_raises_before_any_transform(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        monkeypatch.setattr(np.fft, "irfft", no_transform)
+        with pytest.raises(ValueError, match="orders"):
+            spectral_derivatives(np.ones(16), (1, 2, 5), 2 * np.pi)
+        with pytest.raises(ValueError, match="orders"):
+            spectral_derivatives(np.ones(16), (0,), 2 * np.pi)

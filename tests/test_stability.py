@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
-from eqod.oplib import standard_library
+from eqod.oplib import odd_reflection_prune, standard_library
 from eqod.solvers import PDES, RngStream, generate_set
 from eqod import stability
 from eqod.stability import stability_gate, stability_select
@@ -11,7 +11,7 @@ from eqod.weakform import assemble, make_test_grid
 
 def weak_system(ts, spec=None):
     spec = spec or standard_library()
-    return assemble(ts, spec, make_test_grid(ts.grid, 8, 10))
+    return assemble(ts, spec, make_test_grid(ts.grid, 8, 10))[0]
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +97,13 @@ class TestStabilitySelect:
 
 class TestStabilityGate:
     def test_heat_collapses_to_diffusion(self, heat_clean):
-        spec, _ = stability_gate(heat_clean, standard_library(), 42)
+        spec, _ = stability_gate(weak_system(heat_clean), 42)
         assert spec.tags == ("u_xx",)
 
     def test_adv_diff_two_terms(self):
         pde = PDES["adv_diff"]
         ts = generate_set(pde, pde.default_grid(), 3, 0.0, 42)
-        spec, _ = stability_gate(ts, standard_library(), 42)
+        spec, _ = stability_gate(weak_system(ts), 42)
         assert set(spec.tags) == {"u_x", "u_xx"}
 
     def test_pure_noise_returns_base(self):
@@ -113,6 +113,15 @@ class TestStabilityGate:
             tuple(Trajectory(g, rng.standard_normal((128, 128))) for _ in range(3))
         )
         base = standard_library()
-        spec, pi = stability_gate(ts, base, 42)
+        spec, pi = stability_gate(weak_system(ts, base), 42)
         assert spec is base
         assert np.all(pi <= 0.5)
+
+    @pytest.mark.parametrize("name", ["heat_clean", "heat_noisy10"])
+    def test_restricted_system_equals_direct_assembly(self, name, request):
+        ts = request.getfixturevalue(name)
+        sub = odd_reflection_prune(standard_library())
+        spec_r, pi_r = stability_gate(weak_system(ts).restricted(sub), 42)
+        spec_d, pi_d = stability_gate(weak_system(ts, sub), 42)
+        assert spec_r == spec_d
+        assert np.array_equal(pi_r, pi_d)

@@ -21,7 +21,7 @@ def make_traj(values, t_end=1.0, length=2 * np.pi):
 
 def standard_system(ts):
     """The full-library system that run_eqod hands to the Galilean test."""
-    return assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))
+    return assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))[0]
 
 
 def analytic_field(fn, nt=128, nx=128, t_end=1.0):
@@ -37,6 +37,14 @@ class TestReflection:
 
     def test_burgers_odd(self, burgers_clean):
         assert detect_reflection(burgers_clean.trajectories[0]).detected
+
+    def test_score_uses_the_index_flip(self, burgers_clean):
+        # the flip maps grid index j to (nx - j) mod nx
+        u = burgers_clean.trajectories[1].values
+        nx = u.shape[1]
+        flipped = u[:, (nx - np.arange(nx)) % nx]
+        ref = float(np.sum((u + flipped) ** 2) / np.sum(u**2))
+        assert detect_reflection(burgers_clean.trajectories[1]).score == ref
 
     def test_mixed_parity(self):
         tr = analytic_field(lambda x, t: (np.sin(x) + np.cos(x)) * np.exp(-0.1 * t))
@@ -76,6 +84,19 @@ class TestGalilean:
             np.sort(boosted.trajectories[0].values[-1]),
             np.sort(burgers_clean.trajectories[0].values[-1] + 0.3),
         )
+
+    @pytest.mark.parametrize("c", [0.3, -0.3, 50.0])
+    def test_boost_equals_per_row_roll(self, burgers_clean, c):
+        # c = 50 shifts the last rows by more than nx cells
+        g = burgers_clean.grid
+        boosted = galilean_boost(burgers_clean, c)
+        for tr, out in zip(burgers_clean, boosted):
+            ref = np.stack(
+                [np.roll(tr.values[i], int(round(c * t / g.dx))) + c for i, t in enumerate(g.t)]
+            )
+            assert np.array_equal(out.values, ref)
+        if c == 50.0:
+            assert c * g.t[-1] / g.dx > g.nx
 
     def test_order_independent(self, burgers_clean):
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))

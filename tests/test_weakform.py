@@ -126,19 +126,19 @@ class TestAssemble:
         # discretely it sits at the time-quadrature floor
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
         ts = TrajectorySet((Trajectory(g, np.ones((128, 128))),))
-        ws = assemble(ts, UXX_ONLY, make_test_grid(g, 5, 7))
+        (ws,) = assemble(ts, UXX_ONLY, make_test_grid(g, 5, 7))
         assert ws.shape == (35, 1)
         assert np.abs(ws.b).max() < 1e-5
         assert np.abs(ws.theta).max() < 1e-9
 
     def test_heat_coefficient_ratio(self, heat_clean):
-        ws = assemble(heat_clean, UXX_ONLY, make_test_grid(heat_clean.grid, 5, 7))
+        (ws,) = assemble(heat_clean, UXX_ONLY, make_test_grid(heat_clean.grid, 5, 7))
         col = ws.theta[:, 0]
         assert ws.b @ col / (col @ col) == pytest.approx(0.1, abs=1e-3)
 
     def test_row_meta_order(self, heat_clean):
         tg = make_test_grid(heat_clean.grid, 5, 7)
-        ws = assemble(heat_clean, UXX_ONLY, tg)
+        (ws,) = assemble(heat_clean, UXX_ONLY, tg)
         assert len(ws.row_meta) == 105
         assert ws.row_meta[0][0] == 0 and ws.row_meta[-1][0] == 2
         # centers iterate t-major within each trajectory
@@ -147,10 +147,10 @@ class TestAssemble:
 
     def test_restriction_preserves_columns(self, burgers_clean):
         tg = make_test_grid(burgers_clean.grid, 5, 7)
-        full = assemble(burgers_clean, standard_library(), tg)
+        (full,) = assemble(burgers_clean, standard_library(), tg)
         for spec in (galilean_reduced(), GALILEAN_BASIS):
             red = full.restricted(spec)
-            direct = assemble(burgers_clean, spec, tg)
+            (direct,) = assemble(burgers_clean, spec, tg)
             assert np.array_equal(red.theta, direct.theta)
             assert np.array_equal(red.b, direct.b)
 
@@ -159,13 +159,13 @@ class TestAssemble:
         tg = make_test_grid(g, 5, 7)
         tr = heat_clean.trajectories[0]
         scaled = TrajectorySet((Trajectory(g, 2.0 * tr.values),))
-        b1 = assemble(TrajectorySet((tr,)), UXX_ONLY, tg).b
-        b2 = assemble(scaled, UXX_ONLY, tg).b
+        b1 = assemble(TrajectorySet((tr,)), UXX_ONLY, tg)[0].b
+        b2 = assemble(scaled, UXX_ONLY, tg)[0].b
         assert np.abs(b2 - 2.0 * b1).max() < 1e-12
 
     def test_true_coefficients_residual(self, burgers_clean):
         spec = galilean_reduced()
-        ws = assemble(burgers_clean, spec, make_test_grid(burgers_clean.grid, 5, 7))
+        (ws,) = assemble(burgers_clean, spec, make_test_grid(burgers_clean.grid, 5, 7))
         xi = np.zeros(len(spec))
         xi[spec.index(term_from_tag("u*u_x"))] = -1.0
         xi[spec.index(term_from_tag("u_xx"))] = 0.1
@@ -177,7 +177,7 @@ class TestAssemble:
         spec = LibrarySpec((term_from_tag("u"), term_from_tag("u_xx")))
         g = heat_clean.grid
         tg = make_test_grid(g, 3, 3)
-        ws = assemble(TrajectorySet(heat_clean.trajectories[:1]), spec, tg)
+        (ws,) = assemble(TrajectorySet(heat_clean.trajectories[:1]), spec, tg)
         tr = heat_clean.trajectories[0]
         fields = [evaluate_term(tr, t) for t in spec.terms]
         t_f = np.linspace(g.t_start, g.t_end, 4 * (g.nt - 1) + 1)
@@ -205,7 +205,7 @@ class TestAssemble:
         tg = make_test_grid(burgers_clean.grid, 5, 7)
 
         def ls_fit(ts):
-            ws = assemble(ts, spec, tg)
+            (ws,) = assemble(ts, spec, tg)
             sol, *_ = np.linalg.lstsq(ws.theta, ws.b, rcond=None)
             return sol
 
@@ -231,7 +231,7 @@ class TestSeparableAssembly:
         ts = request.getfixturevalue(data)
         spec = standard_library()
         tg = make_test_grid(ts.grid, *density)
-        ws = assemble(ts, spec, tg)
+        (ws,) = assemble(ts, spec, tg)
         ref = reference_assemble(ts, spec, tg)
         assert ws.row_meta == ref.row_meta
         scale_theta, scale_b = abs_quadrature(ts, spec, tg)
@@ -240,16 +240,29 @@ class TestSeparableAssembly:
 
     def test_each_derivative_order_computed_once(self, heat_noisy10, monkeypatch):
         calls = []
-        real = oplib.spectral_derivative
+        real = oplib.spectral_derivatives
 
-        def counting(row, order, length):
-            calls.append(order)
-            return real(row, order, length)
+        def counting(u, orders, length):
+            calls.append(tuple(orders))
+            return real(u, orders, length)
 
-        monkeypatch.setattr(oplib, "spectral_derivative", counting)
+        monkeypatch.setattr(oplib, "spectral_derivatives", counting)
         assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
-        assert len(calls) == 12
-        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+        assert calls == [(1, 2, 3, 4)] * len(heat_noisy10)
+
+    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
+    def test_grids_share_one_pass_bitwise(self, data, request):
+        ts = request.getfixturevalue(data)
+        spec = standard_library()
+        g1, g2 = make_test_grid(ts.grid, 5, 7), make_test_grid(ts.grid, 8, 10)
+        shared = assemble(ts, spec, g1, g2)
+        assert len(shared) == 2
+        for ws, tg in zip(shared, (g1, g2)):
+            (alone,) = assemble(ts, spec, tg)
+            assert np.array_equal(ws.theta, alone.theta)
+            assert np.array_equal(ws.b, alone.b)
+            assert ws.row_meta == alone.row_meta
+            assert ws.spec == alone.spec
 
     def test_evaluate_term_is_the_assembly_field(self, burgers_clean):
         spec = standard_library()
