@@ -12,11 +12,13 @@ from eqod.core import Grid1D
 from eqod.solvers import (
     PDES,
     RngStream,
+    _etdrk4_coeffs,
     add_noise,
     generate_set,
     initial_condition,
     solve,
 )
+from eqod.spectral import spectral_derivative
 
 
 class TestRngStream:
@@ -112,26 +114,75 @@ class TestSolve:
 
     @pytest.mark.parametrize("t_start", [0.5, 0.1])
     def test_etdrk4_samples_from_t_start(self, t_start):
-        # the lead-in to 0.5 is a whole number of sample steps, to 0.1 it is not
-        g = Grid1D(0.0, 2 * np.pi, 64, t_start, 1.0, 8)
-        u0 = -np.sin(g.x)
-        stiff = solve(dataclasses.replace(PDES["burgers"], stiff=True), u0, g)
-        assert np.abs(stiff.values - solve(PDES["burgers"], u0, g).values).max() < 1e-6
+        # Cole-Hopf: u = -2 nu phi_x / phi solves viscous Burgers when phi
+        # solves the heat equation, here with nu = 0.1 and u0 = -sin x. The
+        # lead-in to 0.5 is a whole number of sample steps, to 0.1 it is not.
+        g = Grid1D(0.0, 2 * np.pi, 128, t_start, 1.0, 128)
+        nu = 0.1
+        phi = solve(PDES["heat"], np.exp(-np.cos(g.x) / (2 * nu)), g).values
+        exact = -2 * nu * spectral_derivative(phi, 1, g.length) / phi
+        u = solve(PDES["burgers"], -np.sin(g.x), g).values
+        assert np.abs(u - exact).max() < 1e-8
 
-    def test_etdrk4_rejects_complex_symbol(self):
-        # u_xxx makes kdv's symbol imaginary, which ETDRK4's real coefficients would drop
-        pde = dataclasses.replace(PDES["kdv"], stiff=True)
-        g = pde.default_grid(64, 16)
-        with pytest.raises(ValueError, match="kdv: .*real linear symbol"):
-            solve(pde, -np.sin(g.x), g)
+    def test_etdrk4_coeffs_match_closed_forms(self):
+        # complex z = h * sym (dispersive, damped-oscillatory) as well as real
+        h = 0.5
+        z = np.array([1j, -1 + 10j, -50.0, 2.0])
+        e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(z / h, h)
+        ez = np.exp(z)
+        closed = [
+            ez,
+            np.exp(z / 2),
+            h * (np.exp(z / 2) - 1) / z,
+            h * (-4 - z + ez * (4 - 3 * z + z**2)) / z**3,
+            h * (2 + z + ez * (z - 2)) / z**3,
+            h * (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3,
+        ]
+        for got, want in zip((e_full, e_half, q, f1, f2, f3), closed):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # near z = 0 the closed forms cancel catastrophically; the contour gives the limits
+        _, _, q0, f10, f20, f30 = _etdrk4_coeffs(np.array([0.0, 1e-9j]), h)
+        np.testing.assert_allclose(q0, h / 2, rtol=1e-8)
+        for f in (f10, f20, f30):
+            np.testing.assert_allclose(f, h / 6, rtol=1e-8)
 
-    # one law per path: exact, RK45, ETDRK4
-    @pytest.mark.parametrize("name, stiff", [("heat", False), ("burgers", False), ("burgers", True)])
-    def test_rejects_first_sample_before_u0(self, name, stiff):
-        pde = dataclasses.replace(PDES[name], stiff=stiff)
+    # one law on the exact path, two on ETDRK4, with a real and a complex symbol
+    @pytest.mark.parametrize("name", ["heat", "burgers", "kdv"])
+    def test_rejects_first_sample_before_u0(self, name):
         g = Grid1D(0.0, 2 * np.pi, 64, -0.5, 1.0, 8)
         with pytest.raises(ValueError, match=f"{name}: the first sample lies before"):
+            solve(PDES[name], -np.sin(g.x), g)
+
+    def test_nonlinear_law_needs_steps_per_sample(self):
+        pde = dataclasses.replace(PDES["burgers"], steps_per_sample=None)
+        g = pde.default_grid(64, 8)
+        with pytest.raises(ValueError, match="burgers: .*needs steps_per_sample"):
             solve(pde, -np.sin(g.x), g)
+
+    # ks is chaotic and exempt
+    @pytest.mark.parametrize(
+        "name", [n for n, p in PDES.items() if p.steps_per_sample and n != "ks"]
+    )
+    def test_steps_per_sample_meet_accuracy_contract(self, name):
+        # within 1e-6 relative L2 of a run with 4x as many steps
+        pde = PDES[name]
+        g = pde.default_grid()
+        coarse = generate_set(pde, g, 1, 0.0, 0).trajectories[0].values
+        finer = dataclasses.replace(pde, steps_per_sample=4 * pde.steps_per_sample)
+        fine = generate_set(finer, g, 1, 0.0, 0).trajectories[0].values
+        assert np.linalg.norm(coarse - fine) / np.linalg.norm(fine) <= 1e-6
+
+    def test_etdrk4_fourth_order_on_dispersive_law(self):
+        # halving h must cut kdv's error by 10x or more (16x for fourth order)
+        pde = PDES["kdv"]
+        g = pde.default_grid()
+        u0 = initial_condition(pde, g, RngStream(0).generator(0))
+
+        def run(steps):
+            return solve(dataclasses.replace(pde, steps_per_sample=steps), u0, g).values
+
+        ref = run(8)
+        assert np.linalg.norm(run(2) - ref) >= 10.0 * np.linalg.norm(run(4) - ref)
 
     def test_heat_spectral_convergence(self):
         # geometric-spectrum IC (Poisson kernel): doubling nx must shrink
@@ -170,18 +221,16 @@ class TestSolve:
             solve(pde, u0, g)
 
     def test_import_loads_no_scipy(self):
-        # only the RK45 path needs scipy, and it imports it on first use
+        # numpy is the only runtime dependency, on every solver path
         src = os.path.dirname(os.path.dirname(eqod.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         code = (
-            "import sys, numpy as np, eqod\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded(), loaded()\n"
-            "pde = eqod.PDES['burgers']\n"
-            "g = pde.default_grid(32, 8)\n"
-            "tr = eqod.solve(pde, -np.sin(g.x), g)\n"
-            "assert 'scipy.integrate' in sys.modules\n"
+            "import sys, eqod\n"
+            "for pde in eqod.PDES.values():\n"
+            "    eqod.generate_set(pde, pde.default_grid(64, 64), 2, 0.05, 0)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
@@ -232,7 +281,7 @@ class TestGenerateSet:
         other = generate_set(pde, pde.default_grid(), 3, 0.0, 43)
         assert not np.array_equal(heat_clean.trajectories[0].values, other.trajectories[0].values)
 
-    @pytest.mark.parametrize("name", ["ks", "burgers"])
+    @pytest.mark.parametrize("name", ["ks", "burgers", "kdv"])
     def test_rows_equal_single_solves(self, name):
         # the batched integration of a set must not drift from solve
         pde = PDES[name]
