@@ -1,6 +1,11 @@
-"""Exact LASSO by feature-sign search with a KKT certificate on every
-solve, cross-validated regularization, and the threshold-plus-debias
-weak-form identification stage.
+"""Exact LASSO by homotopy with a KKT certificate on every solution,
+cross-validated regularization, and the threshold-plus-debias weak-form
+identification stage.
+
+One solver serves every LASSO here: the exact piecewise-linear path from
+lambda_max down to the smallest lambda asked for (``_homotopy``). A
+single lambda is that path stopped at it; the CV grid is read off one
+path per fold.
 
 The calibration is the module constants: ``LAMBDA_GRID`` and
 ``CV_FOLDS`` for the cross-validation, ``THRESHOLD_FLOOR``,
@@ -29,13 +34,8 @@ __all__ = [
 CV_STREAM = 11  # substream id for the CV row permutation
 
 # A solve is certified when its KKT residual (see _kkt_residual) is at
-# most KKT_TOL; an uncertified warm-started solve is redone once from
-# zero, and a solve that still fails warns "... did not converge".
+# most KKT_TOL; an uncertified solve warns "... did not converge".
 KKT_TOL = 1e-6
-# Feature-sign search stops once no zero coefficient violates its
-# condition by more than this fraction of the certificate's scale. It
-# sits well below KKT_TOL so rounding, not the stop, sets the residual.
-ACTIVATE_TOL = 1e-9
 
 
 # Cross-validation: penalties tried (ascending; read-only) and fold count.
@@ -64,122 +64,148 @@ def _normalize(theta, b):
     return theta / col_norms, b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
 
 
-def _kkt_scale(corr, lam: float) -> float:
-    """lambda, or for lambda = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|."""
-    if lam > 0:
-        return lam
-    return max(2.0 * float(np.abs(corr).max(initial=0.0)), np.finfo(float).tiny)
-
-
-def _kkt_residual(gram, corr, lam: float, xi) -> float:
+def _kkt_residual(gram, corr, lam, xi):
     """Worst violation of the LASSO optimality conditions over the scale.
 
     With d = 2 Theta^T (b - Theta xi) = 2 (corr - gram xi), xi minimizes
     ||b - Theta xi||^2 + lam ||xi||_1 iff d_j = lam sign(xi_j) where
-    xi_j != 0 and |d_j| <= lam where xi_j = 0.
+    xi_j != 0 and |d_j| <= lam where xi_j = 0. The scale is lam, or for
+    lam = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|. Given xi of
+    shape (p, L) and L lambdas, returns the L residuals.
     """
-    d = 2.0 * (corr - gram @ xi)
-    viol = np.where(xi != 0.0, np.abs(d - lam * np.sign(xi)), np.maximum(np.abs(d) - lam, 0.0))
-    return float(viol.max(initial=0.0)) / _kkt_scale(corr, lam)
+    xi = np.asarray(xi, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    d = 2.0 * (corr[:, None] - gram @ xi.reshape(corr.size, -1)).reshape(xi.shape)
+    viol = np.where(xi != 0.0, np.abs(d - lam * np.sign(xi)), np.abs(d) - lam)
+    scale = np.where(lam > 0, lam, max(2.0 * float(np.abs(corr).max(initial=0.0)), np.finfo(float).tiny))
+    worst = viol.max(axis=0, initial=0.0) / scale
+    return float(worst) if xi.ndim == 1 else worst
 
 
-def _feature_sign(gram, corr, lam: float, xi) -> np.ndarray:
-    """Feature-sign search (Lee et al. 2007) for one lambda, started at xi.
+def _homotopy(gram, corr, lambdas):
+    """The LASSO path followed from lambda_max = 2 max|corr| down to
+    min(lambdas) (Osborne, Presnell & Turlach 2000; Efron et al. 2004),
+    read at each lambda; returns xi of shape (p, len(lambdas)).
 
-    A step solves the active set's equations gram_AA x = corr_A - lam s/2
-    for the current signs s, then moves to the point of lowest objective
-    among that solution and the points on the way where a coefficient
-    crosses zero (which is set to zero there). Landing on the solution
-    with consistent signs makes the active set optimal; then the zero
-    coefficient that most violates |d_j| <= lam enters with the sign of
-    d_j. Every step lowers the objective strictly; a step that cannot,
-    or the step cap (a guard, far above the few steps a warm start
-    needs), ends the search and leaves the verdict to the certificate.
-    The steps assume linearly independent active columns, as weak-form
-    systems with more rows than columns have; a rank-deficient active
-    set (for example more columns than rows) can stop the search short
-    of the optimum, which the certificate then reports.
+    Between breakpoints the active set A and its signs s are fixed and
+    the solution is linear in lambda: one solve of
+    gram_AA [u v] = [corr_A s_A] gives xi_A = u - (lambda/2) v, and the
+    other columns' d = 2 (corr - gram xi) = a + lambda beta. The next
+    breakpoint is the largest mu below the current one where an active
+    xi_j reaches zero while moving towards it (s_j v_j < 0), or an
+    inactive d_j reaches s mu while gaining on it (1 - s beta_j > 0); an
+    event that rounding places above the current mu happens at it.
+
+    A coefficient that reaches zero leaves. A column that reaches the
+    boundary enters only if the new direction is sign-consistent
+    (s v_j > 0) and the column is independent of the active ones: its
+    Schur complement in the new active Gram must exceed
+    gram_jj * eps / KKT_TOL, below which the solve's rounding alone could
+    fail the certificate. Otherwise it stays out until the active set
+    changes. Deciding a near-tie by the direction the path takes, not by
+    a tolerance on mu, keeps a column that just entered from leaving at
+    the same mu by rounding, and one that just left from re-entering;
+    the rank rule keeps the active Gram nonsingular for duplicate or zero
+    columns and for more columns than rows. A value read off a segment
+    keeps only the coefficients whose sign is the segment's. The loop is
+    capped (a guard, far above the few dozen breakpoints of a p-column
+    path); a path cut short is left to the certificate.
     """
-    xi = np.array(xi, dtype=float)
-    tol = ACTIVATE_TOL * _kkt_scale(corr, lam)
-    signs = np.sign(xi)
-    optimal_on_active = not signs.any()
-    for _ in range(20 * xi.size + 50):
-        d = 2.0 * (corr - gram @ xi)
-        if optimal_on_active:
-            viol = np.where(signs == 0.0, np.abs(d) - lam, -np.inf)
-            j = int(np.argmax(viol))
-            if not viol[j] > tol:
-                return xi
-            signs[j] = np.sign(d[j])
-        idx = np.flatnonzero(signs)
-        g = gram[np.ix_(idx, idx)]
-        rhs = corr[idx] - 0.5 * lam * signs[idx]
+    p = corr.size
+    lam_min = float(lambdas.min(initial=np.inf))
+    rank_rtol = np.finfo(float).eps / KKT_TOL
+    # Each event is num / den at the segment's (u, v), with
+    # [num | den] = [num0 | den0] + [2 rows @ u | rows @ v], and counts
+    # where den > 0. Rows 0..p-1: d_j reaches +mu; p..2p-1: d_j reaches
+    # -mu; 2p..3p-1: an active xi_j reaches zero (the row is -s_j e_j).
+    rows = np.zeros((3 * p, p))
+    rows[:p] = -gram
+    rows[p : 2 * p] = gram
+    num0 = np.zeros(3 * p)
+    num0[:p] = 2.0 * corr
+    num0[p : 2 * p] = -num0[:p]
+    den0 = np.zeros(3 * p)
+    den0[: 2 * p] = 1.0
+    allowed = np.ones(3 * p, bool)  # off for the +/- rows of active and barred columns
+    rhs = np.zeros((p, 3))  # [corr, s, e_j]; the sign column is read on A only
+    rhs[:, 0] = corr
+    order, barred = [], []  # the active columns; columns barred until A changes
+    seg = np.zeros((p, 3))  # the segment's u, v and signs, u = v = 0 off A
+    mu = np.inf
+    tops, segments = [], []
+    for _ in range(50 * (p + 1)):
+        tops.append(mu)
+        segments.append(seg)
+        z = rows @ seg[:, :2]
+        den = den0 + z[:, 1]
+        events = np.divide(num0 + 2.0 * z[:, 0], den, out=np.full(3 * p, -np.inf), where=allowed & (den > 0.0))
+        k = int(events.argmax())
+        nxt = min(float(events[k]), mu)
+        if not nxt > lam_min:
+            break
+        mu = nxt
+        kind, j = divmod(k, p)
+        entering = kind < 2
+        if entering:
+            trial = order + [j]
+            rhs[j, 1] = 1.0 - 2.0 * kind  # the side reached: +1 or -1
+        else:
+            trial = [i for i in order if i != j]
+        idx = np.array(trial, dtype=int)
+        rhs_a = rhs[idx]
+        rhs_a[-1:, 2] = float(entering)  # sol[-1, 2] = 1 / Schur complement of j
         try:
-            target = np.linalg.solve(g, rhs)
+            sol = np.linalg.solve(gram[idx[:, None], idx], rhs_a)
         except np.linalg.LinAlgError:  # exactly singular active Gram
-            target = np.linalg.lstsq(g, rhs, rcond=None)[0]
-        if np.all(np.sign(target) == signs[idx]):
-            # The minimizer of the objective on the current orthant.
-            xi[idx] = target
-            optimal_on_active = True
+            sol = None
+        if sol is None or entering and not (
+            0.0 < sol[-1, 2] * rank_rtol * gram[j, j] < 1.0 and rhs[j, 1] * sol[-1, 1] > 0.0
+        ):
+            if not entering:  # cannot happen to a subset of a nonsingular active set
+                break  # the path is cut here and the certificate reports it
+            barred.append(j)
+            allowed[j] = allowed[p + j] = False
             continue
-        cur = xi[idx]
-        crossing = np.flatnonzero((cur != 0.0) & (np.sign(target) != np.sign(cur)))
-        ts = np.append(cur[crossing] / (cur[crossing] - target[crossing]), 1.0)
-        cand = cur + ts[:, None] * (target - cur)
-        cand[np.arange(crossing.size), crossing] = 0.0
-        # Objective change from cur, formed from the step so that small
-        # changes are not lost to the rounding of the O(1) objective.
-        step = cand - cur
-        change = (
-            np.einsum("ij,jk,ik->i", step, g, step)
-            - step @ d[idx]
-            + lam * (np.abs(cand).sum(axis=1) - np.abs(cur).sum())
-        )
-        best = int(np.argmin(change))
-        if not change[best] < 0.0:
-            return xi
-        xi[idx] = cand[best]
-        optimal_on_active = False
-        signs = np.sign(xi)
-    return xi
+        for i in barred:
+            allowed[i] = allowed[p + i] = True
+        allowed[j] = allowed[p + j] = not entering
+        order, barred = trial, []
+        signs = seg[:, 2]
+        seg = np.zeros((p, 3))
+        seg[idx, :2] = sol[:, :2]
+        seg[:, 2] = signs
+        seg[j, 2] = rhs[j, 1] if entering else 0.0
+        rows[2 * p + j, j] = -seg[j, 2]  # j's zero-crossing row
+    at = np.array(segments)[np.searchsorted(-np.array(tops), -lambdas, side="right") - 1]
+    xi = at[:, :, 0] - 0.5 * lambdas[:, None] * at[:, :, 1]
+    return np.where(xi * at[:, :, 2] > 0.0, xi, 0.0).T
 
 
 def _lasso_path(theta, b, lambdas):
     """Exact LASSO solutions of ||b - theta xi||^2 + lambda ||xi||_1 for
     each lambda, with their KKT residuals.
 
-    The lambdas are solved from the largest down, each started at the
-    previous solution; a warm-started solve whose residual exceeds
-    KKT_TOL is redone from zero. Returns (xi of shape (p, len(lambdas)), residuals).
+    One homotopy (see _homotopy) on the Gram form serves every lambda;
+    the residuals come from one (p, len(lambdas)) product. Returns (xi of
+    shape (p, len(lambdas)), residuals).
     """
     theta = np.asarray(theta, dtype=float)
     gram = theta.T @ theta
     corr = theta.T @ np.asarray(b, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
-    xi = np.zeros((theta.shape[1], lambdas.size))
-    kkt = np.zeros(lambdas.size)
-    x = np.zeros(theta.shape[1])
-    for i in np.argsort(-lambdas, kind="stable"):
-        warm = x.any()
-        x = _feature_sign(gram, corr, lambdas[i], x)
-        kkt[i] = _kkt_residual(gram, corr, lambdas[i], x)
-        if warm and not kkt[i] <= KKT_TOL:
-            x = _feature_sign(gram, corr, lambdas[i], np.zeros_like(x))
-            kkt[i] = _kkt_residual(gram, corr, lambdas[i], x)
-        xi[:, i] = x
-    return xi, kkt
+    xi = _homotopy(gram, corr, lambdas)
+    return xi, _kkt_residual(gram, corr, lambdas, xi)
 
 
 def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     """Solve one LASSO problem exactly; an uncertified solve warns.
 
     The objective is the plain squared residual plus lambda times the
-    l1 norm (no 1/2 and no 1/n factor). The solution is found by
-    feature-sign search from zero and carries a KKT certificate: if its
-    residual exceeds KKT_TOL, a RuntimeWarning says "lasso did not
-    converge" and the iterate is returned. lambda = 0 is least squares.
+    l1 norm (no 1/2 and no 1/n factor). The solution is the LASSO path
+    followed from lambda_max down to lambda, and carries a KKT
+    certificate: if its residual exceeds KKT_TOL, a RuntimeWarning says
+    "lasso did not converge" and the solution is still returned.
+    lambda = 0 is least squares.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -197,14 +223,14 @@ def lasso_cv(theta, b, seed: int = 0):
     """Column/response-normalized LASSO with lambda chosen by CV_FOLDS-fold CV.
 
     Rows are permuted by a seed-derived shuffle before the contiguous
-    fold split; each fold's training rows get the exact path over
-    LAMBDA_GRID, the score is held-out R^2 and ties go to the smaller
-    lambda. Returns (lambda_star, xi_norm, curve): xi_norm solves the
-    normalized system at lambda_star and curve holds the (lambda, mean
-    R^2) rows. Every fold solve and the refit at lambda_star carry a KKT
-    certificate (tolerance KKT_TOL); uncertified fold solves are still
-    scored, with one RuntimeWarning that counts them, and an uncertified
-    refit warns on its own.
+    fold split; each fold's training rows, in their original order, get
+    one exact path read at every lambda of LAMBDA_GRID, the score is
+    held-out R^2 and ties go to the smaller lambda. Returns (lambda_star,
+    xi_norm, curve): xi_norm solves the normalized system at lambda_star
+    and curve holds the (lambda, mean R^2) rows. Every fold solve and
+    the refit at lambda_star carry a KKT certificate (tolerance KKT_TOL);
+    uncertified fold solves are still scored, with one RuntimeWarning
+    that counts them, and an uncertified refit warns on its own.
     """
     theta_n, b_n, _, _ = _normalize(theta, b)
     n = theta_n.shape[0]
@@ -216,7 +242,8 @@ def lasso_cv(theta, b, seed: int = 0):
     scores = np.zeros(len(LAMBDA_GRID))
     uncertified = []
     for held in folds:
-        train = np.setdiff1d(perm, held, assume_unique=True)
+        train = np.ones(n, bool)
+        train[held] = False
         xi, kkt = _lasso_path(theta_n[train], b_n[train], LAMBDA_GRID)
         uncertified.extend(kkt[~(kkt <= KKT_TOL)])
         resid = b_n[held, None] - theta_n[held] @ xi

@@ -53,11 +53,11 @@ def stability_select(theta, b, seed: int = 0):
     draws takes a floor(n/2)-row subset without replacement and
     per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH),
     solves LASSO at the fixed lambda on the weight-scaled design with
-    ``sparse.lasso`` (an exact solve whose KKT residual must be at most
-    ``sparse.KKT_TOL``, or it warns "lasso did not converge"), and counts
-    coefficients with magnitude above ACTIVITY_EPS. Draw i comes from
-    substream (seed, STABILITY_STREAM, i) so results are
-    schedule-independent.
+    ``sparse.lasso`` (the exact LASSO path stopped at that lambda, whose
+    KKT residual must be at most ``sparse.KKT_TOL``, or it warns "lasso
+    did not converge"), and counts coefficients with magnitude above
+    ACTIVITY_EPS. Draw i comes from substream (seed, STABILITY_STREAM, i)
+    so results are schedule-independent.
 
     The penalty is noise-adaptive: each draw solves with a
     mean-squared-error penalty alpha = min(PENALTY_SCALE *
