@@ -1,21 +1,26 @@
 """Four-stage identification pipeline with automatic mode selection.
 
-The base library is assembled once, in one field pass per trajectory,
-on both the identification and the stability test grids. The
-identification system gives the full-library fit the guard compares
-against and, when the library holds every GALILEAN_BASIS term, the
-columns of the Galilean test; the stability system, restricted to the
-library being pruned, is what the stability gate selects on. Stage 1
-runs the two symmetry tests that steer the run: the weak-form Galilean
-test and the odd-reflection test. Stage 2 reduces
-the candidate library: the Galilean-reduced set when a boost is detected,
+The union of the base library and GALILEAN_BASIS is assembled once, in
+one field pass per trajectory, on both the identification and the
+stability test grids; every later system is a column restriction of
+these two. On the identification grid, the base columns give the
+full-library fit the guard compares against, the GALILEAN_BASIS columns
+the Galilean test (whose boosted refit is assembled on the same test
+grid, which the system carries), and the reduced columns the final fit.
+The stability system, restricted to the library being pruned, is what
+the stability gate selects on. A column's values do not depend on which
+other terms share its assembly.
+
+Stage 1 runs the two symmetry tests that steer the run: the weak-form
+Galilean test and the odd-reflection test. Stage 2 reduces the
+candidate library: the Galilean-reduced set when a boost is detected,
 otherwise stability selection; an odd field also drops the
-parity-incompatible terms on either path. Stage 3
-identifies coefficients by weak-form LASSO on the reduced library.
-Stage 4 reverts to the full-library fit when the reduced-library
-residual is more than GAMMA_SYMMETRY or GAMMA_STABILITY times worse and
-the dense full-library fit carries at least MATERIAL_FRACTION of its
-largest coefficient on a term the reduced library left out.
+parity-incompatible terms on either path. Stage 3 identifies
+coefficients by weak-form LASSO on the reduced library. Stage 4
+reverts to the full-library fit when the reduced-library residual is
+more than GAMMA_SYMMETRY or GAMMA_STABILITY times worse and the dense
+full-library fit carries at least MATERIAL_FRACTION of its largest
+coefficient on a term the reduced library left out.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_f
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import identify_on_system, wf_lasso_identify
 from .stability import STABILITY_GRID, stability_gate
-from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all, galilean_system
+from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all
 from .weakform import IDENTIFY_GRID, assemble, make_test_grid
 
 __all__ = ["IdentificationResult", "run_eqod", "run_wf_lasso_baseline"]
@@ -51,7 +56,8 @@ class IdentificationResult:
 
     ``library_size`` records the reduced library chosen before any
     fallback; when the fallback triggered, ``library_used`` is the full
-    base library instead.
+    base library instead. If the reduced path itself failed, no reduced
+    library exists and ``library_size`` is the base library's size.
     """
 
     coeffs: CoefficientVector
@@ -80,12 +86,6 @@ class IdentificationResult:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _expand(coeffs: CoefficientVector, base: LibrarySpec) -> CoefficientVector:
-    """Re-express coefficients over the base library, zeros elsewhere."""
-    values = dict(zip(coeffs.terms, coeffs.values))
-    return CoefficientVector(base.terms, np.array([values.get(t, 0.0) for t in base.terms]))
-
-
 def _residual_sq(ws, coeffs: CoefficientVector) -> float:
     return float(np.sum((ws.b - ws.theta @ coeffs.values) ** 2))
 
@@ -108,20 +108,20 @@ def run_eqod(
     MATERIAL_FRACTION.
     """
     base = base_library or standard_library()
+    lib = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
     # Both test grids share their radii and margins, so the second grid
     # adds no failure path to the first.
-    ws_full, ws_stab = assemble(
+    ws_lib, ws_stab = assemble(
         trajset,
-        base,
+        lib,
         make_test_grid(trajset.grid, *IDENTIFY_GRID),
         make_test_grid(trajset.grid, *STABILITY_GRID),
     )
+    ws_full = ws_lib.restricted(base)
     coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
-    report, mode = None, "stability"  # the mode reported if detection itself fails
+    report = detect_all(trajset, ws_lib)  # catches its own detector failures
     try:
-        has_basis = all(t in base for t in GALILEAN_BASIS.terms)
-        report = detect_all(trajset, ws_full if has_basis else galilean_system(trajset))
         if report.galilean.detected:
             mode, gamma = "symmetry", GAMMA_SYMMETRY
             reduced = galilean_reduced()
@@ -134,22 +134,14 @@ def run_eqod(
                 odd_reflection_prune(base) if report.reflection_odd.detected else base
             )
             spec, _ = stability_gate(ws_stab.restricted(gate_base), seed)
-        ws_red = ws_full.restricted(spec)
+        ws_red = ws_lib.restricted(spec)
         coeffs_red, _ = identify_on_system(ws_red, seed)
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        # Numerical failures of the reduced path (assembly, lstsq, LASSO,
-        # coefficient checks) fall back to the full fit; any other error
-        # is a programming error and propagates.
+        # Numerical failures of the reduced path (library reduction,
+        # lstsq, LASSO, coefficient checks) fall back to the full fit; any
+        # other error is a programming error and propagates.
         warnings.warn(f"reduced path failed ({exc}); using full-library result")
-        return IdentificationResult(
-            coeffs=coeffs_full,
-            mode=mode,
-            fallback_triggered=True,
-            library_used=base,
-            library_size=len(base),
-            symmetry_report=report,
-            residual_ratio=None,
-        )
+        return IdentificationResult(coeffs_full, mode, True, base, len(base), report)
 
     # Guard: compare the pruned reduced model against the dense (pre-
     # threshold) full-library fit; benchmarking against the dense fit
@@ -172,21 +164,16 @@ def run_eqod(
     missing_material = bool(
         outside and dense_max > 0 and max(outside) >= MATERIAL_FRACTION * dense_max
     )
-    if ratio > gamma and missing_material:  # strict: equality does not trigger
-        return IdentificationResult(
-            coeffs=coeffs_full,
-            mode=mode,
-            fallback_triggered=True,
-            library_used=base,
-            library_size=len(spec),
-            symmetry_report=report,
-            residual_ratio=float(ratio),
-        )
+    fallback = ratio > gamma and missing_material  # strict: equality does not trigger
     return IdentificationResult(
-        coeffs=_expand(coeffs_red, base),
+        coeffs=(
+            coeffs_full
+            if fallback
+            else CoefficientVector.from_dict(coeffs_red.as_dict(), base.terms)
+        ),
         mode=mode,
-        fallback_triggered=False,
-        library_used=spec,
+        fallback_triggered=fallback,
+        library_used=base if fallback else spec,
         library_size=len(spec),
         symmetry_report=report,
         residual_ratio=float(ratio),

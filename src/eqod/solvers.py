@@ -187,7 +187,7 @@ def _split_terms(coeffs: CoefficientVector):
     return linear, nonlinear
 
 
-def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int, dealias: bool):
+def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
     """N(v): the nonlinear tendency of Fourier rows v, formed pointwise on dealiased fields.
 
     The derivative multipliers and the 2/3-rule cut are built once per
@@ -195,7 +195,7 @@ def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int, 
     are a batch. Modes above the cut are dropped on the way in and zeroed
     on the way out.
     """
-    keep = nx // 3 + 1 if dealias else nx // 2 + 1
+    keep = nx // 3 + 1
     orders = sorted({d for term, _ in nonlinear for d, p in enumerate(term.powers) if p})
     mults = {d: (1j * k[:keep]) ** d for d in orders}
 
@@ -303,7 +303,7 @@ def _solve_etdrk4(pde, v0, grid, sym, nl):
     return out
 
 
-def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool) -> np.ndarray:
+def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Values (rows, nt, nx) of the law from each row of u0 (rows, nx)."""
     if not np.all(np.isfinite(u0)):
         raise ValueError("u0 must be finite")
@@ -315,10 +315,10 @@ def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool) -> np.
     v0 = np.fft.rfft(u0)
     if not nonlinear:
         return _propagate_exact(pde, v0, grid, sym)
-    return _solve_etdrk4(pde, v0, grid, sym, _nonlinear_operator(nonlinear, k, grid.nx, dealias))
+    return _solve_etdrk4(pde, v0, grid, sym, _nonlinear_operator(nonlinear, k, grid.nx))
 
 
-def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool = True) -> Trajectory:
+def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
     """Propagate a benchmark PDE from u0, sampling on the grid's nt output times.
 
     A law with no nonlinear term is evaluated exactly from its Fourier
@@ -331,7 +331,7 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D, dealias: bool = True) -> T
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):
         raise ValueError("u0 length must equal grid.nx")
-    return Trajectory(grid, _propagate(pde, u0[None], grid, dealias)[0])
+    return Trajectory(grid, _propagate(pde, u0[None], grid)[0])
 
 
 def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
@@ -347,9 +347,7 @@ def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Traje
     return Trajectory(traj.grid, noisy)
 
 
-def generate_set(
-    pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int, dealias: bool = True
-) -> TrajectorySet:
+def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) -> TrajectorySet:
     """Generate M trajectories; seed drives the solver ICs, seed+1000 the noise.
 
     Trajectory i uses substream (seed, i) for its initial condition and
@@ -361,7 +359,7 @@ def generate_set(
     ic_stream = RngStream(seed)
     noise_stream = RngStream(seed + NOISE_SEED_OFFSET)
     u0 = np.stack([initial_condition(pde, grid, ic_stream.generator(i)) for i in range(m)])
-    values = _propagate(pde, u0, grid, dealias)
+    values = _propagate(pde, u0, grid)
     return TrajectorySet(
         tuple(
             add_noise(Trajectory(grid, v), sigma, noise_stream.generator(i))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
-from .weakform import IDENTIFY_GRID, WeakSystem, assemble, make_test_grid
+from .weakform import WeakSystem, assemble
 
 __all__ = [
     "DetectorResult",
@@ -23,7 +23,6 @@ __all__ = [
     "detect_reflection",
     "detect_galilean",
     "galilean_boost",
-    "galilean_system",
     "detect_all",
 ]
 
@@ -97,12 +96,6 @@ def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
     return TrajectorySet(tuple(Trajectory(g, tr.values[rows, cols] + c) for tr in trajset))
 
 
-def galilean_system(trajset: TrajectorySet) -> WeakSystem:
-    """The GALILEAN_BASIS weak system on the identification test grid."""
-    (ws,) = assemble(trajset, GALILEAN_BASIS, make_test_grid(trajset.grid, *IDENTIFY_GRID))
-    return ws
-
-
 def _convective_fit(ws: WeakSystem):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
     ws = ws.restricted(GALILEAN_BASIS)
@@ -118,25 +111,27 @@ def _convective_fit(ws: WeakSystem):
 def detect_galilean(trajset: TrajectorySet, ws: WeakSystem):
     """Weak-form structural test for Galilean invariance.
 
-    ``ws`` is the weak system of ``trajset`` on the IDENTIFY_GRID test
-    grid, with a library that contains every GALILEAN_BASIS term (the
-    pipeline passes its full-library system). Solves the 6-term
+    ``ws`` is a weak system of ``trajset`` whose library contains every
+    GALILEAN_BASIS term (the pipeline passes its system of base ∪
+    GALILEAN_BASIS on the identification test grid). Solves the 6-term
     regression (convection, two dissipative derivatives, three reaction
     powers) on those columns and measures the energy fraction carried by
     the convective column. A genuinely boost-invariant law refits with
     the same convective coefficient on boosted data; advective or
     reaction leakage does not. So the fraction is divided by
     1 + (gap/BOOST_GAP_SCALE)^2, where gap is the relative change of c1
-    when the fit is repeated on a discrete Galilean boost of the data.
-    Detection requires both the discounted fraction and the physical
-    convective coefficient to exceed GALILEAN_TAU.
+    when the fit is repeated on a discrete Galilean boost of the data,
+    assembled on the test grid ``ws`` carries. Detection requires both
+    the discounted fraction and the physical convective coefficient to
+    exceed GALILEAN_TAU.
 
     Returns (detected, energy_fraction, c1, rank_ok).
     """
     f, c1, rank_ok = _convective_fit(ws)
     if f != 0.0:
-        boosted = galilean_system(galilean_boost(trajset, GALILEAN_BOOST_C))
-        _, c1_boost, _ = _convective_fit(boosted)
+        boosted = galilean_boost(trajset, GALILEAN_BOOST_C)
+        (ws_boost,) = assemble(boosted, GALILEAN_BASIS, ws.test_grid)
+        _, c1_boost, _ = _convective_fit(ws_boost)
         gap = abs(c1_boost - c1) / max(1.0, abs(c1))
         f = f / (1.0 + (gap / BOOST_GAP_SCALE) ** 2)
     detected = (f > GALILEAN_TAU) and (abs(c1) > GALILEAN_TAU)
@@ -146,12 +141,13 @@ def detect_galilean(trajset: TrajectorySet, ws: WeakSystem):
 def detect_all(trajset: TrajectorySet, ws: WeakSystem) -> SymmetryReport:
     """Run the Galilean and odd-reflection tests on a trajectory set.
 
-    The Galilean test uses the whole set through ``ws``, its weak system
-    on the IDENTIFY_GRID test grid with a library that contains every
-    GALILEAN_BASIS term. Odd reflection runs per trajectory and reports
-    the most conservative outcome: detected only if every trajectory is
-    odd, with the largest score. A detector error downgrades that test to
-    not-detected with a NaN score.
+    The Galilean test uses the whole set through ``ws``, a weak system of
+    it whose library contains every GALILEAN_BASIS term; the boosted
+    refit is assembled on the same test grid. Odd reflection runs per
+    trajectory and reports the most conservative outcome: detected only
+    if every trajectory is odd, with the largest score. A detector error
+    downgrades that test to not-detected with a NaN score, so this
+    function raises none of the numerical errors it catches.
     """
     failed = DetectorResult(False, float("nan"))
     try:

@@ -49,11 +49,17 @@ def bump(r) -> np.ndarray:
 def bump_dt(r) -> np.ndarray:
     """Analytic derivative of the bump profile: -2r/(1-r^2)^2 * bump(r)."""
     r = np.asarray(r, dtype=float)
+    out = _bump_slope(r) * bump(r)
+    return out if out.ndim else float(out)
+
+
+def _bump_slope(r: np.ndarray) -> np.ndarray:
+    """bump_dt / bump on the support, -2r/(1-r^2)^2; zero outside it."""
     out = np.zeros_like(r)
     inside = np.abs(r) < 1
     ri = r[inside]
-    out[inside] = -2.0 * ri / (1.0 - ri**2) ** 2 * np.exp(-1.0 / (1.0 - ri**2))
-    return out if out.ndim else float(out)
+    out[inside] = -2.0 * ri / (1.0 - ri**2) ** 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,12 +102,17 @@ def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
 
 @dataclass(frozen=True)
 class WeakSystem:
-    """Design matrix, response, and the origin of each row of a weak-form system."""
+    """Design matrix and response of a weak-form system, with its test grid.
+
+    Rows run trajectory-major, then t-center-major: with n_x =
+    len(test_grid.x_centers), row r comes from trajectory r // n_centers,
+    t-center (r % n_centers) // n_x and x-center r % n_x.
+    """
 
     theta: np.ndarray
     b: np.ndarray
     spec: LibrarySpec
-    row_meta: tuple  # (trajectory index, t_c, x_c) per row
+    test_grid: TestGrid
 
     @property
     def shape(self):
@@ -110,7 +121,7 @@ class WeakSystem:
     def restricted(self, spec: LibrarySpec) -> "WeakSystem":
         """Column subset for a sub-library, preserving rows."""
         cols = [self.spec.index(t) for t in spec.terms]
-        return WeakSystem(self.theta[:, cols], self.b, spec, self.row_meta)
+        return WeakSystem(self.theta[:, cols], self.b, spec, self.test_grid)
 
 
 def _bump_matrices(grid: Grid1D, tg: TestGrid):
@@ -118,8 +129,9 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
         raise ValueError("test-function radius below two grid cells")
     rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
+    phi_t = bump(rt)
     phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
-    return bump(rt), bump_dt(rt) / tg.r_t, phi_x
+    return phi_t, _bump_slope(rt) * phi_t / tg.r_t, phi_x
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tuple[WeakSystem, ...]:
@@ -139,7 +151,8 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tup
     it is formed, one matmul pair per grid; so every system is bitwise
     the one a one-grid call gives.
 
-    Returns one WeakSystem per grid, in the order given.
+    Returns one WeakSystem per grid, in the order given, each carrying
+    its grid.
     """
     grid = trajset.grid
     bumps = [_bump_matrices(grid, tg) for tg in grids]
@@ -153,17 +166,4 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tup
         for k, field in enumerate(term_fields(traj, spec.terms)):
             for (phi_t, _, phi_x), theta, r in zip(bumps, thetas, rows):
                 theta[r, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
-    return tuple(
-        WeakSystem(
-            theta,
-            b,
-            spec,
-            tuple(
-                (m, float(tc), float(xc))
-                for m in range(len(trajset))
-                for tc in tg.t_centers
-                for xc in tg.x_centers
-            ),
-        )
-        for tg, theta, b in zip(grids, thetas, bs)
-    )
+    return tuple(WeakSystem(theta, b, spec, tg) for tg, theta, b in zip(grids, thetas, bs))

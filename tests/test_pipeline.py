@@ -7,10 +7,15 @@ import eqod.pipeline as pipeline
 import eqod.stability as stability
 import eqod.symmetry as symmetry
 from eqod.core import term_from_tag
-from eqod.oplib import LibrarySpec, standard_library
+from eqod.oplib import LibrarySpec, expanded_library, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.stability import STABILITY_GRID
+from eqod.symmetry import GALILEAN_BASIS
 from eqod.weakform import IDENTIFY_GRID, assemble
+
+
+# A base that lacks most GALILEAN_BASIS terms.
+THREE_TERMS = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
 
 
 def tags(support):
@@ -38,8 +43,7 @@ class TestRunEqod:
             assert res.coeffs.value(term_from_tag(tag)) == 0.0
 
     def test_symmetry_on_base_without_reduced_terms(self, burgers_clean):
-        base = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
-        res = run_eqod(burgers_clean, 42, base_library=base)
+        res = run_eqod(burgers_clean, 42, base_library=THREE_TERMS)
         assert res.mode == "symmetry"
         assert not res.fallback_triggered
         assert res.library_used.tags == ("u_x", "u_xx", "u*u_x")
@@ -54,12 +58,22 @@ class TestRunEqod:
         assert set(doc["coefficients"]) == set(standard_library().tags)
         assert set(doc["detectors"]) == {"galilean", "reflection_odd"}
 
-    # The base library is assembled once, on the identification and the
-    # stability grids together, and reused by the Galilean test and the
-    # stability gate; the boosted refit (skipped only when the raw fraction
+    # The base library and GALILEAN_BASIS are assembled once, together, on
+    # the identification and the stability grids, and reused by the
+    # full-library fit, the Galilean test, the stability gate and the
+    # reduced fit; the boosted refit (skipped only when the raw fraction
     # is 0) is the other assembly. The stability module assembles nothing.
-    @pytest.mark.parametrize("name, expected", [("heat_clean", 2), ("burgers_clean", 2)])
-    def test_assembly_count(self, name, expected, request, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, base",
+        [
+            pytest.param("heat_clean", standard_library(), id="heat_clean-2"),
+            pytest.param("burgers_clean", standard_library(), id="burgers_clean-2"),
+            pytest.param("burgers_clean", THREE_TERMS, id="burgers_clean-three_terms"),
+            pytest.param("burgers_clean", expanded_library(20), id="burgers_clean-expanded20"),
+        ],
+    )
+    def test_assembly_count(self, name, base, request, monkeypatch):
+        union = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
         calls = []
 
         def counting(trajset, spec, *grids):
@@ -68,9 +82,11 @@ class TestRunEqod:
 
         for module in (pipeline, symmetry):
             monkeypatch.setattr(module, "assemble", counting)
-        run_eqod(request.getfixturevalue(name), 42)
-        assert len(calls) == expected
-        assert calls.count((standard_library(), (IDENTIFY_GRID, STABILITY_GRID))) == 1
+        run_eqod(request.getfixturevalue(name), 42, base_library=base)
+        assert calls == [
+            (union, (IDENTIFY_GRID, STABILITY_GRID)),
+            (GALILEAN_BASIS, (IDENTIFY_GRID,)),
+        ]
         assert not hasattr(stability, "assemble")
 
 

@@ -301,15 +301,3 @@ class TestGenerateSet:
         pde = PDES["ks"]
         with pytest.raises(ValueError, match="u0 must be finite"):
             generate_set(pde, pde.default_grid(), 3, 0.0, 42)
-
-    def test_dealias_insensitive_identification(self, burgers_clean):
-        # identification quality must not hinge on the solver's dealiasing
-        from eqod.core import coefficient_error
-        from eqod.oplib import galilean_reduced
-        from eqod.sparse import wf_lasso_identify
-
-        pde = PDES["burgers"]
-        raw = generate_set(pde, pde.default_grid(), 3, 0.0, 42, dealias=False)
-        for ts in (burgers_clean, raw):
-            coeffs = wf_lasso_identify(ts, galilean_reduced(), 42)
-            assert coefficient_error(coeffs, pde.true_coeffs) < 1e-3

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import eqod.symmetry as symmetry
 from eqod.core import Grid1D, Trajectory, TrajectorySet
 from eqod.oplib import standard_library
+from eqod.stability import STABILITY_GRID
 from eqod.symmetry import (
+    GALILEAN_BASIS,
     detect_all,
     detect_galilean,
     detect_reflection,
     galilean_boost,
-    galilean_system,
 )
 from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
 
@@ -20,8 +22,14 @@ def make_traj(values, t_end=1.0, length=2 * np.pi):
 
 
 def standard_system(ts):
-    """The full-library system that run_eqod hands to the Galilean test."""
+    """The system that run_eqod hands to the Galilean test for the standard
+    library, which holds every GALILEAN_BASIS term."""
     return assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))[0]
+
+
+def basis_system(ts):
+    """The GALILEAN_BASIS columns alone, on the identification test grid."""
+    return assemble(ts, GALILEAN_BASIS, make_test_grid(ts.grid, *IDENTIFY_GRID))[0]
 
 
 def analytic_field(fn, nt=128, nx=128, t_end=1.0):
@@ -108,10 +116,24 @@ class TestGalilean:
     def test_full_library_system_matches_own_assembly(self, name, request):
         ts = request.getfixturevalue(name)
         detected, f, c1, rank_ok = detect_galilean(ts, standard_system(ts))
-        own = detect_galilean(ts, galilean_system(ts))
+        own = detect_galilean(ts, basis_system(ts))
         assert (detected, rank_ok) == (own[0], own[3])
         assert f == pytest.approx(own[1], rel=1e-9)
         assert c1 == pytest.approx(own[2], rel=1e-9)
+
+    def test_boosted_refit_uses_the_system_test_grid(self, burgers_clean, monkeypatch):
+        tg = make_test_grid(burgers_clean.grid, *STABILITY_GRID)
+        (ws,) = assemble(burgers_clean, GALILEAN_BASIS, tg)
+        seen = []
+
+        def recording(trajset, spec, *grids):
+            seen.append(grids)
+            return assemble(trajset, spec, *grids)
+
+        monkeypatch.setattr(symmetry, "assemble", recording)
+        detect_galilean(burgers_clean, ws)
+        assert len(seen) == 1
+        assert len(seen[0]) == 1 and seen[0][0] is tg
 
 
 class TestDetectAll:
@@ -136,7 +158,7 @@ class TestDetectAll:
         # all-zero field: the reflection test raises on it -> NaN score
         g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)
         ts = TrajectorySet((Trajectory(g, np.zeros((32, 32))),))
-        rep = detect_all(ts, galilean_system(ts))
+        rep = detect_all(ts, basis_system(ts))
         assert not rep.reflection_odd.detected
         assert np.isnan(rep.reflection_odd.score)
         d = rep.to_json_dict()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -21,7 +23,8 @@ def _support_slice(centers, c, r, n):
 
 def reference_assemble(trajset, spec, tg):
     """Per-center loop over each bump's support rectangle: the arithmetic the
-    separable contraction in ``assemble`` must reproduce."""
+    separable contraction in ``assemble`` must reproduce. Also returns the
+    (trajectory index, t_c, x_c) origin of each row, in the loop's order."""
     grid = trajset.grid
     t, x = grid.t, grid.x
     dxdt = grid.dx * grid.dt
@@ -42,7 +45,18 @@ def reference_assemble(trajset, spec, tg):
                 rows_theta.append(dxdt * np.einsum("kij,ij->k", block, w))
                 rows_b.append(-dxdt * float(np.sum(u[i0:i1, j0:j1] * w_t)))
                 meta.append((m, float(tc), float(xc)))
-    return WeakSystem(np.array(rows_theta), np.array(rows_b), spec, tuple(meta))
+    return WeakSystem(np.array(rows_theta), np.array(rows_b), spec, tg), meta
+
+
+def row_origin(ws, r):
+    """(trajectory index, t_c, x_c) of row r, by WeakSystem's row order."""
+    tg = ws.test_grid
+    n_x = len(tg.x_centers)
+    return (
+        r // tg.n_centers,
+        float(tg.t_centers[(r % tg.n_centers) // n_x]),
+        float(tg.x_centers[r % n_x]),
+    )
 
 
 def abs_quadrature(trajset, spec, tg):
@@ -136,23 +150,33 @@ class TestAssemble:
         col = ws.theta[:, 0]
         assert ws.b @ col / (col @ col) == pytest.approx(0.1, abs=1e-3)
 
-    def test_row_meta_order(self, heat_clean):
+    def test_row_order(self, heat_clean):
+        # trajectory-major, then t-center-major: each row is its own
+        # trajectory's assembly on its own single center
         tg = make_test_grid(heat_clean.grid, 5, 7)
         (ws,) = assemble(heat_clean, UXX_ONLY, tg)
-        assert len(ws.row_meta) == 105
-        assert ws.row_meta[0][0] == 0 and ws.row_meta[-1][0] == 2
-        # centers iterate t-major within each trajectory
-        assert ws.row_meta[0][1] == pytest.approx(tg.t_centers[0])
-        assert ws.row_meta[6][2] == pytest.approx(tg.x_centers[6])
+        assert ws.test_grid is tg
+        assert ws.shape == (105, 1)
+        assert row_origin(ws, 6) == (0, tg.t_centers[0], tg.x_centers[6])
+        assert row_origin(ws, 7) == (0, tg.t_centers[1], tg.x_centers[0])
+        tol_theta, tol_b = 1e-12 * np.abs(ws.theta).max(), 1e-12 * np.abs(ws.b).max()
+        for r in range(ws.shape[0]):
+            m, tc, xc = row_origin(ws, r)
+            one = dataclasses.replace(tg, t_centers=np.array([tc]), x_centers=np.array([xc]))
+            (alone,) = assemble(TrajectorySet(heat_clean.trajectories[m : m + 1]), UXX_ONLY, one)
+            assert alone.theta[0, 0] == pytest.approx(ws.theta[r, 0], rel=0, abs=tol_theta)
+            assert alone.b[0] == pytest.approx(ws.b[r], rel=0, abs=tol_b)
 
     def test_restriction_preserves_columns(self, burgers_clean):
         tg = make_test_grid(burgers_clean.grid, 5, 7)
         (full,) = assemble(burgers_clean, standard_library(), tg)
-        for spec in (galilean_reduced(), GALILEAN_BASIS):
+        three = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
+        for spec in (galilean_reduced(), GALILEAN_BASIS, three):
             red = full.restricted(spec)
             (direct,) = assemble(burgers_clean, spec, tg)
             assert np.array_equal(red.theta, direct.theta)
             assert np.array_equal(red.b, direct.b)
+            assert red.test_grid is tg
 
     def test_response_linear_in_data(self, heat_clean):
         g = heat_clean.grid
@@ -217,8 +241,6 @@ class TestAssemble:
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
         ts = TrajectorySet((Trajectory(g, np.ones((128, 128))),))
         tg = make_test_grid(g, 5, 7)
-        import dataclasses
-
         bad = dataclasses.replace(tg, r_t=g.dt)
         with pytest.raises(ValueError, match="radius"):
             assemble(ts, UXX_ONLY, bad)
@@ -232,8 +254,9 @@ class TestSeparableAssembly:
         spec = standard_library()
         tg = make_test_grid(ts.grid, *density)
         (ws,) = assemble(ts, spec, tg)
-        ref = reference_assemble(ts, spec, tg)
-        assert ws.row_meta == ref.row_meta
+        ref, origins = reference_assemble(ts, spec, tg)
+        assert ws.test_grid is tg
+        assert [row_origin(ws, r) for r in range(ws.shape[0])] == origins
         scale_theta, scale_b = abs_quadrature(ts, spec, tg)
         assert np.all(np.abs(ws.theta - ref.theta) <= 1e-13 * scale_theta)
         assert np.all(np.abs(ws.b - ref.b) <= 1e-13 * scale_b)
@@ -261,7 +284,7 @@ class TestSeparableAssembly:
             (alone,) = assemble(ts, spec, tg)
             assert np.array_equal(ws.theta, alone.theta)
             assert np.array_equal(ws.b, alone.b)
-            assert ws.row_meta == alone.row_meta
+            assert ws.test_grid is tg and alone.test_grid is tg
             assert ws.spec == alone.spec
 
     def test_evaluate_term_is_the_assembly_field(self, burgers_clean):
