@@ -10,7 +10,10 @@ periodic grid, by one of two paths:
   exactly, and the coefficients come from a contour integral (Kassam &
   Trefethen 2005).
 
-Nonlinear products are formed in physical space with a 2/3-rule dealias.
+The nonlinear terms are evaluated in flux form: u^p (p >= 2) is F(u^p),
+and u^p·u_x = (u^(p+1))_x/(p+1) is ik/(p+1)·F(u^(p+1)), so each stage
+makes one inverse FFT of the 2/3-rule-dealiased field and one forward FFT
+of the powers of u it needs. Any other nonlinear monomial is rejected.
 A trajectory set's initial conditions are propagated together, as a
 leading batch axis of one computation, and each row equals the solve of
 that row alone.
@@ -76,6 +79,10 @@ class PdeSpec:
     of a run with 4x as many steps. ks is exempt: it is chaotic, so no
     step count meets a trajectory-level contract (6 and 24 steps differ by
     about 1e-2), and it takes 6.
+
+    A nonlinear term of ``true_coeffs`` must be u^p with p >= 2 or u^p·u_x
+    with p >= 1: ETDRK4 evaluates them in flux form (see
+    ``_nonlinear_operator``), and ``solve`` rejects any other monomial.
     """
 
     name: str
@@ -188,29 +195,51 @@ def _split_terms(coeffs: CoefficientVector):
 
 
 def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
-    """N(v): the nonlinear tendency of Fourier rows v, formed pointwise on dealiased fields.
+    """N(v): the nonlinear tendency of Fourier rows v, in flux form.
 
-    The derivative multipliers and the 2/3-rule cut are built once per
-    solve. v holds rfft coefficients along its last axis; any leading axes
-    are a batch. Modes above the cut are dropped on the way in and zeroed
-    on the way out.
+    Each supported monomial is a Fourier multiplier on a power of u:
+    c·u^p (p >= 2) is c·F(u^p), and c·u^p·u_x (p >= 1), which is
+    c·(u^(p+1))_x/(p+1), is c·ik/(p+1)·F(u^(p+1)). Kassam & Trefethen (2005)
+    write the KS nonlinearity this way. The multipliers of the terms that
+    share a power q are summed once per solve. Any other monomial (u*u_xx,
+    u_x^2, ...) raises ValueError here, before a step is taken.
+
+    v holds rfft coefficients along its last axis; any leading axes are a
+    batch. A call makes one irfft of the modes |k| <= K, with K < nx/3 (the
+    2/3 rule), one rfft of the stacked powers of u, and zeroes every mode
+    above K. Since nx > 3K, the kept modes of u^2 are alias-free, so for
+    quadratic terms the flux form equals the pointwise product u·u_x in
+    exact arithmetic. A power q >= 3 has modes up to qK, which alias onto
+    the kept ones; there c·ik/q·F(u^q) and the pointwise c·F(u^(q-1)·u_x)
+    differ. The flux form weights each aliased mode j by the kept k, where
+    the pointwise form weights it by k_j with |k_j| > |k|, so each of its
+    aliasing contributions is the smaller.
     """
-    keep = nx // 3 + 1
-    orders = sorted({d for term, _ in nonlinear for d, p in enumerate(term.powers) if p})
-    mults = {d: (1j * k[:keep]) ** d for d in orders}
+    keep = (nx - 1) // 3 + 1
+    kept = np.arange(k.size) < keep
+    ik = np.where(kept, 1j * k, 0.0)
+    by_power: dict[int, np.ndarray] = {}
+    for term, c in nonlinear:
+        p, px, *higher = term.powers
+        if any(higher) or px > 1:
+            raise ValueError(
+                f"nonlinear term {term.tag} has no flux form; "
+                "supported: u^p with p >= 2, and u^p*u_x"
+            )
+        mult = c * ik / (p + 1) if px else c * kept
+        by_power[p + px] = by_power.get(p + px, 0.0) + mult
+    powers = sorted(by_power)
+    mults = [by_power[q] for q in powers]
 
     def apply(v):
-        low = v[..., :keep]
-        fields = {d: np.fft.irfft(low * mults[d], n=nx) for d in orders}
-        out = np.zeros(v.shape[:-1] + (nx,))
-        for term, c in nonlinear:
-            prod = np.ones(nx)
-            for d, p in enumerate(term.powers):
-                if p:
-                    prod = prod * fields[d] ** p
-            out = out + c * prod
-        nv = np.fft.rfft(out)
-        nv[..., keep:] = 0.0
+        u = np.fft.irfft(v[..., :keep], n=nx)
+        stack = np.empty((len(powers),) + u.shape)
+        for row, q in zip(stack, powers):
+            np.power(u, q, out=row)
+        f = np.fft.rfft(stack)
+        nv = mults[0] * f[0]
+        for mult, fq in zip(mults[1:], f[1:]):
+            nv += mult * fq
         return nv
 
     return apply
@@ -251,16 +280,18 @@ def _propagate_exact(pde, v0, grid, sym):
 def _etdrk4_step(sym, h, nl):
     """One ETDRK4 step of size h (Cox & Matthews 2002) as a function of v."""
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coeffs(sym, h)
+    f2x2 = 2 * f2
 
     def step(v):
         nv = nl(v)
-        a = e_half * v + q * nv
+        ev = e_half * v
+        a = ev + q * nv
         na = nl(a)
-        b = e_half * v + q * na
+        b = ev + q * na
         nb = nl(b)
         c = e_half * a + q * (2 * nb - nv)
         nc = nl(c)
-        return e_full * v + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
+        return e_full * v + f1 * nv + f2x2 * (na + nb) + f3 * nc
 
     return step
 
@@ -323,10 +354,11 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
 
     A law with no nonlinear term is evaluated exactly from its Fourier
     symbol; any other is integrated by ETDRK4 with ``pde.steps_per_sample``
-    steps between samples, to the accuracy stated on ``PdeSpec``. Any
-    configured transient is propagated and discarded before the first
-    sample. u0 must be finite, and u0 is the state at t = 0, so the first
-    sample, at transient + t_start, may not lie before it.
+    steps between samples, to the accuracy stated on ``PdeSpec``; a
+    nonlinear monomial other than u^p or u^p·u_x raises ValueError before
+    any step. Any configured transient is propagated and discarded before
+    the first sample. u0 must be finite, and u0 is the state at t = 0, so
+    the first sample, at transient + t_start, may not lie before it.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):

@@ -8,17 +8,60 @@ import pytest
 
 import eqod
 
-from eqod.core import Grid1D
+import eqod.solvers as solvers
+from eqod.core import CoefficientVector, Grid1D
 from eqod.solvers import (
     PDES,
     RngStream,
     _etdrk4_coeffs,
+    _nonlinear_operator,
+    _split_terms,
     add_noise,
     generate_set,
     initial_condition,
     solve,
 )
 from eqod.spectral import spectral_derivative
+
+NONLINEAR_LAWS = [n for n, p in PDES.items() if p.steps_per_sample]
+
+
+def reference_nonlinear(nonlinear, k, nx):
+    """The nonlinear tendency formed pointwise: each monomial's product of
+    dealiased derivative fields, then one rfft of the sum."""
+    keep = (nx - 1) // 3 + 1
+    orders = sorted({d for term, _ in nonlinear for d, p in enumerate(term.powers) if p})
+    mults = {d: (1j * k[:keep]) ** d for d in orders}
+
+    def apply(v):
+        low = v[..., :keep]
+        fields = {d: np.fft.irfft(low * mults[d], n=nx) for d in orders}
+        out = np.zeros(v.shape[:-1] + (nx,))
+        for term, c in nonlinear:
+            prod = np.ones(nx)
+            for d, p in enumerate(term.powers):
+                if p:
+                    prod = prod * fields[d] ** p
+            out = out + c * prod
+        nv = np.fft.rfft(out)
+        nv[..., keep:] = 0.0
+        return nv
+
+    return apply
+
+
+def random_rows(rng, nx, band, rows=4):
+    """rfft rows of real fields whose modes 0..band are random and the rest zero."""
+    v = np.zeros((rows, nx // 2 + 1), complex)
+    v[:, : band + 1] = rng.standard_normal((rows, band + 1)) + 1j * rng.standard_normal(
+        (rows, band + 1)
+    )
+    v[:, 0] = v[:, 0].real
+    return v
+
+
+# u^2 and u*u_x share the power q = 2, u^2*u_x has q = 3
+MIXED_LAW = CoefficientVector.from_dict({"u^2": 0.7, "u*u_x": -1.0, "u^2*u_x": 0.5})
 
 
 class TestRngStream:
@@ -95,7 +138,8 @@ class TestSolve:
             norms = np.linalg.norm(tr.values, axis=1)
             assert np.all(np.diff(norms) <= 1e-12)
 
-    @pytest.mark.parametrize("name", ["burgers", "kdv"])
+    # every term of these laws is a derivative, so the mean mode never moves
+    @pytest.mark.parametrize("name", ["burgers", "kdv", "kdv_burgers", "ks"])
     def test_mass_conservation(self, name):
         pde = PDES[name]
         g = pde.default_grid()
@@ -103,7 +147,17 @@ class TestSolve:
         tr = solve(pde, u0, g)
         masses = tr.values.sum(axis=1) * g.dx
         scale = max(abs(masses[0]), np.abs(tr.values).max())
-        assert np.abs(masses - masses[0]).max() / scale < 1e-6
+        assert np.abs(masses - masses[0]).max() / scale < 1e-12
+
+    def test_kdv_soliton(self):
+        # 12 sech^2(x - pi) is kdv's c = 4 soliton up to its periodic tail
+        # (12 sech^2 pi, about 0.09); a 5 % error in the nonlinear strength
+        # puts the run 5e-2 from it
+        g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 0.3, 61)
+        u = solve(PDES["kdv"], 12.0 / np.cosh(g.x - np.pi) ** 2, g).values
+        shift = np.mod(g.x[None, :] - 4.0 * g.t[:, None], 2 * np.pi) - np.pi
+        exact = 12.0 / np.cosh(shift) ** 2
+        assert np.linalg.norm(u - exact) / np.linalg.norm(exact) <= 1e-2
 
     def test_ks_bounded(self):
         pde = PDES["ks"]
@@ -205,6 +259,17 @@ class TestSolve:
 
         assert run(16) / run(32) >= 10.0
 
+    def test_rejects_monomial_without_flux_form(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step was built")
+
+        monkeypatch.setattr(solvers, "_etdrk4_step", no_step)
+        coeffs = CoefficientVector.from_dict({"u_xx": 0.1, "u*u_xx": 0.1})
+        pde = dataclasses.replace(PDES["heat"], true_coeffs=coeffs, steps_per_sample=1)
+        g = pde.default_grid(64, 8)
+        with pytest.raises(ValueError, match=r"u\*u_xx"):
+            solve(pde, np.sin(g.x), g)
+
     def test_wrong_ic_length(self):
         pde = PDES["heat"]
         with pytest.raises(ValueError):
@@ -234,6 +299,67 @@ class TestSolve:
         )
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+
+class TestNonlinearOperator:
+    @staticmethod
+    def operators(coeffs, nx, length=2 * np.pi):
+        k = 2 * np.pi * np.arange(nx // 2 + 1) / length
+        _, nonlinear = _split_terms(coeffs)
+        return _nonlinear_operator(nonlinear, k, nx), reference_nonlinear(nonlinear, k, nx)
+
+    @pytest.mark.parametrize("name", NONLINEAR_LAWS + ["mixed"])
+    def test_matches_pointwise_reference(self, name):
+        if name == "mixed":
+            # u^3 is alias-free on the kept modes |k| <= 42 only when
+            # 3 * band < 128 - 42 (see test_cubic_flux_aliases_less_than_pointwise)
+            coeffs, length, band = MIXED_LAW, 2 * np.pi, 28
+        else:
+            coeffs, length, band = PDES[name].true_coeffs, PDES[name].domain_length, 42
+        flux, pointwise = self.operators(coeffs, 128, length)
+        v = random_rows(np.random.default_rng(0), 128, band)
+        want = pointwise(v)
+        assert np.abs(flux(v) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_cubic_flux_aliases_less_than_pointwise(self):
+        # full-band rows: u^3 aliases onto the kept modes in both forms; the
+        # alias-free projection is the pointwise form on a 4x finer grid
+        nx, fine = 128, 512
+        flux, pointwise = self.operators(MIXED_LAW, nx)
+        _, exact = self.operators(MIXED_LAW, fine)
+        v = random_rows(np.random.default_rng(1), nx, nx // 3)
+        padded = np.zeros((len(v), fine // 2 + 1), complex)
+        padded[:, : v.shape[1]] = v * (fine / nx)
+        want = np.zeros_like(v)
+        want[:, : nx // 3 + 1] = exact(padded)[:, : nx // 3 + 1] * (nx / fine)
+        err = lambda got: np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err(flux(v)) < 0.5 * err(pointwise(v))
+
+    @pytest.mark.parametrize("name", NONLINEAR_LAWS)
+    def test_two_ffts_per_stage(self, name, monkeypatch):
+        calls = {"fft": 0, "stage": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, fn, counted(getattr(np.fft, fn), "fft"))
+        operator = solvers._nonlinear_operator
+        monkeypatch.setattr(
+            solvers,
+            "_nonlinear_operator",
+            lambda *args: counted(operator(*args), "stage"),
+        )
+        pde = PDES[name]
+        g = pde.default_grid(64, 32)
+        generate_set(pde, g, 2, 0.0, 0)
+        # one rfft of u0 and one irfft per output sample besides the stages
+        assert calls["stage"] > 0
+        assert calls["fft"] - 1 - g.nt == 2 * calls["stage"]
 
 
 class TestNoise:
@@ -281,7 +407,7 @@ class TestGenerateSet:
         other = generate_set(pde, pde.default_grid(), 3, 0.0, 43)
         assert not np.array_equal(heat_clean.trajectories[0].values, other.trajectories[0].values)
 
-    @pytest.mark.parametrize("name", ["ks", "burgers", "kdv"])
+    @pytest.mark.parametrize("name", NONLINEAR_LAWS)
     def test_rows_equal_single_solves(self, name):
         # the batched integration of a set must not drift from solve
         pde = PDES[name]
