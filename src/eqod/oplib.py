@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STANDARD_TERMS, LibraryTerm, Trajectory, term_from_tag
-from .spectral import spectral_derivatives
+from .spectral import spectrum_derivatives
 
 __all__ = [
     "LibrarySpec",
@@ -92,15 +92,18 @@ def expanded_library(size: int) -> LibrarySpec:
     return LibrarySpec(STANDARD_TERMS + extras)
 
 
-def term_fields(traj: Trajectory, terms):
+def term_fields(traj: Trajectory, terms, u_hat=None):
     """Yield the pointwise (nt, nx) field of each term, in order.
 
-    The spatial derivatives the terms need come from one
-    ``spectral_derivatives`` call (one real FFT of u, one inverse per
-    order) and are shared by every term. Each product is formed in
-    physical space by repeated multiplication, so u^3 is u*u*u. Applied
-    to noisy data this is deliberately the same path the weak-form
-    assembly uses.
+    This is the one place where products are formed: ``assemble`` takes
+    the fields of its product terms from here (its single-derivative
+    columns come from the time-contracted spectrum instead), and
+    ``evaluate_term`` is the one-term case. The spatial derivatives the
+    terms need are shared by every term: one real FFT of u (``u_hat``,
+    when the caller has already made it) and one inverse per order
+    (``spectrum_derivatives``). Each product is formed in physical space
+    by repeated multiplication, so u^3 is u*u*u. Applied to noisy data
+    this is deliberately the same path the weak-form assembly uses.
 
     The fields are read-only: a single-factor term's field is the
     derivative buffer itself, and the field of u is a view of
@@ -108,8 +111,12 @@ def term_fields(traj: Trajectory, terms):
     """
     terms = tuple(terms)
     u = traj.values
+    g = traj.grid
     orders = sorted({d for term in terms for d, p in enumerate(term.powers) if d and p})
-    derivs = dict(zip(orders, spectral_derivatives(u, orders, traj.grid.length))) if orders else {}
+    derivs = {}
+    if orders:
+        u_hat = np.fft.rfft(u) if u_hat is None else u_hat
+        derivs = dict(zip(orders, spectrum_derivatives(u_hat, orders, g.nx, g.length)))
     derivs[0] = u
     for term in terms:
         out = None

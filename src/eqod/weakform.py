@@ -8,9 +8,14 @@ column dx*dt * Phi_t F Phi_x^T over all centers at once. The time
 derivative is moved onto the test function analytically, so the response
 vector never differentiates the data in time.
 
-One ``assemble`` call serves any number of test grids: each trajectory's
-library fields are formed once and contracted on every grid, so the
-identification and stability systems share one field pass.
+Derivatives are taken after the time contraction wherever the term
+allows: a single-derivative column (u_x, ..., u_xxxx) is differentiated
+from Phi_t rfft(u), a few rows of modes per grid, since the t-contraction
+commutes with the x-derivative. Only product terms need pointwise
+derivative fields. One ``assemble`` call serves any number of test grids:
+each trajectory's spectrum and product fields are formed once and
+contracted on every grid, so the identification and stability systems
+share one field pass.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from .core import Grid1D, TrajectorySet
 from .oplib import LibrarySpec, term_fields
+from .spectral import spectrum_derivatives
 
 __all__ = [
     "bump",
@@ -146,10 +152,28 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tup
     is periodic, but the center margins keep every bump inside one
     period, so no support wraps.
 
-    The fields of a trajectory are formed once (``term_fields``), and
-    each is contracted against every grid's own bump matrices as soon as
-    it is formed, one matmul pair per grid; so every system is bitwise
-    the one a one-grid call gives.
+    A single-derivative term (one factor d^d u/dx^d, power 1) is
+    differentiated after the time contraction: Phi_t acts on t and the
+    Fourier derivative on x, so Phi_t d^d u = d^d (Phi_t u), and the rows
+    Phi_t u have the spectrum Phi_t u_hat, u_hat = rfft(u). Each grid
+    contracts u_hat once, and each order is then one small ``irfft`` of
+    (Phi_t u_hat) (ik)^d, contracted with Phi_x^T. The spectrum is
+    contracted, not u: then each mode keeps its own relative accuracy,
+    while the rounding of Phi_t u at the high modes is amplified by k^d
+    (on clean burgers, u_xxxx from rfft(Phi_t u) is off by 1.1e-12 of the
+    integral's scale, from Phi_t u_hat by 6e-15). The column of u itself
+    is (Phi_t u) Phi_x^T. Product terms keep their pointwise fields
+    (``term_fields``), whose derivative fields come from the same u_hat,
+    for the orders some product needs. So a trajectory makes one
+    full-size ``rfft`` and one full-size ``irfft`` per order a product
+    needs: 1 + 2 for the standard library, which holds GALILEAN_BASIS,
+    and 1 + 1 for GALILEAN_BASIS.
+
+    Every grid's columns come from the trajectory's spectrum and fields
+    through that grid's own matrices alone; stacking the grids' Phi_t in
+    one product would not give rows bitwise equal to the separate
+    products in BLAS. So every system is bitwise the one a one-grid call
+    gives.
 
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.
@@ -157,13 +181,24 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tup
     grid = trajset.grid
     bumps = [_bump_matrices(grid, tg) for tg in grids]
     dxdt = grid.dx * grid.dt
+    singles = [(k, term.derivative_order) for k, term in enumerate(spec.terms) if term.power == 1]
+    orders = sorted({d for _, d in singles if d})
+    products = [(k, term) for k, term in enumerate(spec.terms) if term.power > 1]
     thetas = [np.empty((len(trajset) * tg.n_centers, len(spec))) for tg in grids]
     bs = [np.empty(len(trajset) * tg.n_centers) for tg in grids]
     for m, traj in enumerate(trajset):
+        u = traj.values
+        u_hat = np.fft.rfft(u)
         rows = [slice(m * tg.n_centers, (m + 1) * tg.n_centers) for tg in grids]
-        for (_, dphi_t, phi_x), b, r in zip(bumps, bs, rows):
-            b[r] = -dxdt * (dphi_t @ traj.values @ phi_x.T).ravel()
-        for k, field in enumerate(term_fields(traj, spec.terms)):
+        for (phi_t, dphi_t, phi_x), theta, b, r in zip(bumps, thetas, bs, rows):
+            b[r] = -dxdt * (dphi_t @ u @ phi_x.T).ravel()
+            # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
+            c_hat = (phi_t @ u_hat.view(float)).view(complex)
+            contracted = dict(zip(orders, spectrum_derivatives(c_hat, orders, grid.nx, grid.length)))
+            contracted[0] = phi_t @ u
+            for k, d in singles:
+                theta[r, k] = dxdt * (contracted[d] @ phi_x.T).ravel()
+        for (k, _), field in zip(products, term_fields(traj, [term for _, term in products], u_hat)):
             for (phi_t, _, phi_x), theta, r in zip(bumps, thetas, rows):
                 theta[r, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
     return tuple(WeakSystem(theta, b, spec, tg) for tg, theta, b in zip(grids, thetas, bs))

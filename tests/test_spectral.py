@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqod.spectral import spectral_derivative, spectral_derivatives, wavenumbers
+from eqod.spectral import spectral_derivative, spectral_derivatives, spectrum_derivatives, wavenumbers
 
 
 class TestWavenumbers:
@@ -102,3 +102,14 @@ class TestDerivatives:
             spectral_derivatives(np.ones(16), (1, 2, 5), 2 * np.pi)
         with pytest.raises(ValueError, match="orders"):
             spectral_derivatives(np.ones(16), (0,), 2 * np.pi)
+
+    def test_commutes_with_row_contraction(self):
+        # differentiating A @ u through its spectrum A @ rfft(u) is
+        # differentiating u and then contracting its rows
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((40, 64))
+        a = rng.standard_normal((3, 40))
+        orders = (1, 2, 3, 4)
+        after = spectrum_derivatives(a @ np.fft.rfft(u), orders, 64, 3.0)
+        for d_after, d in zip(after, spectral_derivatives(u, orders, 3.0)):
+            assert np.abs(d_after - a @ d).max() < 1e-12 * np.abs(a).sum(axis=1).max() * np.abs(d).max()

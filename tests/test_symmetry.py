@@ -106,6 +106,20 @@ class TestGalilean:
         if c == 50.0:
             assert c * g.t[-1] / g.dx > g.nx
 
+    @pytest.mark.parametrize("c", [0.3, -50.0, 50.0])
+    def test_boost_is_the_two_dimensional_gather(self, burgers_clean, c):
+        # bitwise the (rows, cols) fancy index plus c; at |c| = 50 many rows
+        # shift by more than a whole period
+        g = burgers_clean.grid
+        shift = np.rint(c * g.t / g.dx).astype(np.int64)
+        rows = np.arange(g.nt)[:, None]
+        cols = (np.arange(g.nx) - shift[:, None]) % g.nx
+        boosted = galilean_boost(burgers_clean, c)
+        for tr, out in zip(burgers_clean, boosted):
+            assert np.array_equal(out.values, tr.values[rows, cols] + c)
+        if abs(c) == 50.0:
+            assert np.count_nonzero(np.abs(shift) >= g.nx) > 1
+
     def test_order_independent(self, burgers_clean):
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))
         a = detect_galilean(burgers_clean, standard_system(burgers_clean))

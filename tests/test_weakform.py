@@ -6,11 +6,22 @@ from scipy.interpolate import RectBivariateSpline
 
 import eqod.oplib as oplib
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
-from eqod.oplib import LibrarySpec, evaluate_term, galilean_reduced, standard_library, term_fields
+from eqod.oplib import (
+    LibrarySpec,
+    evaluate_term,
+    expanded_library,
+    galilean_reduced,
+    standard_library,
+    term_fields,
+)
+from eqod.stability import STABILITY_GRID
 from eqod.symmetry import GALILEAN_BASIS, galilean_boost
-from eqod.weakform import WeakSystem, assemble, bump, bump_dt, make_test_grid
+from eqod.weakform import IDENTIFY_GRID, WeakSystem, assemble, bump, bump_dt, make_test_grid
 
 UXX_ONLY = LibrarySpec((term_from_tag("u_xx"),))
+SINGLE_DERIVATIVES = LibrarySpec(
+    tuple(term_from_tag(t) for t in ("u", "u_x", "u_xx", "u_xxx", "u_xxxx"))
+)
 
 
 def _support_slice(centers, c, r, n):
@@ -247,11 +258,13 @@ class TestAssemble:
 
 
 class TestSeparableAssembly:
-    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
+    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean", "fisher_kpp_clean"])
     @pytest.mark.parametrize("density", [(3, 3), (5, 7), (8, 10)])
     def test_matches_reference_loop(self, data, density, request):
+        # the standard library plus 20 products, some of orders 3 and 4;
+        # fisher_kpp has steep fronts
         ts = request.getfixturevalue(data)
-        spec = standard_library()
+        spec = expanded_library(30)
         tg = make_test_grid(ts.grid, *density)
         (ws,) = assemble(ts, spec, tg)
         ref, origins = reference_assemble(ts, spec, tg)
@@ -262,16 +275,45 @@ class TestSeparableAssembly:
         assert np.all(np.abs(ws.b - ref.b) <= 1e-13 * scale_b)
 
     def test_each_derivative_order_computed_once(self, heat_noisy10, monkeypatch):
+        # single-derivative columns are differentiated after the time
+        # contraction; full-size fields are made once per order a product uses
         calls = []
-        real = oplib.spectral_derivatives
+        real = oplib.spectrum_derivatives
 
-        def counting(u, orders, length):
+        def counting(u_hat, orders, nx, length):
             calls.append(tuple(orders))
-            return real(u, orders, length)
+            return real(u_hat, orders, nx, length)
 
-        monkeypatch.setattr(oplib, "spectral_derivatives", counting)
-        assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
-        assert calls == [(1, 2, 3, 4)] * len(heat_noisy10)
+        monkeypatch.setattr(oplib, "spectrum_derivatives", counting)
+        tg = make_test_grid(heat_noisy10.grid, 5, 7)
+        for spec, orders in ((standard_library(), [(1, 2)]), (GALILEAN_BASIS, [(1,)]), (SINGLE_DERIVATIVES, [])):
+            calls.clear()
+            assemble(heat_noisy10, spec, tg)
+            assert calls == orders * len(heat_noisy10)
+
+    @pytest.mark.parametrize(
+        "spec, inverses", [(standard_library(), 2), (GALILEAN_BASIS, 1)], ids=["standard", "galilean_basis"]
+    )
+    def test_full_size_ffts_per_trajectory(self, burgers_clean, monkeypatch, spec, inverses):
+        # the standard library is the pipeline's base union GALILEAN_BASIS,
+        # and GALILEAN_BASIS alone is the boosted refit: one rfft of u and
+        # one irfft per order a product needs; the contracted spectra are small
+        seen = []
+
+        def counted(fn, name):
+            def wrapper(a, *args, **kwargs):
+                seen.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for fn in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, fn, counted(getattr(np.fft, fn), fn))
+        g = burgers_clean.grid
+        assemble(burgers_clean, spec, make_test_grid(g, *IDENTIFY_GRID), make_test_grid(g, *STABILITY_GRID))
+        full = [name for name, shape in seen if shape[0] == g.nt]
+        m = len(burgers_clean)
+        assert sorted(full) == ["irfft"] * (inverses * m) + ["rfft"] * m
 
     @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
     def test_grids_share_one_pass_bitwise(self, data, request):
