@@ -29,7 +29,7 @@ from .oplib import (
 )
 from .pipeline import IdentificationResult, run_eqod, run_wf_lasso_baseline
 from .solvers import PDES, PdeSpec, RngStream, add_noise, generate_set, initial_condition, solve
-from .sparse import lasso, lasso_cv, wf_lasso_identify
+from .sparse import lasso, lasso_cv
 from .stability import stability_gate, stability_select
 from .symmetry import SymmetryReport, detect_all, detect_galilean
 from .weakform import TestGrid, WeakSystem, assemble, bump, make_test_grid
@@ -75,5 +75,4 @@ __all__ = [
     "standard_library",
     "support_from_coeffs",
     "term_from_tag",
-    "wf_lasso_identify",
 ]

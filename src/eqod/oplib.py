@@ -1,4 +1,5 @@
-"""Candidate operator libraries and pointwise term evaluation."""
+"""Candidate operator libraries and pointwise term evaluation: ``term_fields``
+is the many-term entry, and ``evaluate_term`` stays public as one term's field."""
 
 from __future__ import annotations
 

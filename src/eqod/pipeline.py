@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
-from .sparse import identify_on_system, wf_lasso_identify
+from .sparse import identify_on_system
 from .stability import STABILITY_GRID, stability_gate
 from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all
 from .weakform import IDENTIFY_GRID, assemble, make_test_grid
@@ -101,11 +101,11 @@ def run_eqod(
     CV fold permutation. ``base_library`` defaults to the standard
     10-term set and also serves as the fallback comparator library. The
     calibration is the module constants: ``sparse.LAMBDA_GRID``,
-    ``CV_FOLDS``, ``THRESHOLD_FLOOR``, ``THRESHOLD_FRAC`` and
-    ``DEBIAS_ROUNDS``; ``stability.N_SUBSAMPLES`` and ``PI_THRESHOLD``
-    with the penalty constants beside them; the ``symmetry`` thresholds;
-    and this module's GAMMA_SYMMETRY, GAMMA_STABILITY and
-    MATERIAL_FRACTION.
+    ``CV_FOLDS``, ``THRESHOLD_FLOOR``, ``THRESHOLD_FRAC``, ``DEBIAS_ROUNDS``
+    and ``KKT_TOL``; ``stability.N_SUBSAMPLES``, ``WEIGHT_LOW``/``HIGH``,
+    ``PI_THRESHOLD`` and the penalty constants; both test grids; the
+    ``symmetry`` thresholds; and this module's GAMMA_SYMMETRY,
+    GAMMA_STABILITY and MATERIAL_FRACTION.
     """
     base = base_library or standard_library()
     lib = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
@@ -185,9 +185,10 @@ def run_wf_lasso_baseline(
     seed: int,
     base_library: LibrarySpec | None = None,
 ) -> IdentificationResult:
-    """Identification stage alone, on the full base library."""
+    """Identification stage alone, on the base library's IDENTIFY_GRID system."""
     base = base_library or standard_library()
-    coeffs = wf_lasso_identify(trajset, base, seed)
+    (ws,) = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
+    coeffs, _ = identify_on_system(ws, seed)
     return IdentificationResult(
         coeffs=coeffs,
         mode="baseline",

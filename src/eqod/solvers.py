@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoefficientVector, Grid1D, LibraryTerm, Trajectory, TrajectorySet
+from .spectral import wavenumbers
 
 __all__ = [
     "PdeSpec",
@@ -340,7 +341,11 @@ def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> np.ndarray:
         raise ValueError("u0 must be finite")
     if pde.transient + grid.t_start < 0:
         raise ValueError(f"{pde.name}: the first sample lies before the initial condition")
-    k = 2 * np.pi * np.arange(grid.nx // 2 + 1) / grid.length
+    # The Nyquist mode keeps c·(ik)^d for odd d, where spectral zeroes it:
+    # on the grid that mode is (-1)^j, which u_t = c·∂^d u evolves to
+    # (-1)^j·cos(c·k_N^d·t), the real part of the rotated coefficient that
+    # irfft keeps; only the derivative of the sampled mode is zero.
+    k = wavenumbers(grid.nx, grid.length)
     linear, nonlinear = _split_terms(pde.true_coeffs)
     sym = _linear_symbol(k, linear)
     v0 = np.fft.rfft(u0)

@@ -1,6 +1,7 @@
 """Exact LASSO by homotopy with a KKT certificate on every solution,
 cross-validated regularization, and the threshold-plus-debias weak-form
-identification stage.
+identification stage. This layer solves the weak systems it is given
+and builds none.
 
 One solver serves every LASSO here: the exact piecewise-linear path from
 lambda_max down to the smallest lambda asked for (``_homotopy``). A
@@ -20,16 +21,10 @@ import warnings
 import numpy as np
 
 from .core import CoefficientVector
-from .oplib import LibrarySpec
 from .solvers import RngStream
-from .weakform import IDENTIFY_GRID, WeakSystem, assemble, make_test_grid
+from .weakform import WeakSystem
 
-__all__ = [
-    "lasso",
-    "lasso_cv",
-    "identify_on_system",
-    "wf_lasso_identify",
-]
+__all__ = ["lasso", "lasso_cv", "identify_on_system"]
 
 CV_STREAM = 11  # substream id for the CV row permutation
 
@@ -290,10 +285,3 @@ def identify_on_system(ws: WeakSystem, seed: int):
         sol, *_ = np.linalg.lstsq(theta[:, support], b, rcond=None)
         xi[support] = sol
     return CoefficientVector(ws.spec.terms, xi), dense
-
-
-def wf_lasso_identify(trajset, spec: LibrarySpec, seed: int) -> CoefficientVector:
-    """Assemble the weak system for ``spec`` on IDENTIFY_GRID and run the
-    identification stage; returns its thresholded coefficients."""
-    (ws,) = assemble(trajset, spec, make_test_grid(trajset.grid, *IDENTIFY_GRID))
-    return identify_on_system(ws, seed)[0]

@@ -1,8 +1,11 @@
 """Randomized-LASSO stability selection for library pruning.
 
+A term counts as selected in a draw when the LASSO keeps it
+(Meinshausen & Bühlmann 2010): ``sparse.lasso`` returns exact zeros off
+its active set, so the count needs no magnitude cut.
+
 The calibration is the module constants: ``N_SUBSAMPLES`` draws with
-penalty weights from Uniform(``WEIGHT_LOW``, ``WEIGHT_HIGH``), a
-coefficient counting as selected above ``ACTIVITY_EPS``, the cut
+penalty weights from Uniform(``WEIGHT_LOW``, ``WEIGHT_HIGH``), the cut
 pi > ``PI_THRESHOLD``, the noise-adaptive penalty (``PENALTY_SCALE``,
 ``PENALTY_EXPONENT``, ``RESIDUAL_FLOOR``, ``PENALTY_CAP``) and the test
 grid ``STABILITY_GRID``. This module assembles nothing: the pipeline
@@ -38,11 +41,9 @@ PENALTY_EXPONENT = 0.75
 RESIDUAL_FLOOR = 1e-6
 PENALTY_CAP = 2.1e-3
 
-# Subsample draws, per-column penalty weight range, the magnitude above
-# which a coefficient counts as selected, and the selection cut on pi.
+# Subsample draws, per-column penalty weight range and the selection cut on pi.
 N_SUBSAMPLES = 50
 WEIGHT_LOW, WEIGHT_HIGH = 0.5, 1.0
-ACTIVITY_EPS = 1e-6
 PI_THRESHOLD = 0.5
 
 
@@ -55,9 +56,9 @@ def stability_select(theta, b, seed: int = 0):
     solves LASSO at the fixed lambda on the weight-scaled design with
     ``sparse.lasso`` (the exact LASSO path stopped at that lambda, whose
     KKT residual must be at most ``sparse.KKT_TOL``, or it warns "lasso
-    did not converge"), and counts coefficients with magnitude above
-    ACTIVITY_EPS. Draw i comes from substream (seed, STABILITY_STREAM, i)
-    so results are schedule-independent.
+    did not converge"), and counts the nonzero coefficients, which are
+    the draw's active set. Draw i comes from substream (seed,
+    STABILITY_STREAM, i) so results are schedule-independent.
 
     The penalty is noise-adaptive: each draw solves with a
     mean-squared-error penalty alpha = min(PENALTY_SCALE *
@@ -87,7 +88,7 @@ def stability_select(theta, b, seed: int = 0):
         rows = rng.permutation(n)[:half]
         w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, p)
         xi = lasso(theta_n[rows] / w, b_n[rows], lam_objective)
-        counts += np.abs(xi) > ACTIVITY_EPS
+        counts += xi != 0.0
     pi = counts / N_SUBSAMPLES
     stable = frozenset(np.nonzero(pi > PI_THRESHOLD)[0].tolist())
     return pi, stable

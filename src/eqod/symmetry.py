@@ -15,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
+from .sparse import _normalize
 from .weakform import WeakSystem, assemble
 
 __all__ = [
@@ -110,9 +111,8 @@ def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
 def _convective_fit(ws: WeakSystem):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
     ws = ws.restricted(GALILEAN_BASIS)
-    norms = np.linalg.norm(ws.theta, axis=0)
-    norms = np.where(norms > 0, norms, 1.0)
-    chat_n, _, rank, _ = np.linalg.lstsq(ws.theta / norms, ws.b, rcond=None)
+    theta_n, _, norms, _ = _normalize(ws.theta, ws.b)
+    chat_n, _, rank, _ = np.linalg.lstsq(theta_n, ws.b, rcond=None)
     chat = chat_n / norms
     b_sq = float(np.sum(ws.b**2))
     f = 0.0 if b_sq == 0 else float(np.sum((chat[0] * ws.theta[:, 0]) ** 2) / b_sq)

@@ -1,5 +1,6 @@
-"""The public surface: exported names resolve, and the functions that
-``perfbench`` traces exist, so a deletion cannot silently break either."""
+"""The public surface: exported names resolve, the functions that
+``perfbench`` traces exist, and a traced ``run_eqod`` gives perfbench
+what it reads, so a refactor cannot silently break any of them."""
 
 import importlib
 import importlib.util
@@ -7,16 +8,19 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eqod
+import eqod.pipeline as pipeline
+from eqod.oplib import LibrarySpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(eqod.__path__, "eqod."))
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def traced_functions():
-    """``TRACED`` from perfbench/spans.py, loaded under a private name."""
+def load_spans():
+    """perfbench/spans.py, loaded under a private name."""
     name = "_perfbench_spans"
     spec = importlib.util.spec_from_file_location(name, SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -25,7 +29,20 @@ def traced_functions():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return module.TRACED
+    return module
+
+
+SPANS = load_spans()
+
+# TRACED functions that run_eqod does not reach: the set-up draws the
+# data, and no pipeline module calls the one-order derivative or the
+# one-term field.
+OFF_PIPELINE = {
+    "solvers.generate_set",
+    "solvers.add_noise",
+    "spectral.spectral_derivative",
+    "oplib.evaluate_term",
+}
 
 
 @pytest.mark.parametrize("modname", ["eqod", *MODULES])
@@ -36,7 +53,51 @@ def test_all_names_resolve(modname):
     assert missing == []
 
 
-@pytest.mark.parametrize("modname, function, span", traced_functions())
+@pytest.mark.parametrize("modname, function, span", SPANS.TRACED)
 def test_traced_function_exists(modname, function, span):
     module = importlib.import_module(modname)
     assert callable(getattr(module, function, None)), f"{span}: {modname}.{function} is missing"
+
+
+@pytest.fixture(scope="module")
+def traced_runs(heat_clean, burgers_clean):
+    """Spans of run_eqod on a stability-mode and a symmetry-mode set, with
+    every TRACED function wrapped at its call sites as perfbench wraps it."""
+    keep = {"sparse.lasso_cv", "sparse.identify_on_system", "stability.stability_gate"}
+    runs = {}
+    for mode, ts in (("stability", heat_clean), ("symmetry", burgers_clean)):
+        tracer = SPANS.Tracer(keep_io=keep)
+        with tracer.installed():
+            result = pipeline.run_eqod(ts, 42)  # as perfbench calls it
+        assert result.mode == mode
+        runs[mode] = tracer.spans
+    return runs
+
+
+class TestPerfbenchContract:
+    @pytest.mark.parametrize("mode", ["stability", "symmetry"])
+    def test_lasso_cv_gets_the_raw_system(self, traced_runs, mode):
+        # perfbench checks the KKT conditions of every captured lasso_cv
+        # answer against its positional (theta, b); a run with none fails
+        spans = traced_runs[mode]
+        cv = [s for s in spans if s.name == "sparse.lasso_cv"]
+        identify = [i for i, s in enumerate(spans) if s.name == "sparse.identify_on_system"]
+        assert cv and sorted(s.parent for s in cv) == identify
+        for s in cv:
+            (theta, b, *_), _ = s.args
+            (ws, *_), _ = spans[s.parent].args
+            assert np.array_equal(theta, ws.theta) and np.array_equal(b, ws.b)
+            lam, xi = s.result[:2]
+            assert lam > 0 and xi.shape == (ws.theta.shape[1],)
+
+    def test_stability_gate_returns_spec_and_pi(self, traced_runs):
+        gates = [s for s in traced_runs["stability"] if s.name == "stability.stability_gate"]
+        assert gates
+        for s in gates:
+            assert isinstance(s.result, tuple) and len(s.result) == 2
+            assert isinstance(s.result[0], LibrarySpec)
+
+    def test_every_pipeline_function_is_reached(self, traced_runs):
+        reached = {s.name for spans in traced_runs.values() for s in spans}
+        on_path = {span for _, _, span in SPANS.TRACED} - OFF_PIPELINE
+        assert on_path <= reached

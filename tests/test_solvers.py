@@ -133,6 +133,19 @@ class TestSolve:
         exact = np.exp(-0.1 * (0.3 + g.t))[:, None] * np.sin(g.x)[None, :]
         assert np.abs(tr.values - exact).max() < 1e-12
 
+    @pytest.mark.parametrize("tag, order", [("u_x", 1), ("u_xxx", 3)])
+    def test_nyquist_mode_under_odd_order(self, tag, order):
+        # On the grid cos(32 x) is (-1)^j. Under u_t = -d^d u (d odd) the
+        # solver keeps the Nyquist symbol, so the samples oscillate as
+        # cos(32^d t) (-1)^j; the derivative of the sampled mode is 0.
+        pde = solvers.PdeSpec(tag, CoefficientVector.from_dict({tag: -1.0}), 2 * np.pi, 0.01)
+        g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 0.01, 17)
+        u0 = np.cos(32 * g.x)
+        tr = solve(pde, u0, g)
+        exact = np.cos(32.0**order * g.t)[:, None] * u0[None, :]
+        assert np.abs(tr.values - exact).max() <= 1e-12
+        assert np.abs(spectral_derivative(u0, order, g.length)).max() == 0.0
+
     def test_heat_l2_nonincreasing(self, heat_clean):
         for tr in heat_clean:
             norms = np.linalg.norm(tr.values, axis=1)

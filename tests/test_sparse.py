@@ -6,7 +6,8 @@ import eqod.sparse as sparse
 from eqod.core import coefficient_error, support_from_coeffs, term_from_tag
 from eqod.oplib import galilean_reduced, standard_library
 from eqod.solvers import PDES
-from eqod.sparse import lasso, lasso_cv, wf_lasso_identify
+from eqod.pipeline import run_wf_lasso_baseline
+from eqod.sparse import lasso, lasso_cv
 
 
 def objective(theta, b, xi, lam):
@@ -372,14 +373,14 @@ class TestUncertified:
 
 class TestIdentify:
     def test_heat_clean(self, heat_clean):
-        coeffs = wf_lasso_identify(heat_clean, standard_library(), 42)
+        coeffs = run_wf_lasso_baseline(heat_clean, 42, standard_library()).coeffs
         support = support_from_coeffs(coeffs)
         assert support == {term_from_tag("u_xx")}
         assert coefficient_error(coeffs, PDES["heat"].true_coeffs) <= 1e-3
         assert coeffs.value(term_from_tag("u_xx")) == pytest.approx(0.1, abs=1e-3)
 
     def test_kdv_on_galilean_library(self, kdv_clean):
-        coeffs = wf_lasso_identify(kdv_clean, galilean_reduced(), 42)
+        coeffs = run_wf_lasso_baseline(kdv_clean, 42, galilean_reduced()).coeffs
         assert coeffs.value(term_from_tag("u*u_x")) == pytest.approx(-1.0, abs=1e-2)
         assert coeffs.value(term_from_tag("u_xxx")) == pytest.approx(-1.0, abs=1e-2)
 
@@ -388,7 +389,7 @@ class TestIdentify:
 
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
         ts = TrajectorySet((Trajectory(g, np.zeros((128, 128))),))
-        coeffs = wf_lasso_identify(ts, standard_library(), 42)
+        coeffs = run_wf_lasso_baseline(ts, 42, standard_library()).coeffs
         assert np.all(coeffs.values == 0.0)
 
     def test_debias_is_ols_on_final_support(self, burgers_clean):
@@ -402,7 +403,7 @@ class TestIdentify:
         assert np.abs(coeffs.values[support] - ols).max() < 1e-12
 
     def test_threshold_floor_respected(self, burgers_clean):
-        coeffs = wf_lasso_identify(burgers_clean, standard_library(), 42)
+        coeffs = run_wf_lasso_baseline(burgers_clean, 42, standard_library()).coeffs
         nonzero = np.abs(coeffs.values[coeffs.values != 0.0])
         assert nonzero.min() >= 1e-3
 

@@ -1,18 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
-from eqod.spectral import spectral_derivative, spectral_derivatives, spectrum_derivatives, wavenumbers
+from eqod.spectral import spectral_derivative, spectrum_derivatives, wavenumbers
 
 
 class TestWavenumbers:
+    """The wavenumbers of the rfft modes, Nyquist last."""
+
     def test_nx4_unit_domain(self):
-        assert wavenumbers(4, 2 * np.pi).tolist() == [0.0, 1.0, -2.0, -1.0]
+        assert wavenumbers(4, 2 * np.pi).tolist() == [0.0, 1.0, 2.0]
 
     def test_nx8(self):
-        assert wavenumbers(8, 2 * np.pi).tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+        assert wavenumbers(8, 2 * np.pi).tolist() == [0, 1, 2, 3, 4]
 
     def test_length_scaling(self):
-        assert wavenumbers(4, 4 * np.pi).tolist() == [0.0, 0.5, -1.0, -0.5]
+        assert wavenumbers(4, 4 * np.pi).tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 3.0])
+    def test_exact_mode_numbers_off_powers_of_two(self, length):
+        # each wavenumber is 2*pi*n/L with n an exact integer; nx = 98 is
+        # the smallest even nx with nx * (1 / nx) != 1, where scaling by
+        # fftfreq's 1 / (nx * d) moved n by an ulp for 95 of the 98 modes
+        expected = [2.0 * math.pi * n / length for n in range(50)]
+        assert wavenumbers(98, length).tolist() == expected
 
     def test_odd_nx_rejected(self):
         with pytest.raises(ValueError):
@@ -75,10 +87,10 @@ class TestDerivatives:
     x = 2 * np.pi * np.arange(64) / 64
 
     def test_nyquist_mode(self):
-        # cos(nx/2 x) alternates sign on the grid: odd orders have no real
-        # representation and give 0, even orders scale it by (-1)^(d/2) (nx/2)^d
+        # cos(nx/2 x) alternates sign on the grid: its derivative vanishes at
+        # every grid point for odd orders, even orders scale it by (-1)^(d/2) (nx/2)^d
         u = np.cos(32 * self.x)
-        d1, d2, d3, d4 = spectral_derivatives(u, (1, 2, 3, 4), 2 * np.pi)
+        d1, d2, d3, d4 = (spectral_derivative(u, order, 2 * np.pi) for order in (1, 2, 3, 4))
         assert np.abs(d1).max() < 1e-9
         assert np.abs(d3).max() < 1e-9
         assert np.abs(d2 - (-(32.0**2)) * u).max() < 1e-9 * 32.0**2
@@ -86,10 +98,12 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("shape", [(64,), (5, 64)])
     def test_equals_one_order_calls_bitwise(self, shape):
+        # the many-order path the assembly takes gives the checked
+        # one-order entry's answers
         rng = np.random.default_rng(3)
         u = rng.standard_normal(shape)
         orders = (3, 1, 4, 2)
-        for order, d in zip(orders, spectral_derivatives(u, orders, 3.0)):
+        for order, d in zip(orders, spectrum_derivatives(np.fft.rfft(u), orders, 64, 3.0)):
             assert np.array_equal(d, spectral_derivative(u, order, 3.0))
 
     def test_bad_order_raises_before_any_transform(self, monkeypatch):
@@ -98,10 +112,10 @@ class TestDerivatives:
 
         monkeypatch.setattr(np.fft, "rfft", no_transform)
         monkeypatch.setattr(np.fft, "irfft", no_transform)
-        with pytest.raises(ValueError, match="orders"):
-            spectral_derivatives(np.ones(16), (1, 2, 5), 2 * np.pi)
-        with pytest.raises(ValueError, match="orders"):
-            spectral_derivatives(np.ones(16), (0,), 2 * np.pi)
+        with pytest.raises(ValueError, match="order"):
+            spectral_derivative(np.ones(16), 5, 2 * np.pi)
+        with pytest.raises(ValueError, match="order"):
+            spectral_derivative(np.ones(16), 0, 2 * np.pi)
 
     def test_commutes_with_row_contraction(self):
         # differentiating A @ u through its spectrum A @ rfft(u) is
@@ -111,5 +125,6 @@ class TestDerivatives:
         a = rng.standard_normal((3, 40))
         orders = (1, 2, 3, 4)
         after = spectrum_derivatives(a @ np.fft.rfft(u), orders, 64, 3.0)
-        for d_after, d in zip(after, spectral_derivatives(u, orders, 3.0)):
+        for d_after, order in zip(after, orders):
+            d = spectral_derivative(u, order, 3.0)
             assert np.abs(d_after - a @ d).max() < 1e-12 * np.abs(a).sum(axis=1).max() * np.abs(d).max()

@@ -19,6 +19,12 @@ def heat10_system(heat_noisy10):
     return weak_system(heat_noisy10)
 
 
+@pytest.fixture(scope="module")
+def react_diff5_system():
+    pde = PDES["react_diff"]
+    return weak_system(generate_set(pde, pde.default_grid(), 3, 0.05, 42))
+
+
 TAGS = standard_library().tags
 
 
@@ -30,10 +36,8 @@ class TestStabilitySelect:
         assert all(v <= 0.45 for t, v in by_tag.items() if t != "u_xx")
         assert stable == {TAGS.index("u_xx")}
 
-    def test_react_diff_profile(self):
-        pde = PDES["react_diff"]
-        ts = generate_set(pde, pde.default_grid(), 3, 0.05, 42)
-        ws = weak_system(ts)
+    def test_react_diff_profile(self, react_diff5_system):
+        ws = react_diff5_system
         pi, stable = stability_select(ws.theta, ws.b, seed=42)
         by_tag = dict(zip(TAGS, pi))
         for tag in ("u", "u^3", "u_xx"):
@@ -57,6 +61,23 @@ class TestStabilitySelect:
         assert np.all(pi >= 0) and np.all(pi <= 1)
         counts = pi * stability.N_SUBSAMPLES
         assert np.abs(counts - np.round(counts)).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["heat10_system", "react_diff5_system"])
+    def test_pi_is_the_active_set_frequency(self, name, request, monkeypatch):
+        # a term counts in a draw exactly when the draw's LASSO keeps it
+        ws = request.getfixturevalue(name)
+        draws = []
+        solve = stability.lasso
+
+        def recorder(*args):
+            xi = solve(*args)
+            draws.append(xi)
+            return xi
+
+        monkeypatch.setattr(stability, "lasso", recorder)
+        pi, _ = stability_select(ws.theta, ws.b, seed=42)
+        assert len(draws) == stability.N_SUBSAMPLES
+        assert np.array_equal(pi, np.mean([xi != 0.0 for xi in draws], axis=0))
 
     def test_deterministic(self, heat10_system):
         a, _ = stability_select(heat10_system.theta, heat10_system.b, seed=11)
