@@ -11,6 +11,7 @@ from .core import (
     CoefficientVector,
     Grid1D,
     LibraryTerm,
+    RngStream,
     STANDARD_TERMS,
     Trajectory,
     TrajectorySet,
@@ -28,7 +29,7 @@ from .oplib import (
     standard_library,
 )
 from .pipeline import IdentificationResult, run_eqod, run_wf_lasso_baseline
-from .solvers import PDES, PdeSpec, RngStream, add_noise, generate_set, initial_condition, solve
+from .solvers import PDES, PdeSpec, add_noise, generate_set, initial_condition, solve
 from .sparse import lasso, lasso_cv
 from .stability import stability_gate, stability_select
 from .symmetry import SymmetryReport, detect_all, detect_galilean

@@ -1,4 +1,5 @@
-"""Core domain types: grids, trajectories, library terms, and support metrics."""
+"""Core domain types: grids, trajectories, library terms, support metrics,
+and the seeded random streams every module draws from."""
 
 from __future__ import annotations
 
@@ -19,10 +20,52 @@ __all__ = [
     "f1_score",
     "coefficient_error",
     "SUPPORT_THRESHOLD",
+    "RngStream",
+    "NOISE_SEED_OFFSET",
+    "CV_STREAM",
+    "STABILITY_STREAM",
 ]
 
 # Support threshold for turning coefficients into a term set.
 SUPPORT_THRESHOLD = 1e-3
+
+# Substream ids; RngStream's docstring maps every stream they key.
+NOISE_SEED_OFFSET = 1000
+CV_STREAM = 11
+STABILITY_STREAM = 23
+
+
+@dataclass(frozen=True)
+class RngStream:
+    """Seedable portable RNG with derived substreams.
+
+    ``generator(*ids)`` is a PCG64 generator seeded by
+    ``SeedSequence([seed, *ids])``, so identical (seed, ids) give
+    identical sequences on every platform. The package draws from these
+    streams and no others:
+
+    - initial condition of trajectory i: ``(seed, i)``;
+    - noise of trajectory i: ``(seed + NOISE_SEED_OFFSET, i)``;
+    - the CV row permutation: ``(seed, CV_STREAM)``;
+    - stability draw k: ``(seed, STABILITY_STREAM, k)``.
+
+    These streams are not all independent. SeedSequence pads a short key
+    with zeros, so ``(s, k, 0)`` is the stream ``(s, k)``. With the data
+    seed equal to the run seed, initial condition 11 is the CV
+    permutation stream and initial condition 23 is stability draw 0, in
+    sets of at least 12 and 24 trajectories.
+    """
+
+    seed: int
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+    def generator(self, *stream: int) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed, *stream]))
+        )
 
 
 @dataclass(frozen=True)
@@ -172,22 +215,17 @@ STANDARD_TERMS: tuple[LibraryTerm, ...] = (
     _t(2, 1, 0, 0, 0),  # u^2*u_x
 )
 
-_TAG_TO_TERM = {t.tag: t for t in STANDARD_TERMS}
-
 
 def term_from_tag(tag: str) -> LibraryTerm:
-    """Look up a term by its ASCII tag, e.g. "u_xx" or "u*u_x"."""
-    try:
-        return _TAG_TO_TERM[tag]
-    except KeyError:
-        names = {"u": 0, "u_x": 1, "u_xx": 2, "u_xxx": 3, "u_xxxx": 4}
-        powers = [0, 0, 0, 0, 0]
-        for part in tag.split("*"):
-            name, _, exp = part.partition("^")
-            if name not in names:
-                raise ValueError(f"unknown term tag {tag!r}") from None
-            powers[names[name]] += int(exp) if exp else 1
-        return LibraryTerm(tuple(powers))
+    """Parse a term's ASCII tag, e.g. "u_xx", "u*u_x" or "u^2*u_x"."""
+    names = {"u": 0, "u_x": 1, "u_xx": 2, "u_xxx": 3, "u_xxxx": 4}
+    powers = [0, 0, 0, 0, 0]
+    for part in tag.split("*"):
+        name, _, exp = part.partition("^")
+        if name not in names:
+            raise ValueError(f"unknown term tag {tag!r}")
+        powers[names[name]] += int(exp) if exp else 1
+    return LibraryTerm(tuple(powers))
 
 
 @dataclass(frozen=True)

@@ -121,19 +121,15 @@ def run_eqod(
     coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
     report = detect_all(trajset, ws_lib)  # catches its own detector failures
+    symmetric = report.galilean.detected
+    mode, gamma = ("symmetry", GAMMA_SYMMETRY) if symmetric else ("stability", GAMMA_STABILITY)
     try:
-        if report.galilean.detected:
-            mode, gamma = "symmetry", GAMMA_SYMMETRY
+        pruned = odd_reflection_prune(base) if report.reflection_odd.detected else base
+        if symmetric:
             reduced = galilean_reduced()
-            spec = LibrarySpec(tuple(t for t in base.terms if t in reduced))
-            if report.reflection_odd.detected:
-                spec = odd_reflection_prune(spec)
+            spec = LibrarySpec(tuple(t for t in pruned.terms if t in reduced))
         else:
-            mode, gamma = "stability", GAMMA_STABILITY
-            gate_base = (
-                odd_reflection_prune(base) if report.reflection_odd.detected else base
-            )
-            spec, _ = stability_gate(ws_stab.restricted(gate_base), seed)
+            spec, _ = stability_gate(ws_stab.restricted(pruned), seed)
         ws_red = ws_lib.restricted(spec)
         coeffs_red, _ = identify_on_system(ws_red, seed)
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoefficientVector, Grid1D, LibraryTerm, Trajectory, TrajectorySet
+from .core import (
+    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, LibraryTerm, RngStream, Trajectory, TrajectorySet
+)
 from .spectral import wavenumbers
 
 __all__ = [
@@ -40,32 +42,9 @@ __all__ = [
     "generate_set",
 ]
 
-NOISE_SEED_OFFSET = 1000
-
 
 class SolverBlowUpError(RuntimeError):
     """Raised when an integration produces non-finite values."""
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Seedable portable RNG with derived substreams.
-
-    Identical (seed, stream ids) give identical sequences on every
-    platform; substreams are independent PCG64 generators keyed through
-    a SeedSequence entropy tuple.
-    """
-
-    seed: int
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-    def generator(self, *stream: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, *stream]))
-        )
 
 
 @dataclass(frozen=True)
@@ -385,11 +364,12 @@ def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Traje
 
 
 def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) -> TrajectorySet:
-    """Generate M trajectories; seed drives the solver ICs, seed+1000 the noise.
+    """Generate M trajectories; seed drives the initial conditions and the noise.
 
     Trajectory i uses substream (seed, i) for its initial condition and
-    substream (seed+1000, i) for its noise realization. The M initial
-    conditions are propagated together, in one call to the solver.
+    substream (seed + NOISE_SEED_OFFSET, i) for its noise realization
+    (see ``core.RngStream``). The M initial conditions are propagated
+    together, in one call to the solver.
     """
     if m < 1:
         raise ValueError("need m >= 1")

@@ -20,13 +20,10 @@ import warnings
 
 import numpy as np
 
-from .core import CoefficientVector
-from .solvers import RngStream
+from .core import CV_STREAM, CoefficientVector, RngStream
 from .weakform import WeakSystem
 
 __all__ = ["lasso", "lasso_cv", "identify_on_system"]
-
-CV_STREAM = 11  # substream id for the CV row permutation
 
 # A solve is certified when its KKT residual (see _kkt_residual) is at
 # most KKT_TOL; an uncertified solve warns "... did not converge".

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import STABILITY_STREAM, RngStream
 from .oplib import LibrarySpec
-from .solvers import RngStream
 from .sparse import _normalize, lasso
 from .weakform import WeakSystem
 
 __all__ = ["stability_select", "stability_gate"]
-
-STABILITY_STREAM = 23  # substream id namespace for subsample draws
 
 # Test-function density for the stability weak system: denser than the
 # identification grid so half-subsampling still leaves enough rows.

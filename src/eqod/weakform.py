@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MARGIN = 1.05  # center-to-boundary clearance, in radii
+RADIUS_CELLS = 8  # floor of each bump radius, in grid cells
 
 IDENTIFY_GRID = (5, 7)  # test-function density of the identification stage
 
@@ -55,17 +56,11 @@ def bump(r) -> np.ndarray:
 def bump_dt(r) -> np.ndarray:
     """Analytic derivative of the bump profile: -2r/(1-r^2)^2 * bump(r)."""
     r = np.asarray(r, dtype=float)
-    out = _bump_slope(r) * bump(r)
-    return out if out.ndim else float(out)
-
-
-def _bump_slope(r: np.ndarray) -> np.ndarray:
-    """bump_dt / bump on the support, -2r/(1-r^2)^2; zero outside it."""
     out = np.zeros_like(r)
     inside = np.abs(r) < 1
     ri = r[inside]
-    out[inside] = -2.0 * ri / (1.0 - ri**2) ** 2
-    return out
+    out[inside] = -2.0 * ri / (1.0 - ri**2) ** 2 * np.exp(-1.0 / (1.0 - ri**2))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -85,24 +80,24 @@ class TestGrid:
 def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
     """Place n_t x n_x bump centers with boundary margins.
 
-    Radii: r_t = max(0.18 * T_range, 8 dt) and r_x = max(0.20 * X_range,
-    8 dx). Centers are inclusive linspaces over the margin-shrunk
-    intervals.
+    Radii: r_t = max(0.18 * T_range, RADIUS_CELLS dt) and r_x =
+    max(0.20 * X_range, RADIUS_CELLS dx). Centers are inclusive
+    linspaces over the margin-shrunk intervals, which are nonempty iff
+    an axis spans more than 2 * MARGIN * RADIUS_CELLS = 16.8 cells:
+    nt >= 18 and nx >= 17, so nx >= 18 for a Grid1D.
     """
     if n_t < 1 or n_x < 1:
         raise ValueError(f"need at least one test-function center per axis, got {n_t} x {n_x}")
     t_range = grid.t_end - grid.t_start
-    r_t = max(0.18 * t_range, 8 * grid.dt)
-    r_x = max(0.20 * grid.length, 8 * grid.dx)
+    r_t = max(0.18 * t_range, RADIUS_CELLS * grid.dt)
+    r_x = max(0.20 * grid.length, RADIUS_CELLS * grid.dx)
     t_lo, t_hi = grid.t_start + MARGIN * r_t, grid.t_end - MARGIN * r_t
     x_lo, x_hi = grid.x0 + MARGIN * r_x, grid.x0 + grid.length - MARGIN * r_x
-    if t_lo >= t_hi or x_lo >= x_hi:
-        min_nt = int(np.ceil(2 * MARGIN * 8 / (1 - 2 * MARGIN * 0.18))) + 1
-        min_nx = int(np.ceil(2 * MARGIN * 8 / (1 - 2 * MARGIN * 0.20)))
-        raise ValueError(
-            f"grid too small for test-function margins; need roughly "
-            f"nt >= {min_nt} and nx >= {min_nx}"
-        )
+    cells = int(2 * MARGIN * RADIUS_CELLS) + 1  # the fewest cells an axis may span
+    axes = (("nt", grid.nt, cells + 1, t_lo, t_hi), ("nx", grid.nx, cells + cells % 2, x_lo, x_hi))
+    short = [f"{axis} >= {need} (got {n})" for axis, n, need, lo, hi in axes if lo >= hi]
+    if short:
+        raise ValueError(f"grid too small for test-function margins; need {' and '.join(short)}")
     return TestGrid(np.linspace(t_lo, t_hi, n_t), np.linspace(x_lo, x_hi, n_x), r_t, r_x)
 
 
@@ -135,9 +130,8 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
         raise ValueError("test-function radius below two grid cells")
     rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
-    phi_t = bump(rt)
     phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
-    return phi_t, _bump_slope(rt) * phi_t / tg.r_t, phi_x
+    return bump(rt), bump_dt(rt) / tg.r_t, phi_x
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid) -> tuple[WeakSystem, ...]:

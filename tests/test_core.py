@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from eqod.core import (
     CoefficientVector,
     Grid1D,
+    LibraryTerm,
+    RngStream,
     STANDARD_TERMS,
     Trajectory,
     TrajectorySet,
@@ -81,11 +83,51 @@ class TestTerms:
         for t in STANDARD_TERMS:
             assert term_from_tag(t.tag) == t
 
+    def test_parses_tags_outside_the_standard_set(self):
+        assert term_from_tag("u^4") == LibraryTerm((4, 0, 0, 0, 0))
+        assert term_from_tag("u*u_x*u_xx") == LibraryTerm((1, 1, 1, 0, 0))
+        assert term_from_tag("u_x*u_x") == term_from_tag("u_x^2")
+
+    @pytest.mark.parametrize("tag", ["v", "u_y", "u*v_x", "", "u**2"])
+    def test_unknown_tag(self, tag):
+        with pytest.raises(ValueError, match="unknown term tag"):
+            term_from_tag(tag)
+
+    @pytest.mark.parametrize(
+        "powers", [(0, 0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (-1, 1, 0, 0, 0)]
+    )
+    def test_invalid_powers(self, powers):
+        with pytest.raises(ValueError, match="invalid term powers"):
+            LibraryTerm(powers)
+
     def test_order_and_power(self):
         assert UUX.derivative_order == 1 and UUX.power == 2
         sq = term_from_tag("u^2*u_x")
         assert sq.derivative_order == 1 and sq.power == 3
         assert term_from_tag("u_xxxx").derivative_order == 4
+
+
+class TestRngStream:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            RngStream(-1)
+
+
+class TestCoefficientVector:
+    def test_one_value_per_term(self):
+        with pytest.raises(ValueError, match="one value per term"):
+            CoefficientVector(STANDARD_TERMS, np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        values = np.zeros(len(STANDARD_TERMS))
+        values[2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            CoefficientVector(STANDARD_TERMS, values)
+
+    def test_from_dict_rejects_terms_outside_the_ordering(self):
+        with pytest.raises(ValueError, match=r"not in target ordering: \['u\^4'\]"):
+            vec({"u_xx": 0.1, "u^4": 1.0})
 
 
 class TestSupport:
@@ -99,6 +141,11 @@ class TestSupport:
     def test_burgers_row(self):
         c = vec({"u*u_x": -1.0001, "u_xx": 0.1000})
         assert support_from_coeffs(c) == {UUX, U_XX}
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            support_from_coeffs(vec({"u_xx": 0.1}), threshold)
 
     def test_boundary_not_included(self):
         c = vec({"u_xx": 1e-3})

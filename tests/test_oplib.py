@@ -58,6 +58,10 @@ class TestLibraries:
         with pytest.raises(ValueError):
             LibrarySpec((t, t))
 
+    def test_empty_library_rejected(self):
+        with pytest.raises(ValueError, match="library must be nonempty"):
+            LibrarySpec(())
+
 
 class TestExpandedLibrary:
     def test_size_10_is_standard(self):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ import pytest
 import eqod.pipeline as pipeline
 import eqod.stability as stability
 import eqod.symmetry as symmetry
-from eqod.core import term_from_tag
+from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import LibrarySpec, expanded_library, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.stability import STABILITY_GRID
-from eqod.symmetry import GALILEAN_BASIS
+from eqod.symmetry import GALILEAN_BASIS, DetectorResult
 from eqod.weakform import IDENTIFY_GRID, assemble
 
 
@@ -49,6 +51,34 @@ class TestRunEqod:
         assert res.library_used.tags == ("u_x", "u_xx", "u*u_x")
         assert res.coeffs.value(term_from_tag("u_xx")) == pytest.approx(0.1, abs=1e-3)
         assert res.coeffs.value(term_from_tag("u*u_x")) == pytest.approx(-1.0, abs=1e-2)
+
+    def test_all_zero_set(self):
+        # every residual is zero, so the guard's ratio is 1 and nothing reverts
+        g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)
+        ts = TrajectorySet(tuple(Trajectory(g, np.zeros((32, 32))) for _ in range(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_eqod(ts, 42)
+        assert np.all(res.coeffs.values == 0.0)
+        assert res.mode == "stability"
+        assert not res.fallback_triggered
+        assert res.residual_ratio == 1.0
+
+    @pytest.mark.parametrize("name, mode", [("burgers_clean", "symmetry"), ("heat_clean", "stability")])
+    def test_parity_prune_applied_once_to_the_base(self, name, mode, request, monkeypatch):
+        seen = []
+        prune = pipeline.odd_reflection_prune
+
+        def recording(spec):
+            seen.append(spec)
+            return prune(spec)
+
+        monkeypatch.setattr(pipeline, "odd_reflection_prune", recording)
+        monkeypatch.setattr(pipeline, "detect_all", odd_report(pipeline.detect_all))
+        res = run_eqod(request.getfixturevalue(name), 42)
+        assert res.mode == mode
+        assert seen == [standard_library()]
+        assert not {"u^2", "u*u_xx"} & set(res.library_used.tags)
 
     def test_to_json_parses(self, heat_result):
         res = heat_result
@@ -97,6 +127,16 @@ def _raise(exc):
     return fail
 
 
+def odd_report(detect):
+    """detect_all, with the odd-reflection test forced to detect."""
+
+    def forced(*args):
+        rep = detect(*args)
+        return dataclasses.replace(rep, reflection_odd=DetectorResult(True, 0.0))
+
+    return forced
+
+
 class TestFallback:
     def test_reduced_path_value_error_falls_back(self, heat_clean, monkeypatch):
         monkeypatch.setattr(pipeline, "stability_gate", _raise(ValueError("gate failed")))
@@ -112,6 +152,14 @@ class TestFallback:
         monkeypatch.setattr(pipeline, "stability_gate", _raise(TypeError("bug")))
         with pytest.raises(TypeError, match="bug"):
             run_eqod(heat_clean, 42)
+
+    def test_library_emptied_by_the_parity_prune_falls_back(self, burgers_clean):
+        base = LibrarySpec(tuple(term_from_tag(t) for t in ("u^2", "u*u_xx")))
+        with pytest.warns(UserWarning, match="reduced path failed"):
+            res = run_eqod(burgers_clean, 42, base_library=base)
+        assert res.mode == "symmetry"
+        assert res.fallback_triggered
+        assert res.library_used == base
 
     def test_symmetry_path_failure_reports_symmetry(self, burgers_clean, monkeypatch):
         monkeypatch.setattr(pipeline, "galilean_reduced", _raise(ValueError("no library")))

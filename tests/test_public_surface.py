@@ -2,6 +2,7 @@
 ``perfbench`` traces exist, and a traced ``run_eqod`` gives perfbench
 what it reads, so a refactor cannot silently break any of them."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -17,6 +18,7 @@ from eqod.oplib import LibrarySpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(eqod.__path__, "eqod."))
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(eqod.__file__).resolve().parent
 
 
 def load_spans():
@@ -51,6 +53,37 @@ def test_all_names_resolve(modname):
     assert hasattr(module, "__all__"), f"{modname} declares no __all__"
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def imported_modules(path):
+    """The eqod modules a source file imports, as "solvers", "core", ..."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                names.add(node.module)
+            elif node.level == 1:
+                names.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("eqod."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("eqod."))
+    return names
+
+
+def test_only_the_package_imports_the_solvers():
+    # identification must not depend on data generation
+    importers = sorted(p.name for p in SRC.glob("*.py") if "solvers" in imported_modules(p))
+    assert importers == ["__init__.py"]
+
+
+def test_perfbench_stream_paths_resolve():
+    # perfbench draws its noise through these attribute paths
+    import eqod.core as core
+    import eqod.solvers as solvers
+
+    assert solvers.RngStream is core.RngStream is eqod.RngStream
+    assert solvers.NOISE_SEED_OFFSET == core.NOISE_SEED_OFFSET == 1000
 
 
 @pytest.mark.parametrize("modname, function, span", SPANS.TRACED)

@@ -192,6 +192,23 @@ class TestExactPath:
             xi, kkt = sparse._lasso_path(theta, b, grid)
             assert kkt.max() <= sparse.KKT_TOL, seed
 
+    def test_barred_column_reenters(self):
+        """Column 5 is column 0 times 1 + 1e-10 noise: whichever of the
+        twins enters second fails the rank rule and is barred, and the
+        bar is lifted when the active set next changes. Every solution
+        still certifies and is no worse than coordinate descent."""
+        rng = np.random.default_rng(4)
+        theta, b = normalized_system(rng, 30, 6)
+        theta[:, 5] = theta[:, 0] * (1.0 + 1e-10 * rng.standard_normal(30))
+        lambdas = np.logspace(-3, 0, 20)
+        xi, kkt = sparse._lasso_path(theta, b, lambdas)
+        assert kkt.max() <= sparse.KKT_TOL
+        xi_ref, ok_ref = reference_cd_path(theta, b, lambdas, 1e-9, 10_000)
+        assert ok_ref
+        for k, lam in enumerate(lambdas):
+            exact = objective(theta, b, xi[:, k], lam)
+            assert exact <= objective(theta, b, xi_ref[:, k], lam) + 1e-12 * abs(exact)
+
     def test_path_matches_single_lambda(self):
         """Reading many lambdas off one path gives each single-lambda solution."""
         theta, b = normalized_system(np.random.default_rng(5), 40, 8)

@@ -30,6 +30,11 @@ class TestWavenumbers:
         with pytest.raises(ValueError):
             wavenumbers(5, 2 * np.pi)
 
+    @pytest.mark.parametrize("length", [0.0, -2 * np.pi])
+    def test_nonpositive_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length"):
+            wavenumbers(8, length)
+
 
 class TestDerivative:
     x = 2 * np.pi * np.arange(128) / 128

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
+from eqod.core import Grid1D, RngStream, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import odd_reflection_prune, standard_library
-from eqod.solvers import PDES, RngStream, generate_set
+from eqod.solvers import PDES, generate_set
 from eqod import stability
 from eqod.stability import stability_gate, stability_select
 from eqod.weakform import assemble, make_test_grid
@@ -55,6 +55,11 @@ class TestStabilitySelect:
         pi, stable = stability_select(theta, b, seed=5)
         assert pi[0] == 1.0
         assert stable == {0}
+
+    def test_too_few_rows(self):
+        theta = np.eye(3)
+        with pytest.raises(ValueError, match="at least 4 rows"):
+            stability_select(theta, np.ones(3), seed=0)
 
     def test_probabilities_are_count_fractions(self, heat10_system):
         pi, _ = stability_select(heat10_system.theta, heat10_system.b, seed=9)

@@ -177,3 +177,16 @@ class TestDetectAll:
         assert np.isnan(rep.reflection_odd.score)
         d = rep.to_json_dict()
         assert d["reflection_odd"]["score"] is None
+
+    def test_failed_galilean_fit_downgrades(self, burgers_clean, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(symmetry.np.linalg, "lstsq", singular)
+        rep = detect_all(burgers_clean, standard_system(burgers_clean))
+        assert not rep.galilean.detected
+        assert np.isnan(rep.galilean.score) and np.isnan(rep.galilean_c1)
+        assert rep.galilean_rank_ok is False
+        assert rep.reflection_odd.detected
+        d = rep.to_json_dict()["galilean"]
+        assert d["score"] is None and d["c1"] is None and d["rank_ok"] is False

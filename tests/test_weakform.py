@@ -138,6 +138,26 @@ class TestTestGrid:
         with pytest.raises(ValueError, match="margins"):
             make_test_grid(g, 5, 7)
 
+    # The margins need more than 2 * 1.05 * 8 = 16.8 cells per axis: nt >= 18,
+    # and nx >= 17, which an even nx makes 18.
+    @pytest.mark.parametrize(
+        "nt, nx, short",
+        [(17, 18, "nt >= 18 (got 17)"), (18, 16, "nx >= 18 (got 16)"), (18, 18, None)],
+    )
+    def test_smallest_grid_on_each_axis(self, nt, nx, short):
+        g = Grid1D(0.0, 2 * np.pi, nx, 0.0, 1.0, nt)
+        if short is None:
+            assert make_test_grid(g, 5, 7).n_centers == 35
+        else:
+            with pytest.raises(ValueError) as err:
+                make_test_grid(g, 5, 7)
+            assert str(err.value).endswith(f"margins; need {short}")
+
+    def test_too_small_on_both_axes_names_both(self):
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 17)
+        with pytest.raises(ValueError, match=r"need nt >= 18 \(got 17\) and nx >= 18 \(got 16\)$"):
+            make_test_grid(g, 5, 7)
+
     @pytest.mark.parametrize("n_t, n_x", [(0, 7), (5, 0), (-1, 7)])
     def test_no_centers_errors(self, n_t, n_x):
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
