@@ -6,7 +6,9 @@ and builds none.
 One solver serves every LASSO here: the exact piecewise-linear path from
 lambda_max down to the smallest lambda asked for (``_homotopy``). A
 single lambda is that path stopped at it; the CV grid is read off one
-path per fold.
+path per fold. Several problems that share their lambdas, such as the
+CV folds or the stability draws, are followed in one lock-step call,
+and each gets bitwise the answer it gets alone.
 
 The calibration is the module constants: ``LAMBDA_GRID`` and
 ``CV_FOLDS`` for the cross-validation, ``THRESHOLD_FLOOR``,
@@ -63,21 +65,28 @@ def _kkt_residual(gram, corr, lam, xi):
     ||b - Theta xi||^2 + lam ||xi||_1 iff d_j = lam sign(xi_j) where
     xi_j != 0 and |d_j| <= lam where xi_j = 0. The scale is lam, or for
     lam = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|. Given xi of
-    shape (p, L) and L lambdas, returns the L residuals.
+    shape (p, L) and L lambdas, returns the L residuals; given a stack,
+    gram (D, p, p), corr (D, p) and xi (D, p, L), returns (D, L).
     """
     xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    d = 2.0 * (corr[:, None] - gram @ xi.reshape(corr.size, -1)).reshape(xi.shape)
-    viol = np.where(xi != 0.0, np.abs(d - lam * np.sign(xi)), np.abs(d) - lam)
-    scale = np.where(lam > 0, lam, max(2.0 * float(np.abs(corr).max(initial=0.0)), np.finfo(float).tiny))
-    worst = viol.max(axis=0, initial=0.0) / scale
-    return float(worst) if xi.ndim == 1 else worst
+    single = xi.ndim == corr.ndim  # one solution per problem
+    x = xi[..., None] if single else xi
+    d = 2.0 * (corr[..., None] - gram @ x)
+    viol = np.where(x != 0.0, np.abs(d - lam * np.sign(x)), np.abs(d) - lam)
+    at_zero = np.maximum(2.0 * np.abs(corr).max(axis=-1, initial=0.0), np.finfo(float).tiny)
+    worst = viol.max(axis=-2, initial=0.0) / np.where(lam > 0, lam, at_zero[..., None])
+    if single:
+        worst = worst[..., 0]
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def _homotopy(gram, corr, lambdas):
     """The LASSO path followed from lambda_max = 2 max|corr| down to
     min(lambdas) (Osborne, Presnell & Turlach 2000; Efron et al. 2004),
-    read at each lambda; returns xi of shape (p, len(lambdas)).
+    read at each lambda; returns xi of shape (p, len(lambdas)), or
+    (D, p, len(lambdas)) for a stack of D problems, gram (D, p, p) and
+    corr (D, p).
 
     Between breakpoints the active set A and its signs s are fixed and
     the solution is linear in lambda: one solve of
@@ -102,75 +111,117 @@ def _homotopy(gram, corr, lambdas):
     keeps only the coefficients whose sign is the segment's. The loop is
     capped (a guard, far above the few dozen breakpoints of a p-column
     path); a path cut short is left to the certificate.
+
+    A stack is followed in lock-step: each step finds every problem's
+    next event with one batched product, then makes each problem's own
+    solve and updates its own active order, barred columns, rank and
+    sign decisions. A problem leaves the loop when its next event is at
+    or below min(lambdas) or its path is cut, so each problem's answer
+    is bitwise the one it gets alone.
     """
-    p = corr.size
+    single = gram.ndim == 2
+    if single:
+        gram, corr = gram[None], corr[None]
+    n_sys, p = corr.shape
     lam_min = float(lambdas.min(initial=np.inf))
     rank_rtol = np.finfo(float).eps / KKT_TOL
     # Each event is num / den at the segment's (u, v), with
     # [num | den] = [num0 | den0] + [2 rows @ u | rows @ v], and counts
     # where den > 0. Rows 0..p-1: d_j reaches +mu; p..2p-1: d_j reaches
     # -mu; 2p..3p-1: an active xi_j reaches zero (the row is -s_j e_j).
-    rows = np.zeros((3 * p, p))
-    rows[:p] = -gram
-    rows[p : 2 * p] = gram
-    num0 = np.zeros(3 * p)
-    num0[:p] = 2.0 * corr
-    num0[p : 2 * p] = -num0[:p]
+    # Row i of every per-problem array below is problem ids[i]; a
+    # problem's rows are dropped when its path ends.
+    rows = np.zeros((n_sys, 3 * p, p))
+    rows[:, :p] = -gram
+    rows[:, p : 2 * p] = gram
+    num0 = np.zeros((n_sys, 3 * p))
+    num0[:, :p] = 2.0 * corr
+    num0[:, p : 2 * p] = -num0[:, :p]
     den0 = np.zeros(3 * p)
     den0[: 2 * p] = 1.0
-    allowed = np.ones(3 * p, bool)  # off for the +/- rows of active and barred columns
-    rhs = np.zeros((p, 3))  # [corr, s, e_j]; the sign column is read on A only
-    rhs[:, 0] = corr
-    order, barred = [], []  # the active columns; columns barred until A changes
-    seg = np.zeros((p, 3))  # the segment's u, v and signs, u = v = 0 off A
-    mu = np.inf
-    tops, segments = [], []
+    allowed = np.ones((n_sys, 3 * p), bool)  # off for the +/- rows of active and barred columns
+    rhs = np.zeros((n_sys, p, 3))  # [corr, s, e_j]; the sign column is read on A only
+    rhs[:, :, 0] = corr
+    orders = [[] for _ in range(n_sys)]  # the active columns
+    barreds = [[] for _ in range(n_sys)]  # columns barred until A changes
+    uv = np.zeros((n_sys, p, 2))  # the segment's u and v, zero off A
+    signs = np.zeros((n_sys, p))
+    mus = [np.inf] * n_sys  # the segment's top
+    ids = list(range(n_sys))
+    # Per step, every problem's segment: its top (-inf once the path has
+    # ended), u and v, and signs.
+    tops, uvs, sgs = [], [], []
     for _ in range(50 * (p + 1)):
-        tops.append(mu)
-        segments.append(seg)
-        z = rows @ seg[:, :2]
-        den = den0 + z[:, 1]
-        events = np.divide(num0 + 2.0 * z[:, 0], den, out=np.full(3 * p, -np.inf), where=allowed & (den > 0.0))
-        k = int(events.argmax())
-        nxt = min(float(events[k]), mu)
-        if not nxt > lam_min:
-            break
-        mu = nxt
-        kind, j = divmod(k, p)
-        entering = kind < 2
-        if entering:
-            trial = order + [j]
-            rhs[j, 1] = 1.0 - 2.0 * kind  # the side reached: +1 or -1
+        if len(ids) == n_sys:
+            tops.append(mus)
+            uvs.append(uv)
+            sgs.append(signs)
         else:
-            trial = [i for i in order if i != j]
-        idx = np.array(trial, dtype=int)
-        rhs_a = rhs[idx]
-        rhs_a[-1:, 2] = float(entering)  # sol[-1, 2] = 1 / Schur complement of j
-        try:
-            sol = np.linalg.solve(gram[idx[:, None], idx], rhs_a)
-        except np.linalg.LinAlgError:  # exactly singular active Gram
-            sol = None
-        if sol is None or entering and not (
-            0.0 < sol[-1, 2] * rank_rtol * gram[j, j] < 1.0 and rhs[j, 1] * sol[-1, 1] > 0.0
-        ):
-            if not entering:  # cannot happen to a subset of a nonsingular active set
-                break  # the path is cut here and the certificate reports it
-            barred.append(j)
-            allowed[j] = allowed[p + j] = False
-            continue
-        for i in barred:
-            allowed[i] = allowed[p + i] = True
-        allowed[j] = allowed[p + j] = not entering
-        order, barred = trial, []
-        signs = seg[:, 2]
-        seg = np.zeros((p, 3))
-        seg[idx, :2] = sol[:, :2]
-        seg[:, 2] = signs
-        seg[j, 2] = rhs[j, 1] if entering else 0.0
-        rows[2 * p + j, j] = -seg[j, 2]  # j's zero-crossing row
-    at = np.array(segments)[np.searchsorted(-np.array(tops), -lambdas, side="right") - 1]
-    xi = at[:, :, 0] - 0.5 * lambdas[:, None] * at[:, :, 1]
-    return np.where(xi * at[:, :, 2] > 0.0, xi, 0.0).T
+            tops.append([-np.inf] * n_sys)
+            for i, d in enumerate(ids):
+                tops[-1][d] = mus[i]
+            uvs.append(np.zeros((n_sys, p, 2)))
+            uvs[-1][ids] = uv
+            sgs.append(np.zeros((n_sys, p)))
+            sgs[-1][ids] = signs
+        z = rows @ uv
+        den = den0 + z[:, :, 1]
+        events = np.divide(num0 + 2.0 * z[:, :, 0], den, out=np.full(den.shape, -np.inf), where=allowed & (den > 0.0))
+        mus, uv, signs, done = list(mus), uv.copy(), signs.copy(), []
+        for i, k in enumerate(events.argmax(axis=1).tolist()):
+            mu = min(float(events[i, k]), mus[i])
+            if not mu > lam_min:
+                done.append(i)
+                continue
+            mus[i] = mu
+            kind, j = divmod(k, p)
+            entering = kind < 2
+            rhs_i = rhs[i]
+            if entering:
+                trial = orders[i] + [j]
+                rhs_i[j, 1] = 1.0 - 2.0 * kind  # the side reached: +1 or -1
+            else:
+                trial = [a for a in orders[i] if a != j]
+            idx = np.array(trial, dtype=int)
+            rhs_a = rhs_i[idx]
+            if entering:
+                rhs_a[-1, 2] = 1.0  # sol[-1, 2] = 1 / Schur complement of j
+            g = gram[ids[i]]
+            try:
+                sol = np.linalg.solve(g[idx[:, None], idx], rhs_a)
+            except np.linalg.LinAlgError:  # exactly singular active Gram
+                sol = None
+            if sol is None or entering and not (
+                0.0 < sol[-1, 2] * rank_rtol * g[j, j] < 1.0 and rhs_i[j, 1] * sol[-1, 1] > 0.0
+            ):
+                if not entering:  # cannot happen to a subset of a nonsingular active set
+                    done.append(i)  # the path is cut here and the certificate reports it
+                    continue
+                barreds[i].append(j)
+                allowed[i, j] = allowed[i, p + j] = False
+                continue
+            for a in barreds[i]:
+                allowed[i, a] = allowed[i, p + a] = True
+            allowed[i, j] = allowed[i, p + j] = not entering
+            orders[i], barreds[i] = trial, []
+            uv_i = uv[i]
+            uv_i.fill(0.0)
+            uv_i[idx] = sol[:, :2]
+            signs[i, j] = rhs_i[j, 1] if entering else 0.0
+            rows[i, 2 * p + j, j] = -signs[i, j]  # j's zero-crossing row
+        if done:
+            keep = [i for i in range(len(ids)) if i not in done]
+            if not keep:
+                break
+            rows, num0, allowed, rhs, uv, signs = (a[keep] for a in (rows, num0, allowed, rhs, uv, signs))
+            ids, mus, orders, barreds = ([a[i] for i in keep] for a in (ids, mus, orders, barreds))
+    # The segment of step t serves the lambdas at or below its top that
+    # no later step's top reaches.
+    pick = (np.array(tops)[:, :, None] >= lambdas).sum(axis=0) - 1, np.arange(n_sys)[:, None]
+    at = np.array(uvs)[pick]
+    xi = at[..., 0] - 0.5 * lambdas[:, None] * at[..., 1]
+    xi = np.where(xi * np.array(sgs)[pick] > 0.0, xi, 0.0).transpose(0, 2, 1)
+    return xi[0] if single else xi
 
 
 def _lasso_path(theta, b, lambdas):
@@ -179,18 +230,22 @@ def _lasso_path(theta, b, lambdas):
 
     One homotopy (see _homotopy) on the Gram form serves every lambda;
     the residuals come from one (p, len(lambdas)) product. Returns (xi of
-    shape (p, len(lambdas)), residuals).
+    shape (p, len(lambdas)), residuals). A stack, theta (D, n, p) and
+    b (D, n), is one lock-step homotopy, with a leading D axis on both
+    results.
     """
     theta = np.asarray(theta, dtype=float)
-    gram = theta.T @ theta
-    corr = theta.T @ np.asarray(b, dtype=float)
+    theta_t = np.swapaxes(theta, -1, -2)
+    gram = theta_t @ theta
+    corr = (theta_t @ np.asarray(b, dtype=float)[..., None])[..., 0]
     lambdas = np.asarray(lambdas, dtype=float)
     xi = _homotopy(gram, corr, lambdas)
     return xi, _kkt_residual(gram, corr, lambdas, xi)
 
 
 def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
-    """Solve one LASSO problem exactly; an uncertified solve warns.
+    """Solve one LASSO problem, or a stack of them, exactly; an
+    uncertified solve warns.
 
     The objective is the plain squared residual plus lambda times the
     l1 norm (no 1/2 and no 1/n factor). The solution is the LASSO path
@@ -198,13 +253,26 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     certificate: if its residual exceeds KKT_TOL, a RuntimeWarning says
     "lasso did not converge" and the solution is still returned.
     lambda = 0 is least squares.
+
+    theta_norm (n, p) with b_norm (n,) returns xi (p,). A stack,
+    theta_norm (D, n, p) with b_norm (D, n), is solved in one lock-step
+    homotopy at the shared lambda and returns (D, p), row d bitwise the
+    solution of system d alone; each uncertified system warns once.
     """
+    theta_norm = np.asarray(theta_norm, dtype=float)
+    b_norm = np.asarray(b_norm, dtype=float)
+    if theta_norm.ndim not in (2, 3) or b_norm.shape != theta_norm.shape[:-1]:
+        raise ValueError(
+            f"theta of shape {theta_norm.shape} and b of shape {b_norm.shape} are neither"
+            " one system, (n, p) and (n,), nor a stack, (D, n, p) and (D, n)"
+        )
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     xi, kkt = _lasso_path(theta_norm, b_norm, [lam])
-    if not kkt[0] <= KKT_TOL:
-        warnings.warn(f"lasso did not converge (KKT residual {kkt[0]:.3g})", RuntimeWarning)
-    return xi[:, 0]
+    for r in kkt.ravel().tolist():
+        if not r <= KKT_TOL:
+            warnings.warn(f"lasso did not converge (KKT residual {r:.3g})", RuntimeWarning)
+    return xi[..., 0]
 
 
 def _cv_permutation(seed: int, n: int) -> np.ndarray:
@@ -231,14 +299,22 @@ def lasso_cv(theta, b, seed: int = 0):
 
     perm = _cv_permutation(seed, n)
     folds = np.array_split(perm, CV_FOLDS)
-    scores = np.zeros(len(LAMBDA_GRID))
-    uncertified = []
+    # Training sets can differ in size by a row, so the folds' Gram forms,
+    # not their rows, are stacked for the one lock-step homotopy.
+    gram, corr = [], []
     for held in folds:
         train = np.ones(n, bool)
         train[held] = False
-        xi, kkt = _lasso_path(theta_n[train], b_n[train], LAMBDA_GRID)
-        uncertified.extend(kkt[~(kkt <= KKT_TOL)])
-        resid = b_n[held, None] - theta_n[held] @ xi
+        theta_f = theta_n[train]
+        gram.append(theta_f.T @ theta_f)
+        corr.append(theta_f.T @ b_n[train])
+    gram, corr = np.array(gram), np.array(corr)
+    xi = _homotopy(gram, corr, LAMBDA_GRID)
+    kkt = _kkt_residual(gram, corr, LAMBDA_GRID, xi)
+    uncertified = kkt[~(kkt <= KKT_TOL)].tolist()
+    scores = np.zeros(len(LAMBDA_GRID))
+    for held, xi_f in zip(folds, xi):
+        resid = b_n[held, None] - theta_n[held] @ xi_f
         denom = float(np.sum((b_n[held] - b_n[held].mean()) ** 2))
         denom = denom if denom > 0 else 1e-300
         scores += 1.0 - np.sum(resid**2, axis=0) / denom

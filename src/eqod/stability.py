@@ -50,13 +50,14 @@ def stability_select(theta, b, seed: int = 0):
 
     Columns and response are normalized once. Each of the N_SUBSAMPLES
     draws takes a floor(n/2)-row subset without replacement and
-    per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH),
-    solves LASSO at the fixed lambda on the weight-scaled design with
-    ``sparse.lasso`` (the exact LASSO path stopped at that lambda, whose
-    KKT residual must be at most ``sparse.KKT_TOL``, or it warns "lasso
-    did not converge"), and counts the nonzero coefficients, which are
-    the draw's active set. Draw i comes from substream (seed,
-    STABILITY_STREAM, i) so results are schedule-independent.
+    per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH);
+    draw i comes from substream (seed, STABILITY_STREAM, i) so results
+    are schedule-independent. The draws' weight-scaled designs are
+    solved as one stack by one ``sparse.lasso`` call at the fixed lambda
+    (one lock-step exact LASSO path per draw, stopped at that lambda;
+    each draw's KKT residual must be at most ``sparse.KKT_TOL``, or it
+    warns "lasso did not converge"), and each draw counts its nonzero
+    coefficients, which are its active set.
 
     The penalty is noise-adaptive: each draw solves with a
     mean-squared-error penalty alpha = min(PENALTY_SCALE *
@@ -78,16 +79,18 @@ def stability_select(theta, b, seed: int = 0):
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
     alpha = min(PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT, PENALTY_CAP)
     stream = RngStream(seed)
-    counts = np.zeros(p)
     half = n // 2
     lam_objective = 2.0 * half * alpha
+    rows = np.empty((N_SUBSAMPLES, half), dtype=np.intp)
+    w = np.empty((N_SUBSAMPLES, 1, p))
     for it in range(N_SUBSAMPLES):
         rng = stream.generator(STABILITY_STREAM, it)
-        rows = rng.permutation(n)[:half]
-        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, p)
-        xi = lasso(theta_n[rows] / w, b_n[rows], lam_objective)
-        counts += xi != 0.0
-    pi = counts / N_SUBSAMPLES
+        rows[it] = rng.permutation(n)[:half]
+        w[it, 0] = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, p)
+    designs = theta_n[rows]
+    designs /= w
+    xi = lasso(designs, b_n[rows], lam_objective)
+    pi = np.count_nonzero(xi, axis=0) / N_SUBSAMPLES
     stable = frozenset(np.nonzero(pi > PI_THRESHOLD)[0].tolist())
     return pi, stable
 

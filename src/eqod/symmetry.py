@@ -72,14 +72,18 @@ def detect_reflection(traj: Trajectory) -> DetectorResult:
     """Odd parity of the full space-time field about the domain origin.
 
     The flip maps grid index j to (nx - j) mod nx; the score is
-    ||U + U_flip||^2 / ||U||^2, and a zero field raises.
+    ||U + U_flip||^2 / ||U||^2, and a zero field raises. The flip is
+    gathered once and summed and squared in place, so the score needs
+    one full-size temporary.
     """
     u = traj.values
-    flipped = np.roll(u[:, ::-1], 1, axis=1)
     norm = float(np.sum(u**2))
     if norm == 0:
         raise ValueError("zero field")
-    score = float(np.sum((u + flipped) ** 2) / norm)
+    s = u.take(-np.arange(u.shape[1]) % u.shape[1], axis=1)
+    s += u
+    s *= s
+    score = float(np.sum(s) / norm)
     return DetectorResult(score < REFLECTION_THRESHOLD, score)
 
 

@@ -2,15 +2,17 @@
 
 u -> A u maps a solution of u_t = sum c_j f_j(u) to one of the law whose
 degree-p coefficients are c_j A^(1-p); a whole-cell shift in x maps a
-solution of an x-autonomous law to one of the same law. Identification
-should follow: the same mode, fallback and support, and the scaled
-coefficients.
+solution of an x-autonomous law to one of the same law; the reflection
+x -> -x multiplies a term's coefficient by (-1)^(its total number of x
+derivatives); and t -> c t divides every coefficient by c.
+Identification should follow: the same mode, fallback and support, and
+the mapped coefficients.
 """
 
 import numpy as np
 import pytest
 
-from eqod.core import Trajectory, TrajectorySet
+from eqod.core import Grid1D, Trajectory, TrajectorySet
 from eqod.pipeline import run_eqod
 from eqod.solvers import PDES, generate_set
 
@@ -32,6 +34,30 @@ KDV_SHIFT = pytest.mark.xfail(
     ),
 )
 
+BOOST_SIGN = (
+    "galilean_boost shifts by +c t whatever c1 is; for u_t = c1 u u_x + G the"
+    " invariant boost is u(x + c1 c t, t) + c"
+)
+REFLECTED_MODE = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        f"{BOOST_SIGN}. x -> -x turns c1 = -1 into +1, the boosted refit's c1"
+        " moves, and the Galilean score falls below GALILEAN_TAU = 0.05 (burgers"
+        " 0.536 -> 0.013, ks 0.952 -> 0.0025), so the mode goes from symmetry to"
+        " stability (the support is unchanged)"
+    ),
+)
+BURGERS_SLOW_MODE = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        f"{BOOST_SIGN}. t -> 2t halves burgers' c1 to -0.5 and its Galilean score"
+        " falls from 0.536 to 0.030 against GALILEAN_TAU = 0.05, so the mode goes"
+        " from symmetry to stability (the support is unchanged)"
+    ),
+)
+METAMORPHIC_LAWS = ("heat", "adv_diff", "burgers", "kdv", "ks")
+TIME_SCALES = (0.5, 2.0)
+
 
 def mapped(ts, f):
     return TrajectorySet(tuple(Trajectory(ts.grid, f(tr.values)) for tr in ts))
@@ -48,6 +74,34 @@ def clean():
             ts = generate_set(pde, pde.default_grid(), 3, 0.0, 42)
             cache[name] = ts, run_eqod(ts, 42)
         return cache[name]
+
+    return get
+
+
+def reflected(ts):
+    """u(-x, t): grid index j goes to (nx - j) mod nx."""
+    nx = ts.grid.nx
+    return mapped(ts, lambda v: v.take(-np.arange(nx) % nx, axis=1))
+
+
+def time_scaled(ts, c):
+    """u(x, t / c): the same samples on a grid whose times are c t."""
+    g = ts.grid
+    grid = Grid1D(g.x0, g.length, g.nx, c * g.t_start, c * g.t_end, g.nt)
+    return TrajectorySet(tuple(Trajectory(grid, tr.values) for tr in ts))
+
+
+@pytest.fixture(scope="module")
+def transformed(clean):
+    """run_eqod on a law's clean set after a named map, made on first use."""
+    cache = {}
+
+    def get(name, how):
+        if (name, how) not in cache:
+            ts, _ = clean(name)
+            ts = reflected(ts) if how == "reflect" else time_scaled(ts, how)
+            cache[name, how] = run_eqod(ts, 42)
+        return cache[name, how]
 
     return get
 
@@ -82,3 +136,43 @@ def test_shift(clean, name, shift):
     res = run_eqod(mapped(ts, lambda v: np.roll(v, shift, axis=1)), 42)
     assert res.mode == base.mode
     assert res.support() == base.support()
+
+
+@pytest.mark.parametrize("name", METAMORPHIC_LAWS)
+def test_reflection(clean, transformed, name):
+    _, base = clean(name)
+    res = transformed(name, "reflect")
+    assert res.support() == base.support()
+    sign = [(-1) ** sum(d * q for d, q in enumerate(t.powers)) for t in base.coeffs.terms]
+    expected = base.coeffs.values * sign
+    assert np.abs(res.coeffs.values - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n if n not in ("burgers", "ks") else pytest.param(n, marks=REFLECTED_MODE) for n in METAMORPHIC_LAWS],
+)
+def test_reflection_mode(clean, transformed, name):
+    _, base = clean(name)
+    res = transformed(name, "reflect")
+    assert (res.mode, res.fallback_triggered) == (base.mode, base.fallback_triggered)
+
+
+@pytest.mark.parametrize("name, c", [(n, c) for n in METAMORPHIC_LAWS for c in TIME_SCALES])
+def test_time_scale(clean, transformed, name, c):
+    # c is a power of two, so every time step, derivative and solve scales
+    # exactly and the coefficients are bitwise the base ones over c
+    _, base = clean(name)
+    res = transformed(name, c)
+    assert res.support() == base.support()
+    assert np.array_equal(res.coeffs.values, base.coeffs.values / c)
+
+
+@pytest.mark.parametrize(
+    "name, c",
+    [(n, c) if (n, c) != ("burgers", 2.0) else pytest.param(n, c, marks=BURGERS_SLOW_MODE) for n in METAMORPHIC_LAWS for c in TIME_SCALES],
+)
+def test_time_scale_mode(clean, transformed, name, c):
+    _, base = clean(name)
+    res = transformed(name, c)
+    assert (res.mode, res.fallback_triggered) == (base.mode, base.fallback_triggered)

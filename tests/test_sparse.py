@@ -67,6 +67,80 @@ def reference_cd_path(theta, b, lambdas, tol, max_sweeps):
     return xi, False
 
 
+def reference_homotopy(gram, corr, lambdas):
+    """The homotopy for one problem, one breakpoint at a time.
+
+    An independent bitwise reference for the lock-step solver: the same
+    events, rank rule, sign rule and read-out (see sparse._homotopy),
+    written for a single (p, p) Gram. Returns xi of shape
+    (p, len(lambdas)).
+    """
+    p = corr.size
+    lam_min = float(lambdas.min(initial=np.inf))
+    rank_rtol = np.finfo(float).eps / sparse.KKT_TOL
+    rows = np.zeros((3 * p, p))
+    rows[:p] = -gram
+    rows[p : 2 * p] = gram
+    num0 = np.zeros(3 * p)
+    num0[:p] = 2.0 * corr
+    num0[p : 2 * p] = -num0[:p]
+    den0 = np.zeros(3 * p)
+    den0[: 2 * p] = 1.0
+    allowed = np.ones(3 * p, bool)
+    rhs = np.zeros((p, 3))
+    rhs[:, 0] = corr
+    order, barred = [], []
+    seg = np.zeros((p, 3))
+    mu = np.inf
+    tops, segments = [], []
+    for _ in range(50 * (p + 1)):
+        tops.append(mu)
+        segments.append(seg)
+        z = rows @ seg[:, :2]
+        den = den0 + z[:, 1]
+        events = np.divide(num0 + 2.0 * z[:, 0], den, out=np.full(3 * p, -np.inf), where=allowed & (den > 0.0))
+        k = int(events.argmax())
+        nxt = min(float(events[k]), mu)
+        if not nxt > lam_min:
+            break
+        mu = nxt
+        kind, j = divmod(k, p)
+        entering = kind < 2
+        if entering:
+            trial = order + [j]
+            rhs[j, 1] = 1.0 - 2.0 * kind
+        else:
+            trial = [i for i in order if i != j]
+        idx = np.array(trial, dtype=int)
+        rhs_a = rhs[idx]
+        rhs_a[-1:, 2] = float(entering)
+        try:
+            sol = np.linalg.solve(gram[idx[:, None], idx], rhs_a)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is None or entering and not (
+            0.0 < sol[-1, 2] * rank_rtol * gram[j, j] < 1.0 and rhs[j, 1] * sol[-1, 1] > 0.0
+        ):
+            if not entering:
+                break
+            barred.append(j)
+            allowed[j] = allowed[p + j] = False
+            continue
+        for i in barred:
+            allowed[i] = allowed[p + i] = True
+        allowed[j] = allowed[p + j] = not entering
+        order, barred = trial, []
+        signs = seg[:, 2]
+        seg = np.zeros((p, 3))
+        seg[idx, :2] = sol[:, :2]
+        seg[:, 2] = signs
+        seg[j, 2] = rhs[j, 1] if entering else 0.0
+        rows[2 * p + j, j] = -seg[j, 2]
+    at = np.array(segments)[np.searchsorted(-np.array(tops), -lambdas, side="right") - 1]
+    xi = at[:, :, 0] - 0.5 * lambdas[:, None] * at[:, :, 1]
+    return np.where(xi * at[:, :, 2] > 0.0, xi, 0.0).T
+
+
 def normalized_system(rng, n, p):
     theta = rng.standard_normal((n, p))
     theta /= np.linalg.norm(theta, axis=0)
@@ -219,6 +293,105 @@ class TestExactPath:
             assert np.abs(path[:, k] - cold[:, 0]).max() < 1e-10
 
 
+def degenerate_stack(rng, n_sys, n, p):
+    """n_sys systems of shape (n, p); system d is plain, or has a zero
+    column, an exact duplicate or a 1e-8 near-duplicate, by d mod 4."""
+    theta = rng.standard_normal((n_sys, n, p)) * 10.0 ** rng.uniform(-2, 1, (n_sys, 1, p))
+    b = rng.standard_normal((n_sys, n))
+    for d in range(n_sys):
+        kind = d % 4
+        if kind == 1:
+            theta[d, :, int(rng.integers(p))] = 0.0
+        elif kind == 2:
+            theta[d, :, -1] = theta[d, :, 0]
+        elif kind == 3:
+            theta[d, :, -1] = theta[d, :, 0] * (1.0 + 1e-8 * rng.standard_normal(n))
+    return theta, b
+
+
+GRID_TO_ZERO = np.concatenate([[0.0], np.logspace(-6, -1, 59)])
+
+
+class TestBatchedPath:
+    """A stack of problems follows one lock-step homotopy; each row is
+    bitwise what reference_homotopy gives for that problem alone."""
+
+    def assert_rows_are_the_reference(self, theta, b, lambdas):
+        xi, kkt = sparse._lasso_path(theta, b, lambdas)
+        assert xi.shape == (len(b), theta.shape[2], len(lambdas)) and kkt.shape == (len(b), len(lambdas))
+        for d in range(len(b)):
+            gram, corr = theta[d].T @ theta[d], theta[d].T @ b[d]
+            ref = reference_homotopy(gram, corr, lambdas)
+            assert xi[d].tobytes() == ref.tobytes(), d
+            assert kkt[d].tobytes() == sparse._kkt_residual(gram, corr, lambdas, ref).tobytes(), d
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(2, 8),
+        st.sampled_from(["grid", "zero", "one"]),
+    )
+    def test_rows_are_the_reference(self, seed, n_sys, p, which):
+        # the 1e-8 near-duplicates are barred on entry (the rank rule), and
+        # the systems' paths end after different numbers of breakpoints
+        rng = np.random.default_rng(seed)
+        theta, b = degenerate_stack(rng, n_sys, int(rng.integers(3, 30)), p)
+        lambdas = {"grid": GRID_TO_ZERO, "zero": np.zeros(1), "one": rng.uniform(0.0, 1.0, 1)}[which]
+        self.assert_rows_are_the_reference(theta, b, lambdas)
+
+    @pytest.mark.parametrize("lambdas", [GRID_TO_ZERO, np.array([1e-3])], ids=["grid", "one"])
+    def test_stack_with_a_barred_entry(self, lambdas):
+        """The system of test_barred_column_reenters, whose twin columns
+        are barred three times on the way to lambda = 1e-3, among systems
+        of its shape that end sooner or later."""
+        rng = np.random.default_rng(4)
+        theta, b = normalized_system(rng, 30, 6)
+        theta[:, 5] = theta[:, 0] * (1.0 + 1e-10 * rng.standard_normal(30))
+        others, b_others = degenerate_stack(np.random.default_rng(11), 4, 30, 6)
+        self.assert_rows_are_the_reference(np.concatenate([theta[None], others]), np.vstack([b, b_others]), lambdas)
+
+    def test_one_system_is_a_stack_of_one(self):
+        theta, b = degenerate_stack(np.random.default_rng(2), 1, 25, 5)
+        xi, kkt = sparse._lasso_path(theta[0], b[0], GRID_TO_ZERO)
+        xi_s, kkt_s = sparse._lasso_path(theta, b, GRID_TO_ZERO)
+        assert xi.tobytes() == xi_s[0].tobytes() and kkt.tobytes() == kkt_s[0].tobytes()
+
+
+class TestCallStructure:
+    """Stability selection's draws are one homotopy call, and lasso_cv's
+    folds are one call before the refit."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        exact = sparse._homotopy
+
+        def counted(gram, corr, lambdas):
+            made.append(gram.shape)
+            return exact(gram, corr, lambdas)
+
+        monkeypatch.setattr(sparse, "_homotopy", counted)
+        return made
+
+    def test_stability_select_is_one_call(self, heat_noisy10, calls):
+        from eqod import stability
+        from eqod.weakform import assemble, make_test_grid
+
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, *stability.STABILITY_GRID))
+        stability.stability_select(ws.theta, ws.b, seed=42)
+        p = ws.theta.shape[1]
+        assert calls == [(stability.N_SUBSAMPLES, p, p)]
+
+    def test_lasso_cv_is_two_calls(self, heat_noisy10, calls):
+        from eqod.weakform import assemble, make_test_grid
+
+        (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
+        lasso_cv(ws.theta, ws.b, seed=42)
+        p = ws.theta.shape[1]
+        assert calls == [(sparse.CV_FOLDS, p, p), (p, p)]
+
+
 class TestLasso:
     def test_soft_threshold_closed_form(self):
         theta = np.eye(4)[:, :1]  # single unit column
@@ -245,6 +418,30 @@ class TestLasso:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             lasso(np.eye(2), np.ones(2), -0.1)
+
+    def test_negative_lambda_rejected_on_a_stack(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lasso(np.ones((3, 4, 2)), np.ones((3, 4)), -0.1)
+
+    @pytest.mark.parametrize(
+        "theta_shape, b_shape",
+        [((4, 2), (3,)), ((4, 2), (4, 1)), ((3, 4, 2), (4,)), ((3, 4, 2), (2, 4)), ((4,), (4,)), ((2, 3, 4, 2), (2, 3, 4))],
+    )
+    def test_mismatched_stack_rejected(self, theta_shape, b_shape, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the shapes were checked")
+
+        monkeypatch.setattr(sparse, "_lasso_path", no_solve)
+        with pytest.raises(ValueError) as err:
+            lasso(np.ones(theta_shape), np.ones(b_shape), 0.1)
+        assert str(theta_shape) in str(err.value) and str(b_shape) in str(err.value)
+
+    def test_stack_rows_are_single_solves(self):
+        theta, b = degenerate_stack(np.random.default_rng(8), 6, 20, 5)
+        xi = lasso(theta, b, 0.05)
+        assert xi.shape == (6, 5)
+        for d in range(6):
+            assert xi[d].tobytes() == lasso(theta[d], b[d], 0.05).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(1e-4, 0.5))
@@ -364,6 +561,13 @@ class TestUncertified:
         _perturbed_solver(monkeypatch)
         with pytest.warns(RuntimeWarning, match="lasso did not converge"):
             lasso(theta, b, 0.05)
+
+    def test_stacked_lasso_warns_once_per_system(self, monkeypatch):
+        theta, b = degenerate_stack(np.random.default_rng(3), 3, 30, 5)
+        _perturbed_solver(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="lasso did not converge") as record:
+            lasso(theta, b, 0.05)
+        assert len(record) == 3
 
     def test_lasso_cv_warns(self, heat_noisy10, monkeypatch):
         from eqod.weakform import assemble, make_test_grid

@@ -69,19 +69,22 @@ class TestStabilitySelect:
 
     @pytest.mark.parametrize("name", ["heat10_system", "react_diff5_system"])
     def test_pi_is_the_active_set_frequency(self, name, request, monkeypatch):
-        # a term counts in a draw exactly when the draw's LASSO keeps it
+        # a term counts in a draw exactly when the draw's LASSO keeps it;
+        # the draws are solved as one stack, one row per draw
         ws = request.getfixturevalue(name)
-        draws = []
+        calls = []
         solve = stability.lasso
 
         def recorder(*args):
             xi = solve(*args)
-            draws.append(xi)
+            calls.append(xi)
             return xi
 
         monkeypatch.setattr(stability, "lasso", recorder)
         pi, _ = stability_select(ws.theta, ws.b, seed=42)
-        assert len(draws) == stability.N_SUBSAMPLES
+        assert len(calls) == 1
+        (draws,) = calls
+        assert draws.shape == (stability.N_SUBSAMPLES, ws.theta.shape[1])
         assert np.array_equal(pi, np.mean([xi != 0.0 for xi in draws], axis=0))
 
     def test_deterministic(self, heat10_system):

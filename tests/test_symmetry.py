@@ -4,6 +4,7 @@ import pytest
 import eqod.symmetry as symmetry
 from eqod.core import Grid1D, Trajectory, TrajectorySet
 from eqod.oplib import standard_library
+from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
 from eqod.symmetry import (
     GALILEAN_BASIS,
@@ -53,6 +54,16 @@ class TestReflection:
         flipped = u[:, (nx - np.arange(nx)) % nx]
         ref = float(np.sum((u + flipped) ** 2) / np.sum(u**2))
         assert detect_reflection(burgers_clean.trajectories[1]).score == ref
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PDES))
+    def test_score_is_the_rolled_flip_expression(self, name, sigma):
+        # the in-place score is bitwise the three-temporary expression
+        pde = PDES[name]
+        (tr,) = generate_set(pde, pde.default_grid(), 1, sigma, 42)
+        u = tr.values
+        ref = float(np.sum((u + np.roll(u[:, ::-1], 1, axis=1)) ** 2) / float(np.sum(u**2)))
+        assert detect_reflection(tr).score == ref
 
     def test_mixed_parity(self):
         tr = analytic_field(lambda x, t: (np.sin(x) + np.cos(x)) * np.exp(-0.1 * t))
