@@ -4,6 +4,7 @@ and the seeded random streams every module draws from."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,8 @@ class Grid1D:
 
     The spatial domain is [x0, x0 + length) with nx points; the point
     x0 + length is identified with x0 and not stored. Time runs from
-    t_start to t_end inclusive with nt samples.
+    t_start to t_end inclusive with nt samples. nx and nt must be
+    integers (numpy integers are stored as int).
     """
 
     x0: float
@@ -89,6 +91,12 @@ class Grid1D:
         for name, v in ends.items():
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        for name in ("nx", "nt"):
+            v = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {v!r}") from None
         if self.length <= 0:
             raise ValueError("domain length must be positive")
         if self.nx < 8 or self.nt < 8:

@@ -4,11 +4,12 @@ identification stage. This layer solves the weak systems it is given
 and builds none.
 
 One solver serves every LASSO here: the exact piecewise-linear path from
-lambda_max down to the smallest lambda asked for (``_homotopy``). A
-single lambda is that path stopped at it; the CV grid is read off one
-path per fold. Several problems that share their lambdas, such as the
-CV folds or the stability draws, are followed in one lock-step call,
-and each gets bitwise the answer it gets alone.
+lambda_max down to the smallest lambda asked for (``_homotopy``), for a
+stack of problems that share their lambdas, followed in lock-step; each
+problem gets bitwise the answer it gets alone. A single lambda is that
+path stopped at it. The stability draws are one stack, and so are the
+CV folds together with the whole system, whose path is read at the
+chosen lambda instead of being solved again.
 
 The calibration is the module constants: ``LAMBDA_GRID`` and
 ``CV_FOLDS`` for the cross-validation, ``THRESHOLD_FLOOR``,
@@ -49,13 +50,20 @@ def _normalize(theta, b):
 
     Returns (theta_n, b_n, col_norms, b_norm): the normalized system, the
     zero-guarded column norms and the response's own norm (0 for b = 0).
+    A non-finite entry raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     b = np.asarray(b, dtype=float)
+    _check_finite(theta, b)
     col_norms = np.linalg.norm(theta, axis=0)
     col_norms = np.where(col_norms > 0, col_norms, 1.0)
     b_norm = float(np.linalg.norm(b))
     return theta / col_norms, b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
+
+
+def _check_finite(theta, b):
+    if not (np.isfinite(theta).all() and np.isfinite(b).all()):
+        raise ValueError("theta and b must be finite")
 
 
 def _kkt_residual(gram, corr, lam, xi):
@@ -64,29 +72,22 @@ def _kkt_residual(gram, corr, lam, xi):
     With d = 2 Theta^T (b - Theta xi) = 2 (corr - gram xi), xi minimizes
     ||b - Theta xi||^2 + lam ||xi||_1 iff d_j = lam sign(xi_j) where
     xi_j != 0 and |d_j| <= lam where xi_j = 0. The scale is lam, or for
-    lam = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|. Given xi of
-    shape (p, L) and L lambdas, returns the L residuals; given a stack,
-    gram (D, p, p), corr (D, p) and xi (D, p, L), returns (D, L).
+    lam = 0 the largest |d_j| at xi = 0, 2 max|Theta^T b|. Given L
+    lambdas and xi of shape (..., p, L), one solution per lambda, with
+    gram (..., p, p) and corr (..., p), returns the (..., L) residuals.
     """
-    xi = np.asarray(xi, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    single = xi.ndim == corr.ndim  # one solution per problem
-    x = xi[..., None] if single else xi
-    d = 2.0 * (corr[..., None] - gram @ x)
-    viol = np.where(x != 0.0, np.abs(d - lam * np.sign(x)), np.abs(d) - lam)
+    d = 2.0 * (corr[..., None] - gram @ xi)
+    viol = np.where(xi != 0.0, np.abs(d - lam * np.sign(xi)), np.abs(d) - lam)
     at_zero = np.maximum(2.0 * np.abs(corr).max(axis=-1, initial=0.0), np.finfo(float).tiny)
-    worst = viol.max(axis=-2, initial=0.0) / np.where(lam > 0, lam, at_zero[..., None])
-    if single:
-        worst = worst[..., 0]
-    return float(worst) if worst.ndim == 0 else worst
+    return viol.max(axis=-2, initial=0.0) / np.where(lam > 0, lam, at_zero[..., None])
 
 
 def _homotopy(gram, corr, lambdas):
-    """The LASSO path followed from lambda_max = 2 max|corr| down to
-    min(lambdas) (Osborne, Presnell & Turlach 2000; Efron et al. 2004),
-    read at each lambda; returns xi of shape (p, len(lambdas)), or
-    (D, p, len(lambdas)) for a stack of D problems, gram (D, p, p) and
-    corr (D, p).
+    """The LASSO paths of a stack of D problems, gram (D, p, p) and
+    corr (D, p), each followed from its lambda_max = 2 max|corr| down to
+    min(lambdas) (Osborne, Presnell & Turlach 2000; Efron et al. 2004)
+    and read at each lambda; returns xi of shape (D, p, len(lambdas)).
 
     Between breakpoints the active set A and its signs s are fixed and
     the solution is linear in lambda: one solve of
@@ -112,16 +113,15 @@ def _homotopy(gram, corr, lambdas):
     capped (a guard, far above the few dozen breakpoints of a p-column
     path); a path cut short is left to the certificate.
 
-    A stack is followed in lock-step: each step finds every problem's
-    next event with one batched product, then makes each problem's own
-    solve and updates its own active order, barred columns, rank and
-    sign decisions. A problem leaves the loop when its next event is at
-    or below min(lambdas) or its path is cut, so each problem's answer
-    is bitwise the one it gets alone.
+    The stack is followed in lock-step: each step finds every problem's
+    next event with one batched product, then makes each live problem's
+    own solve and updates its own active order, barred columns, rank and
+    sign decisions. A problem's path ends when its next event is at or
+    below min(lambdas) or the path is cut; it keeps its place in the
+    stack with its segment's top at -inf, so no later segment serves it.
+    Each slice of the batched product depends on its own problem alone,
+    so each answer is bitwise the one the problem gets in a stack of one.
     """
-    single = gram.ndim == 2
-    if single:
-        gram, corr = gram[None], corr[None]
     n_sys, p = corr.shape
     lam_min = float(lambdas.min(initial=np.inf))
     rank_rtol = np.finfo(float).eps / KKT_TOL
@@ -129,8 +129,6 @@ def _homotopy(gram, corr, lambdas):
     # [num | den] = [num0 | den0] + [2 rows @ u | rows @ v], and counts
     # where den > 0. Rows 0..p-1: d_j reaches +mu; p..2p-1: d_j reaches
     # -mu; 2p..3p-1: an active xi_j reaches zero (the row is -s_j e_j).
-    # Row i of every per-problem array below is problem ids[i]; a
-    # problem's rows are dropped when its path ends.
     rows = np.zeros((n_sys, 3 * p, p))
     rows[:, :p] = -gram
     rows[:, p : 2 * p] = gram
@@ -146,32 +144,23 @@ def _homotopy(gram, corr, lambdas):
     barreds = [[] for _ in range(n_sys)]  # columns barred until A changes
     uv = np.zeros((n_sys, p, 2))  # the segment's u and v, zero off A
     signs = np.zeros((n_sys, p))
-    mus = [np.inf] * n_sys  # the segment's top
-    ids = list(range(n_sys))
-    # Per step, every problem's segment: its top (-inf once the path has
-    # ended), u and v, and signs.
-    tops, uvs, sgs = [], [], []
+    mus = [np.inf] * n_sys  # the segment's top; -inf once the path has ended
+    live = list(range(n_sys))
+    tops, uvs, sgs = [], [], []  # per step, every problem's segment
     for _ in range(50 * (p + 1)):
-        if len(ids) == n_sys:
-            tops.append(mus)
-            uvs.append(uv)
-            sgs.append(signs)
-        else:
-            tops.append([-np.inf] * n_sys)
-            for i, d in enumerate(ids):
-                tops[-1][d] = mus[i]
-            uvs.append(np.zeros((n_sys, p, 2)))
-            uvs[-1][ids] = uv
-            sgs.append(np.zeros((n_sys, p)))
-            sgs[-1][ids] = signs
+        tops.append(mus)
+        uvs.append(uv)
+        sgs.append(signs)
         z = rows @ uv
         den = den0 + z[:, :, 1]
         events = np.divide(num0 + 2.0 * z[:, :, 0], den, out=np.full(den.shape, -np.inf), where=allowed & (den > 0.0))
-        mus, uv, signs, done = list(mus), uv.copy(), signs.copy(), []
-        for i, k in enumerate(events.argmax(axis=1).tolist()):
+        ks = events.argmax(axis=1).tolist()
+        mus, uv, signs = list(mus), uv.copy(), signs.copy()
+        for i in live:
+            k = ks[i]
             mu = min(float(events[i, k]), mus[i])
             if not mu > lam_min:
-                done.append(i)
+                mus[i] = -np.inf
                 continue
             mus[i] = mu
             kind, j = divmod(k, p)
@@ -186,7 +175,7 @@ def _homotopy(gram, corr, lambdas):
             rhs_a = rhs_i[idx]
             if entering:
                 rhs_a[-1, 2] = 1.0  # sol[-1, 2] = 1 / Schur complement of j
-            g = gram[ids[i]]
+            g = gram[i]
             try:
                 sol = np.linalg.solve(g[idx[:, None], idx], rhs_a)
             except np.linalg.LinAlgError:  # exactly singular active Gram
@@ -195,7 +184,7 @@ def _homotopy(gram, corr, lambdas):
                 0.0 < sol[-1, 2] * rank_rtol * g[j, j] < 1.0 and rhs_i[j, 1] * sol[-1, 1] > 0.0
             ):
                 if not entering:  # cannot happen to a subset of a nonsingular active set
-                    done.append(i)  # the path is cut here and the certificate reports it
+                    mus[i] = -np.inf  # the path is cut here and the certificate reports it
                     continue
                 barreds[i].append(j)
                 allowed[i, j] = allowed[i, p + j] = False
@@ -209,19 +198,15 @@ def _homotopy(gram, corr, lambdas):
             uv_i[idx] = sol[:, :2]
             signs[i, j] = rhs_i[j, 1] if entering else 0.0
             rows[i, 2 * p + j, j] = -signs[i, j]  # j's zero-crossing row
-        if done:
-            keep = [i for i in range(len(ids)) if i not in done]
-            if not keep:
-                break
-            rows, num0, allowed, rhs, uv, signs = (a[keep] for a in (rows, num0, allowed, rhs, uv, signs))
-            ids, mus, orders, barreds = ([a[i] for i in keep] for a in (ids, mus, orders, barreds))
+        live = [i for i in live if mus[i] > -np.inf]
+        if not live:
+            break
     # The segment of step t serves the lambdas at or below its top that
     # no later step's top reaches.
     pick = (np.array(tops)[:, :, None] >= lambdas).sum(axis=0) - 1, np.arange(n_sys)[:, None]
     at = np.array(uvs)[pick]
     xi = at[..., 0] - 0.5 * lambdas[:, None] * at[..., 1]
-    xi = np.where(xi * np.array(sgs)[pick] > 0.0, xi, 0.0).transpose(0, 2, 1)
-    return xi[0] if single else xi
+    return np.where(xi * np.array(sgs)[pick] > 0.0, xi, 0.0).transpose(0, 2, 1)
 
 
 def _lasso_path(theta, b, lambdas):
@@ -232,14 +217,17 @@ def _lasso_path(theta, b, lambdas):
     the residuals come from one (p, len(lambdas)) product. Returns (xi of
     shape (p, len(lambdas)), residuals). A stack, theta (D, n, p) and
     b (D, n), is one lock-step homotopy, with a leading D axis on both
-    results.
+    results; one system is solved as a stack of one.
     """
     theta = np.asarray(theta, dtype=float)
     theta_t = np.swapaxes(theta, -1, -2)
     gram = theta_t @ theta
     corr = (theta_t @ np.asarray(b, dtype=float)[..., None])[..., 0]
     lambdas = np.asarray(lambdas, dtype=float)
-    xi = _homotopy(gram, corr, lambdas)
+    if gram.ndim == 2:
+        xi = _homotopy(gram[None], corr[None], lambdas)[0]
+    else:
+        xi = _homotopy(gram, corr, lambdas)
     return xi, _kkt_residual(gram, corr, lambdas, xi)
 
 
@@ -252,7 +240,8 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     followed from lambda_max down to lambda, and carries a KKT
     certificate: if its residual exceeds KKT_TOL, a RuntimeWarning says
     "lasso did not converge" and the solution is still returned.
-    lambda = 0 is least squares.
+    lambda = 0 is least squares. A negative or non-finite lambda, or a
+    non-finite entry of the system, raises ValueError.
 
     theta_norm (n, p) with b_norm (n,) returns xi (p,). A stack,
     theta_norm (D, n, p) with b_norm (D, n), is solved in one lock-step
@@ -266,8 +255,9 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
             f"theta of shape {theta_norm.shape} and b of shape {b_norm.shape} are neither"
             " one system, (n, p) and (n,), nor a stack, (D, n, p) and (D, n)"
         )
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    _check_finite(theta_norm, b_norm)
     xi, kkt = _lasso_path(theta_norm, b_norm, [lam])
     for r in kkt.ravel().tolist():
         if not r <= KKT_TOL:
@@ -291,6 +281,12 @@ def lasso_cv(theta, b, seed: int = 0):
     the refit at lambda_star carry a KKT certificate (tolerance KKT_TOL);
     uncertified fold solves are still scored, with one RuntimeWarning
     that counts them, and an uncertified refit warns on its own.
+
+    The whole system's path rides in the folds' stack as its last
+    problem, so one homotopy call serves the folds and the refit, and
+    xi_norm is that path read at lambda_star. A path stopped at
+    lambda_star (lasso) gives the same xi_norm unless a breakpoint lands
+    bit-for-bit on lambda_star, and then differs only by rounding.
     """
     theta_n, b_n, _, _ = _normalize(theta, b)
     n = theta_n.shape[0]
@@ -300,7 +296,8 @@ def lasso_cv(theta, b, seed: int = 0):
     perm = _cv_permutation(seed, n)
     folds = np.array_split(perm, CV_FOLDS)
     # Training sets can differ in size by a row, so the folds' Gram forms,
-    # not their rows, are stacked for the one lock-step homotopy.
+    # not their rows, are stacked for the one lock-step homotopy; the
+    # whole system's is formed as _lasso_path forms it.
     gram, corr = [], []
     for held in folds:
         train = np.ones(n, bool)
@@ -308,10 +305,12 @@ def lasso_cv(theta, b, seed: int = 0):
         theta_f = theta_n[train]
         gram.append(theta_f.T @ theta_f)
         corr.append(theta_f.T @ b_n[train])
+    gram.append(theta_n.T @ theta_n)
+    corr.append((theta_n.T @ b_n[:, None])[:, 0])
     gram, corr = np.array(gram), np.array(corr)
     xi = _homotopy(gram, corr, LAMBDA_GRID)
     kkt = _kkt_residual(gram, corr, LAMBDA_GRID, xi)
-    uncertified = kkt[~(kkt <= KKT_TOL)].tolist()
+    uncertified = kkt[:-1][~(kkt[:-1] <= KKT_TOL)].tolist()
     scores = np.zeros(len(LAMBDA_GRID))
     for held, xi_f in zip(folds, xi):
         resid = b_n[held, None] - theta_n[held] @ xi_f
@@ -326,11 +325,10 @@ def lasso_cv(theta, b, seed: int = 0):
             RuntimeWarning,
         )
     best = int(np.argmax(scores))  # first maximum = smallest lambda on ties
-    lambda_star = float(LAMBDA_GRID[best])
-    xi_all, kkt = _lasso_path(theta_n, b_n, [lambda_star])
-    if not kkt[0] <= KKT_TOL:
-        warnings.warn(f"lasso refit did not converge (KKT residual {kkt[0]:.3g})", RuntimeWarning)
-    return lambda_star, xi_all[:, 0], np.column_stack([LAMBDA_GRID, scores])
+    if not kkt[-1, best] <= KKT_TOL:
+        warnings.warn(f"lasso refit did not converge (KKT residual {kkt[-1, best]:.3g})", RuntimeWarning)
+    # A copy, so that a kept result does not keep the whole stacked path.
+    return float(LAMBDA_GRID[best]), xi[-1, :, best].copy(), np.column_stack([LAMBDA_GRID, scores])
 
 
 def identify_on_system(ws: WeakSystem, seed: int):

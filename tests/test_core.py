@@ -43,6 +43,14 @@ class TestGrid:
             Grid1D(0.0, 1.0, 128, 1.0, 0.5, 128)
         with pytest.raises(ValueError, match="nx must be even"):
             Grid1D(0.0, 2 * np.pi, 127, 0.0, 1.0, 128)
+        with pytest.raises(ValueError, match="nx must be an integer"):
+            Grid1D(0.0, 2 * np.pi, 128.0, 0.0, 1.0, 128)
+        with pytest.raises(ValueError, match="nt must be an integer"):
+            Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128.5)
+        with pytest.raises(ValueError, match="nt must be an integer"):
+            Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, np.float64(128.0))
+        g = Grid1D(0.0, 2 * np.pi, np.int64(128), 0.0, 1.0, np.int32(64))
+        assert type(g.nx) is int and type(g.nt) is int and (g.nx, g.nt) == (128, 64)
 
     @pytest.mark.parametrize(
         "name, value", [("x0", np.nan), ("length", np.nan), ("t_start", -np.inf), ("t_end", np.inf)]

@@ -221,10 +221,10 @@ class TestExactPath:
         gram, corr = theta.T @ theta, theta.T @ b
         xi = np.array([0.3, 0.0, -0.2, 0.0, 1e-3])
         for lam in (1e-5, 0.2):
-            rel = sparse._kkt_residual(gram, corr, lam, xi)
+            (rel,) = sparse._kkt_residual(gram, corr, [lam], xi[:, None])
             assert rel == pytest.approx(kkt_from_rows(theta, b, xi, lam), rel=1e-9)
         grad = 2.0 * theta.T @ (b - theta @ xi)
-        rel0 = sparse._kkt_residual(gram, corr, 0.0, xi)
+        (rel0,) = sparse._kkt_residual(gram, corr, [0.0], xi[:, None])
         assert rel0 == pytest.approx(np.abs(grad).max() / (2.0 * np.abs(corr).max()), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -360,7 +360,7 @@ class TestBatchedPath:
 
 class TestCallStructure:
     """Stability selection's draws are one homotopy call, and lasso_cv's
-    folds are one call before the refit."""
+    folds and refit are one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -383,13 +383,13 @@ class TestCallStructure:
         p = ws.theta.shape[1]
         assert calls == [(stability.N_SUBSAMPLES, p, p)]
 
-    def test_lasso_cv_is_two_calls(self, heat_noisy10, calls):
+    def test_lasso_cv_is_one_call(self, heat_noisy10, calls):
         from eqod.weakform import assemble, make_test_grid
 
         (ws,) = assemble(heat_noisy10, standard_library(), make_test_grid(heat_noisy10.grid, 5, 7))
         lasso_cv(ws.theta, ws.b, seed=42)
         p = ws.theta.shape[1]
-        assert calls == [(sparse.CV_FOLDS, p, p), (p, p)]
+        assert calls == [(sparse.CV_FOLDS + 1, p, p)]
 
 
 class TestLasso:
@@ -472,6 +472,72 @@ class TestLasso:
         assert np.all(np.diff(norms) <= 1e-6)
 
 
+class TestNonFinite:
+    """A non-finite lambda or system entry raises ValueError before any
+    solve, at every entry into the LASSO and at the Galilean fit."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a non-finite system")
+
+        monkeypatch.setattr(sparse, "_homotopy", no_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+
+    @pytest.fixture(scope="class")
+    def heat_system(self, heat_clean):
+        from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+
+        return assemble(heat_clean, standard_library(), make_test_grid(heat_clean.grid, *IDENTIFY_GRID))[0]
+
+    @staticmethod
+    def spoiled(ws, where, value):
+        from eqod.weakform import WeakSystem
+
+        theta, b = ws.theta.copy(), ws.b.copy()
+        (theta if where == "theta" else b).flat[7] = value
+        return WeakSystem(theta, b, ws.spec, ws.test_grid)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_lasso_rejects_lambda(self, lam, no_solve):
+        theta, b = normalized_system(np.random.default_rng(0), 20, 3)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            lasso(theta, b, lam)
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["theta", "b"])
+    def test_lasso_rejects_system(self, where, value, stack, no_solve):
+        theta, b = degenerate_stack(np.random.default_rng(1), 3, 20, 4)
+        if not stack:
+            theta, b = theta[0], b[0]
+        (theta if where == "theta" else b).flat[7] = value
+        with pytest.raises(ValueError, match="theta and b must be finite"):
+            lasso(theta, b, 0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["theta", "b"])
+    @pytest.mark.parametrize("entry", ["lasso_cv", "identify_on_system", "stability_select", "galilean_fit"])
+    def test_normalize_entries_reject(self, entry, where, value, heat_system, no_solve):
+        from eqod import stability, symmetry
+
+        ws = self.spoiled(heat_system, where, value)
+        call = {
+            "lasso_cv": lambda: lasso_cv(ws.theta, ws.b, seed=0),
+            "identify_on_system": lambda: sparse.identify_on_system(ws, 0),
+            "stability_select": lambda: stability.stability_select(ws.theta, ws.b, seed=0),
+            "galilean_fit": lambda: symmetry._convective_fit(ws),
+        }[entry]
+        with pytest.raises(ValueError, match="theta and b must be finite"):
+            call()
+
+    def test_detect_all_downgrades_the_galilean_test(self, heat_clean, heat_system, no_solve):
+        from eqod.symmetry import detect_all
+
+        report = detect_all(heat_clean, self.spoiled(heat_system, "theta", np.nan))
+        assert not report.galilean.detected and np.isnan(report.galilean.score)
+
+
 class TestLassoCV:
     def test_heat_support(self, heat_clean):
         from eqod.weakform import assemble, make_test_grid
@@ -543,6 +609,23 @@ class TestLassoCV:
             assert kkt.max() <= sparse.KKT_TOL
             for k, lam in enumerate(grid):
                 assert kkt_from_rows(theta, b, xi[:, k], lam) <= sparse.KKT_TOL
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PDES))
+    def test_refit_is_the_single_lambda_solve(self, name, sigma):
+        """xi_norm, read off the whole system's path in the fold stack at
+        lambda_star, is bitwise the path stopped there, and is a copy,
+        not a view that keeps the stacked path alive."""
+        from eqod.solvers import generate_set
+        from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+
+        pde = PDES[name]
+        ts = generate_set(pde, pde.default_grid(), 3, sigma, 0)
+        (ws,) = assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))
+        lam, xi, _ = lasso_cv(ws.theta, ws.b, seed=0)
+        theta_n, b_n, _, _ = sparse._normalize(ws.theta, ws.b)
+        assert xi.base is None and xi.flags.owndata
+        assert xi.tobytes() == lasso(theta_n, b_n, lam).tobytes()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
