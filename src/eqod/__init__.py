@@ -33,11 +33,12 @@ from .solvers import PDES, PdeSpec, add_noise, generate_set, initial_condition, 
 from .sparse import lasso, lasso_cv
 from .stability import stability_gate, stability_select
 from .symmetry import SymmetryReport, detect_all, detect_galilean
-from .weakform import TestGrid, WeakSystem, assemble, bump, make_test_grid
+from .weakform import BoostedGrid, TestGrid, WeakSystem, assemble, bump, make_test_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoostedGrid",
     "CoefficientVector",
     "Grid1D",
     "IdentificationResult",

@@ -1,5 +1,7 @@
-"""Candidate operator libraries and pointwise term evaluation: ``term_fields``
-is the many-term entry, and ``evaluate_term`` stays public as one term's field."""
+"""Candidate operator libraries and pointwise term evaluation: ``FieldPass``
+forms a term list's fields trajectory by trajectory in reused buffers,
+``term_fields`` is one trajectory's pass, and ``evaluate_term`` stays
+public as one term's field."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ __all__ = [
     "galilean_reduced",
     "odd_reflection_prune",
     "expanded_library",
+    "FieldPass",
     "term_fields",
     "evaluate_term",
 ]
@@ -93,40 +96,82 @@ def expanded_library(size: int) -> LibrarySpec:
     return LibrarySpec(STANDARD_TERMS + extras)
 
 
-def term_fields(traj: Trajectory, terms, u_hat=None):
-    """Yield the pointwise (nt, nx) field of each term, in order.
+class FieldPass:
+    """The pointwise (nt, nx) fields of a fixed list of terms on one grid,
+    formed one trajectory at a time in buffers that every trajectory reuses.
 
-    This is the one place where products are formed: ``assemble`` takes
-    the fields of its product terms from here (its single-derivative
-    columns come from the time-contracted spectrum instead), and
-    ``evaluate_term`` is the one-term case. The spatial derivatives the
-    terms need are shared by every term: one real FFT of u (``u_hat``,
-    when the caller has already made it) and one inverse per order
-    (``spectrum_derivatives``). Each product is formed in physical space
-    by repeated multiplication, so u^3 is u*u*u. Applied to noisy data
-    this is deliberately the same path the weak-form assembly uses.
+    This is the one place where products are formed. The spatial
+    derivatives the terms need are shared by every term: one real FFT of
+    u (``u_hat``, when the caller has already made it) and one inverse per
+    order (``spectrum_derivatives``). Each product is a chain of factors,
+    u before u_x before u_xx, each multiplied onto the one before it, so
+    u^3 is (u*u)*u and u^2*u_x is (u*u)*u_x. Terms whose chains share a
+    prefix share its field: both of these extend the one field of u^2, and
+    each product is bitwise the full chain formed on its own.
 
-    The fields are read-only: a single-factor term's field is the
-    derivative buffer itself, and the field of u is a view of
-    ``traj.values``.
+    The products go into the buffers of this pass (``out=`` on each
+    multiply): a buffer is free again once no later term of the list
+    extends the field it holds, so the standard library's five products
+    take two buffers, made once for all trajectories. The fields are
+    read-only. A single-factor term's field is the derivative itself, and
+    the field of u is a view of ``traj.values``. A product's buffer is
+    overwritten by a later product or trajectory: use each field before
+    drawing the next.
     """
-    terms = tuple(terms)
-    u = traj.values
-    g = traj.grid
-    orders = sorted({d for term in terms for d, p in enumerate(term.powers) if d and p})
-    derivs = {}
-    if orders:
-        u_hat = np.fft.rfft(u) if u_hat is None else u_hat
-        derivs = dict(zip(orders, spectrum_derivatives(u_hat, orders, g.nx, g.length)))
-    derivs[0] = u
-    for term in terms:
-        out = None
-        for d, p in enumerate(term.powers):
-            for _ in range(p):
-                out = derivs[d] if out is None else out * derivs[d]
-        out = out.view()
-        out.flags.writeable = False
-        yield out
+
+    def __init__(self, terms, grid):
+        terms = tuple(terms)
+        self.grid = grid
+        self.orders = sorted({d for t in terms for d, p in enumerate(t.powers) if d and p})
+        chains = [tuple(d for d, p in enumerate(t.powers) for _ in range(p)) for t in terms]
+        last = {}  # a prefix field's last user, by term index
+        for i, chain in enumerate(chains):
+            for n in range(2, len(chain) + 1):
+                last[chain[:n]] = i
+        slot, free, n_slots = {}, [], 0
+        # Per term: its multiplies (out slot, prefix slot or None for the
+        # first factor, factor order) and its field (a slot, or an order).
+        self._plan = []
+        for i, chain in enumerate(chains):
+            steps = []
+            for n in range(2, len(chain) + 1):
+                if chain[:n] in slot:
+                    continue
+                if not free:
+                    free.append(n_slots)
+                    n_slots += 1
+                slot[chain[:n]] = free.pop()
+                steps.append((slot[chain[:n]], slot.get(chain[: n - 1]), chain[n - 1]))
+            self._plan.append((steps, slot[chain] if len(chain) > 1 else None, chain[0]))
+            for key in [k for k in slot if last[k] == i]:
+                free.append(slot.pop(key))
+        self._buffers = [np.empty((grid.nt, grid.nx)) for _ in range(n_slots)]
+
+    def __call__(self, traj: Trajectory, u_hat=None):
+        """Yield the field of each term of the pass on ``traj``, in order."""
+        u = traj.values
+        g = self.grid
+        derivs = {}
+        if self.orders:
+            u_hat = np.fft.rfft(u) if u_hat is None else u_hat
+            derivs = dict(zip(self.orders, spectrum_derivatives(u_hat, self.orders, g.nx, g.length)))
+        derivs[0] = u
+        bufs = self._buffers
+        for steps, field, first in self._plan:
+            for out, prefix, d in steps:
+                np.multiply(derivs[first] if prefix is None else bufs[prefix], derivs[d], out=bufs[out])
+            out = (derivs[first] if field is None else bufs[field]).view()
+            out.flags.writeable = False
+            yield out
+
+
+def term_fields(traj: Trajectory, terms, u_hat=None):
+    """Yield the pointwise (nt, nx) field of each term, in order: one
+    trajectory's ``FieldPass``, whose rules the fields follow (``u_hat``,
+    when given, is rfft(u)). Use each field before drawing the next.
+    Applied to noisy data this is deliberately the same path the weak-form
+    assembly uses."""
+    return FieldPass(terms, traj.grid)(traj, u_hat)
 
 
 def evaluate_term(traj: Trajectory, term: LibraryTerm) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Four-stage identification pipeline with automatic mode selection.
 
 The union of the base library and GALILEAN_BASIS is assembled once, in
-one field pass per trajectory, on both the identification and the
-stability test grids; every later system is a column restriction of
-these two. On the identification grid, the base columns give the
-full-library fit the guard compares against, the GALILEAN_BASIS columns
-the Galilean test (whose boosted refit is assembled on the same test
-grid, which the system carries), and the reduced columns the final fit.
+one ``assemble`` call and one field pass per trajectory, on three grids:
+the identification and the stability test grids, and the identification
+grid read on the data's Galilean boost (a BoostedGrid with
+GALILEAN_BOOST_C and GALILEAN_BASIS, contracted from the same spectrum
+and fields). Every later system is a column restriction of the first
+two. On the identification grid, the base columns give the full-library
+fit the guard compares against, the GALILEAN_BASIS columns the Galilean
+test (whose boosted refit is the third system), and the reduced columns
+the final fit.
 The stability system, restricted to the library being pruned, is what
 the stability gate selects on. A column's values do not depend on which
 other terms share its assembly.
@@ -35,8 +38,8 @@ from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_f
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import identify_on_system
 from .stability import STABILITY_GRID, stability_gate
-from .symmetry import GALILEAN_BASIS, SymmetryReport, detect_all
-from .weakform import IDENTIFY_GRID, assemble, make_test_grid
+from .symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, SymmetryReport, detect_all
+from .weakform import IDENTIFY_GRID, BoostedGrid, assemble, make_test_grid
 
 __all__ = ["IdentificationResult", "run_eqod", "run_wf_lasso_baseline"]
 
@@ -110,17 +113,20 @@ def run_eqod(
     base = base_library or standard_library()
     lib = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
     # Both test grids share their radii and margins, so the second grid
-    # adds no failure path to the first.
-    ws_lib, ws_stab = assemble(
+    # adds no failure path to the first, and the boosted grid adds none:
+    # lib holds GALILEAN_BASIS, so its expansion is closed.
+    identify = make_test_grid(trajset.grid, *IDENTIFY_GRID)
+    ws_lib, ws_stab, ws_boost = assemble(
         trajset,
         lib,
-        make_test_grid(trajset.grid, *IDENTIFY_GRID),
+        identify,
         make_test_grid(trajset.grid, *STABILITY_GRID),
+        BoostedGrid(identify, GALILEAN_BOOST_C, GALILEAN_BASIS),
     )
     ws_full = ws_lib.restricted(base)
     coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
-    report = detect_all(trajset, ws_lib)  # catches its own detector failures
+    report = detect_all(trajset, ws_lib, ws_boost)  # catches its own detector failures
     symmetric = report.galilean.detected
     mode, gamma = ("symmetry", GAMMA_SYMMETRY) if symmetric else ("stability", GAMMA_STABILITY)
     try:

@@ -114,9 +114,10 @@ def _homotopy(gram, corr, lambdas):
     path); a path cut short is left to the certificate.
 
     The stack is followed in lock-step: each step finds every problem's
-    next event with one batched product, then makes each live problem's
-    own solve and updates its own active order, barred columns, rank and
-    sign decisions. A problem's path ends when its next event is at or
+    next event with one batched product, solves the live problems' new
+    active Grams in one stacked solve per active-set size (one by one if
+    the stack holds an exactly singular Gram), and updates each problem's
+    own active order, barred columns, rank and sign decisions. A problem's path ends when its next event is at or
     below min(lambdas) or the path is cut; it keeps its place in the
     stack with its segment's top at -inf, so no later segment serves it.
     Each slice of the batched product depends on its own problem alone,
@@ -156,6 +157,7 @@ def _homotopy(gram, corr, lambdas):
         events = np.divide(num0 + 2.0 * z[:, :, 0], den, out=np.full(den.shape, -np.inf), where=allowed & (den > 0.0))
         ks = events.argmax(axis=1).tolist()
         mus, uv, signs = list(mus), uv.copy(), signs.copy()
+        groups = {}  # active-set size: [(i, j, entering, trial)] of the problems that move on
         for i in live:
             k = ks[i]
             mu = min(float(events[i, k]), mus[i])
@@ -165,21 +167,34 @@ def _homotopy(gram, corr, lambdas):
             mus[i] = mu
             kind, j = divmod(k, p)
             entering = kind < 2
-            rhs_i = rhs[i]
             if entering:
                 trial = orders[i] + [j]
-                rhs_i[j, 1] = 1.0 - 2.0 * kind  # the side reached: +1 or -1
+                rhs[i, j, 1] = 1.0 - 2.0 * kind  # the side reached: +1 or -1
             else:
                 trial = [a for a in orders[i] if a != j]
-            idx = np.array(trial, dtype=int)
-            rhs_a = rhs_i[idx]
-            if entering:
-                rhs_a[-1, 2] = 1.0  # sol[-1, 2] = 1 / Schur complement of j
-            g = gram[i]
+            groups.setdefault(len(trial), []).append((i, j, entering, trial))
+        # One stacked solve per active-set size: each slice is the LAPACK
+        # call a lone solve makes, so each solution is bitwise the same.
+        steps = []
+        for size, group in groups.items():
+            ids = np.array([i for i, *_ in group])
+            idxs = np.array([trial for *_, trial in group], dtype=int).reshape(len(group), size)
+            grams = gram[ids[:, None, None], idxs[:, :, None], idxs[:, None, :]]
+            rhss = rhs[ids[:, None], idxs]
+            if size:
+                rhss[[entering for _, _, entering, _ in group], -1, 2] = 1.0  # sol[-1, 2] = 1 / Schur complement of j
             try:
-                sol = np.linalg.solve(g[idx[:, None], idx], rhs_a)
-            except np.linalg.LinAlgError:  # exactly singular active Gram
-                sol = None
+                sols = list(np.linalg.solve(grams, rhss))
+            except np.linalg.LinAlgError:  # an exactly singular active Gram: solve one by one
+                sols = []
+                for g_a, rhs_a in zip(grams, rhss):
+                    try:
+                        sols.append(np.linalg.solve(g_a, rhs_a))
+                    except np.linalg.LinAlgError:
+                        sols.append(None)
+            steps += zip(group, idxs, sols)
+        for (i, j, entering, trial), idx, sol in steps:
+            g, rhs_i = gram[i], rhs[i]
             if sol is None or entering and not (
                 0.0 < sol[-1, 2] * rank_rtol * g[j, j] < 1.0 and rhs_i[j, 1] * sol[-1, 1] > 0.0
             ):

@@ -31,7 +31,8 @@ def spectrum_derivatives(u_hat, orders, nx: int, length: float) -> list[np.ndarr
     """d^order/dx^order, on the nx-point grid, of the field whose ``rfft``
     along the last axis is ``u_hat``, for each order in ``orders``.
 
-    Each order is one multiplication by (ik)^order and one ``irfft``. For
+    Each order is one multiplication by (ik)^order, into one buffer that
+    every order of the call reuses, and one ``irfft``. For
     odd orders the Nyquist mode is zeroed: on the grid that mode is
     cos(k_N x_j) = (-1)^j, whose derivative vanishes at every grid point.
     The orders are not checked here.
@@ -40,12 +41,13 @@ def spectrum_derivatives(u_hat, orders, nx: int, length: float) -> list[np.ndarr
     order given.
     """
     ik = 1j * wavenumbers(nx, length)
-    out = []
+    out, scaled = [], None
     for order in orders:
         mult = ik**order
         if order % 2 == 1:
             mult[nx // 2] = 0.0
-        out.append(np.fft.irfft(u_hat * mult, n=nx, axis=-1))
+        scaled = np.multiply(u_hat, mult, out=scaled)
+        out.append(np.fft.irfft(scaled, n=nx, axis=-1))
     return out
 
 

@@ -3,6 +3,10 @@
 A weak-form structural test for Galilean invariance decides between the
 Galilean-reduced library and stability selection, and a space-time
 parity test decides whether the parity-incompatible terms are pruned.
+The Galilean test reads two systems that one ``assemble`` call makes
+from one field pass: the data's, and the data's boost by
+GALILEAN_BOOST_C (a ``weakform.BoostedGrid``), so this module assembles
+nothing.
 """
 
 from __future__ import annotations
@@ -11,20 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
 from .sparse import _normalize
-from .weakform import WeakSystem, assemble
+from .weakform import WeakSystem
 
 __all__ = [
     "DetectorResult",
     "SymmetryReport",
     "GALILEAN_BASIS",
+    "GALILEAN_BOOST_C",
     "detect_reflection",
     "detect_galilean",
-    "galilean_boost",
     "detect_all",
 ]
 
@@ -87,31 +90,6 @@ def detect_reflection(traj: Trajectory) -> DetectorResult:
     return DetectorResult(score < REFLECTION_THRESHOLD, score)
 
 
-def galilean_boost(trajset: TrajectorySet, c: float) -> TrajectorySet:
-    """Discrete boost u -> u + c, x -> x + c t.
-
-    Each time slice is circularly shifted by the nearest whole number of
-    grid cells (ties to even), then offset by c. One flat index into the
-    raveled (nt, nx) field, built once per set, shifts every slice of a
-    trajectory in one gather: row i of it is i*nx + (arange(nx) -
-    shift_i) % nx, read as the length-nx window of arange(nx) repeated
-    twice that starts at -shift_i % nx (on a 1024 x 512 grid an integer
-    modulo of every entry took six times as long). Solutions of a
-    boost-invariant law map to solutions of the same law.
-    """
-    g = trajset.grid
-    shift = np.rint(c * g.t / g.dx).astype(np.int64)
-    flat = sliding_window_view(np.tile(np.arange(g.nx), 2), g.nx)[-shift % g.nx]
-    flat += g.nx * np.arange(g.nt)[:, None]
-    flat = flat.ravel()
-    boosted = []
-    for tr in trajset:
-        values = tr.values.ravel().take(flat).reshape(g.nt, g.nx)
-        values += c
-        boosted.append(Trajectory(g, values))
-    return TrajectorySet(tuple(boosted))
-
-
 def _convective_fit(ws: WeakSystem):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
     ws = ws.restricted(GALILEAN_BASIS)
@@ -123,29 +101,30 @@ def _convective_fit(ws: WeakSystem):
     return f, float(chat[0]), bool(rank == ws.theta.shape[1])
 
 
-def detect_galilean(trajset: TrajectorySet, ws: WeakSystem):
+def detect_galilean(ws: WeakSystem, ws_boost: WeakSystem):
     """Weak-form structural test for Galilean invariance.
 
-    ``ws`` is a weak system of ``trajset`` whose library contains every
+    ``ws`` is a weak system of the data whose library contains every
     GALILEAN_BASIS term (the pipeline passes its system of base ∪
-    GALILEAN_BASIS on the identification test grid). Solves the 6-term
-    regression (convection, two dissipative derivatives, three reaction
-    powers) on those columns and measures the energy fraction carried by
-    the convective column. A genuinely boost-invariant law refits with
-    the same convective coefficient on boosted data; advective or
-    reaction leakage does not. So the fraction is divided by
+    GALILEAN_BASIS on the identification test grid), and ``ws_boost`` the
+    GALILEAN_BASIS system of the data's boost by GALILEAN_BOOST_C on the
+    same test grid: the BoostedGrid system that the same ``assemble``
+    call gives, from the same field pass. Solves the 6-term regression
+    (convection, two dissipative derivatives, three reaction powers) on
+    ``ws``'s basis columns and measures the energy fraction carried by the
+    convective column. A genuinely boost-invariant law refits with the
+    same convective coefficient on boosted data; advective or reaction
+    leakage does not. So the fraction is divided by
     1 + (gap/BOOST_GAP_SCALE)^2, where gap is the relative change of c1
-    when the fit is repeated on a discrete Galilean boost of the data,
-    assembled on the test grid ``ws`` carries. Detection requires both
-    the discounted fraction and the physical convective coefficient to
-    exceed GALILEAN_TAU.
+    when the fit is repeated on ``ws_boost``. The boost shifts each time
+    row by +c t rounded to whole cells (see weakform.BoostedGrid).
+    Detection requires both the discounted fraction and the physical
+    convective coefficient to exceed GALILEAN_TAU.
 
     Returns (detected, energy_fraction, c1, rank_ok).
     """
     f, c1, rank_ok = _convective_fit(ws)
     if f != 0.0:
-        boosted = galilean_boost(trajset, GALILEAN_BOOST_C)
-        (ws_boost,) = assemble(boosted, GALILEAN_BASIS, ws.test_grid)
         _, c1_boost, _ = _convective_fit(ws_boost)
         gap = abs(c1_boost - c1) / max(1.0, abs(c1))
         f = f / (1.0 + (gap / BOOST_GAP_SCALE) ** 2)
@@ -153,12 +132,13 @@ def detect_galilean(trajset: TrajectorySet, ws: WeakSystem):
     return detected, f, c1, rank_ok
 
 
-def detect_all(trajset: TrajectorySet, ws: WeakSystem) -> SymmetryReport:
+def detect_all(trajset: TrajectorySet, ws: WeakSystem, ws_boost: WeakSystem) -> SymmetryReport:
     """Run the Galilean and odd-reflection tests on a trajectory set.
 
     The Galilean test uses the whole set through ``ws``, a weak system of
-    it whose library contains every GALILEAN_BASIS term; the boosted
-    refit is assembled on the same test grid. Odd reflection runs per
+    it whose library contains every GALILEAN_BASIS term, and ``ws_boost``,
+    the system of its boost on the same test grid (see
+    ``detect_galilean``); it assembles nothing. Odd reflection runs per
     trajectory and reports the most conservative outcome: detected only
     if every trajectory is odd, with the largest score. A detector error
     downgrades that test to not-detected with a NaN score, so this
@@ -171,7 +151,7 @@ def detect_all(trajset: TrajectorySet, ws: WeakSystem) -> SymmetryReport:
     except (ValueError, FloatingPointError):
         odd = failed
     try:
-        g_detected, g_f, g_c1, g_rank = detect_galilean(trajset, ws)
+        g_detected, g_f, g_c1, g_rank = detect_galilean(ws, ws_boost)
         galilean = DetectorResult(g_detected, g_f)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError):
         galilean, g_c1, g_rank = failed, float("nan"), False

@@ -35,8 +35,8 @@ KDV_SHIFT = pytest.mark.xfail(
 )
 
 BOOST_SIGN = (
-    "galilean_boost shifts by +c t whatever c1 is; for u_t = c1 u u_x + G the"
-    " invariant boost is u(x + c1 c t, t) + c"
+    "the boosted grid shifts the data by +c t whatever c1 is; for u_t = c1 u u_x + G"
+    " the invariant boost is u(x + c1 c t, t) + c"
 )
 REFLECTED_MODE = pytest.mark.xfail(
     strict=True,

@@ -12,8 +12,8 @@ from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import LibrarySpec, expanded_library, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.stability import STABILITY_GRID
-from eqod.symmetry import GALILEAN_BASIS, DetectorResult
-from eqod.weakform import IDENTIFY_GRID, assemble
+from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, DetectorResult
+from eqod.weakform import IDENTIFY_GRID, BoostedGrid, assemble
 
 
 # A base that lacks most GALILEAN_BASIS terms.
@@ -89,10 +89,10 @@ class TestRunEqod:
         assert set(doc["detectors"]) == {"galilean", "reflection_odd"}
 
     # The base library and GALILEAN_BASIS are assembled once, together, on
-    # the identification and the stability grids, and reused by the
-    # full-library fit, the Galilean test, the stability gate and the
-    # reduced fit; the boosted refit (skipped only when the raw fraction
-    # is 0) is the other assembly. The stability module assembles nothing.
+    # the identification and the stability grids and on the identification
+    # grid read on the data's boost, and reused by the full-library fit,
+    # the Galilean test and its boosted refit, the stability gate and the
+    # reduced fit. The stability and symmetry modules assemble nothing.
     @pytest.mark.parametrize(
         "name, base",
         [
@@ -106,18 +106,28 @@ class TestRunEqod:
         union = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
         calls = []
 
+        def shape(tg):
+            return len(tg.t_centers), len(tg.x_centers)
+
         def counting(trajset, spec, *grids):
-            calls.append((spec, tuple((len(tg.t_centers), len(tg.x_centers)) for tg in grids)))
+            calls.append(
+                (
+                    spec,
+                    tuple(
+                        ("boost", g.c, g.spec, shape(g.test_grid)) if isinstance(g, BoostedGrid) else shape(g)
+                        for g in grids
+                    ),
+                )
+            )
             return assemble(trajset, spec, *grids)
 
-        for module in (pipeline, symmetry):
-            monkeypatch.setattr(module, "assemble", counting)
+        monkeypatch.setattr(pipeline, "assemble", counting)
         run_eqod(request.getfixturevalue(name), 42, base_library=base)
         assert calls == [
-            (union, (IDENTIFY_GRID, STABILITY_GRID)),
-            (GALILEAN_BASIS, (IDENTIFY_GRID,)),
+            (union, (IDENTIFY_GRID, STABILITY_GRID, ("boost", GALILEAN_BOOST_C, GALILEAN_BASIS, IDENTIFY_GRID))),
         ]
         assert not hasattr(stability, "assemble")
+        assert not hasattr(symmetry, "assemble")
 
 
 def _raise(exc):

@@ -532,9 +532,12 @@ class TestNonFinite:
             call()
 
     def test_detect_all_downgrades_the_galilean_test(self, heat_clean, heat_system, no_solve):
-        from eqod.symmetry import detect_all
+        from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, detect_all
+        from eqod.weakform import BoostedGrid, assemble
 
-        report = detect_all(heat_clean, self.spoiled(heat_system, "theta", np.nan))
+        tg = heat_system.test_grid
+        (ws_boost,) = assemble(heat_clean, GALILEAN_BASIS, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
+        report = detect_all(heat_clean, self.spoiled(heat_system, "theta", np.nan), ws_boost)
         assert not report.galilean.detected and np.isnan(report.galilean.score)
 
 

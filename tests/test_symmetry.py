@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import galilean_boost
 
 import eqod.symmetry as symmetry
 from eqod.core import Grid1D, Trajectory, TrajectorySet
@@ -8,12 +9,12 @@ from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
 from eqod.symmetry import (
     GALILEAN_BASIS,
+    GALILEAN_BOOST_C,
     detect_all,
     detect_galilean,
     detect_reflection,
-    galilean_boost,
 )
-from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+from eqod.weakform import IDENTIFY_GRID, BoostedGrid, assemble, make_test_grid
 
 
 def make_traj(values, t_end=1.0, length=2 * np.pi):
@@ -22,15 +23,22 @@ def make_traj(values, t_end=1.0, length=2 * np.pi):
     return Trajectory(g, values)
 
 
-def standard_system(ts):
-    """The system that run_eqod hands to the Galilean test for the standard
-    library, which holds every GALILEAN_BASIS term."""
-    return assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))[0]
+def systems(ts, spec, tg=None):
+    """The system of ``spec`` and the boosted GALILEAN_BASIS system on one
+    test grid (the identification grid by default), from one assembly."""
+    tg = tg or make_test_grid(ts.grid, *IDENTIFY_GRID)
+    return assemble(ts, spec, tg, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
 
 
-def basis_system(ts):
-    """The GALILEAN_BASIS columns alone, on the identification test grid."""
-    return assemble(ts, GALILEAN_BASIS, make_test_grid(ts.grid, *IDENTIFY_GRID))[0]
+def standard_systems(ts):
+    """The systems that run_eqod hands to the Galilean test for the
+    standard library, which holds every GALILEAN_BASIS term."""
+    return systems(ts, standard_library())
+
+
+def basis_systems(ts):
+    """The GALILEAN_BASIS columns alone, with the boosted system."""
+    return systems(ts, GALILEAN_BASIS)
 
 
 def analytic_field(fn, nt=128, nx=128, t_end=1.0):
@@ -79,19 +87,19 @@ class TestReflection:
 
 class TestGalilean:
     def test_burgers_detected(self, burgers_clean):
-        detected, f, c1, rank_ok = detect_galilean(burgers_clean, standard_system(burgers_clean))
+        detected, f, c1, rank_ok = detect_galilean(*standard_systems(burgers_clean))
         assert detected
         assert f >= 0.08
         assert c1 == pytest.approx(-1.0, abs=0.05)
         assert rank_ok
 
     def test_heat_not_detected(self, heat_clean):
-        detected, f, c1, _ = detect_galilean(heat_clean, standard_system(heat_clean))
+        detected, f, c1, _ = detect_galilean(*standard_systems(heat_clean))
         assert not detected
         assert f <= 0.03
 
     def test_kdv_detected(self, kdv_clean):
-        detected, f, c1, _ = detect_galilean(kdv_clean, standard_system(kdv_clean))
+        detected, f, c1, _ = detect_galilean(*standard_systems(kdv_clean))
         assert detected
         assert c1 == pytest.approx(-1.0, abs=0.05)
 
@@ -133,57 +141,56 @@ class TestGalilean:
 
     def test_order_independent(self, burgers_clean):
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))
-        a = detect_galilean(burgers_clean, standard_system(burgers_clean))
-        b = detect_galilean(flipped, standard_system(flipped))
+        a = detect_galilean(*standard_systems(burgers_clean))
+        b = detect_galilean(*standard_systems(flipped))
         assert a[1] == pytest.approx(b[1], rel=1e-9)
 
     @pytest.mark.parametrize("name", ["burgers_clean", "heat_clean", "kdv_clean"])
     def test_full_library_system_matches_own_assembly(self, name, request):
         ts = request.getfixturevalue(name)
-        detected, f, c1, rank_ok = detect_galilean(ts, standard_system(ts))
-        own = detect_galilean(ts, basis_system(ts))
+        detected, f, c1, rank_ok = detect_galilean(*standard_systems(ts))
+        own = detect_galilean(*basis_systems(ts))
         assert (detected, rank_ok) == (own[0], own[3])
         assert f == pytest.approx(own[1], rel=1e-9)
         assert c1 == pytest.approx(own[2], rel=1e-9)
 
-    def test_boosted_refit_uses_the_system_test_grid(self, burgers_clean, monkeypatch):
+    def test_boosted_refit_uses_the_system_test_grid(self, burgers_clean):
+        # on the stability grid, the test equals the refit of the gathered
+        # boost assembled on that grid
         tg = make_test_grid(burgers_clean.grid, *STABILITY_GRID)
-        (ws,) = assemble(burgers_clean, GALILEAN_BASIS, tg)
-        seen = []
-
-        def recording(trajset, spec, *grids):
-            seen.append(grids)
-            return assemble(trajset, spec, *grids)
-
-        monkeypatch.setattr(symmetry, "assemble", recording)
-        detect_galilean(burgers_clean, ws)
-        assert len(seen) == 1
-        assert len(seen[0]) == 1 and seen[0][0] is tg
+        ws, ws_boost = systems(burgers_clean, GALILEAN_BASIS, tg)
+        assert ws_boost.test_grid.test_grid is tg
+        (oracle,) = assemble(galilean_boost(burgers_clean, GALILEAN_BOOST_C), GALILEAN_BASIS, tg)
+        got = detect_galilean(ws, ws_boost)
+        ref = detect_galilean(ws, oracle)
+        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+        assert got[1] == pytest.approx(ref[1], rel=1e-11)
+        assert not hasattr(symmetry, "assemble")
 
 
 class TestDetectAll:
     def test_burgers_report(self, burgers_clean):
-        rep = detect_all(burgers_clean, standard_system(burgers_clean))
+        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
         assert rep.galilean.detected
         assert rep.reflection_odd.detected
 
     def test_kdv_report(self, kdv_clean):
-        rep = detect_all(kdv_clean, standard_system(kdv_clean))
+        rep = detect_all(kdv_clean, *standard_systems(kdv_clean))
         assert rep.galilean.detected
         assert not rep.reflection_odd.detected
 
     def test_heat_report(self, heat_clean):
-        rep = detect_all(heat_clean, standard_system(heat_clean))
+        rep = detect_all(heat_clean, *standard_systems(heat_clean))
         assert not rep.galilean.detected
 
     def test_deterministic(self, heat_clean):
-        assert detect_all(heat_clean, standard_system(heat_clean)) == detect_all(heat_clean, standard_system(heat_clean))
+        assert detect_all(heat_clean, *standard_systems(heat_clean)) == detect_all(heat_clean, *standard_systems(heat_clean))
 
     def test_failed_detector_downgrades(self):
         # all-zero field: the reflection test raises on it -> NaN score
         g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)
         ts = TrajectorySet((Trajectory(g, np.zeros((32, 32))),))
-        rep = detect_all(ts, basis_system(ts))
+        rep = detect_all(ts, *basis_systems(ts))
         assert not rep.reflection_odd.detected
         assert np.isnan(rep.reflection_odd.score)
         d = rep.to_json_dict()
@@ -194,7 +201,7 @@ class TestDetectAll:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(symmetry.np.linalg, "lstsq", singular)
-        rep = detect_all(burgers_clean, standard_system(burgers_clean))
+        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
         assert not rep.galilean.detected
         assert np.isnan(rep.galilean.score) and np.isnan(rep.galilean_c1)
         assert rep.galilean_rank_ok is False

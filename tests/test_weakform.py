@@ -1,12 +1,15 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from oracles import galilean_boost, plain_assemble, plain_fields
 from scipy.interpolate import RectBivariateSpline
 
 import eqod.oplib as oplib
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import (
+    FieldPass,
     LibrarySpec,
     evaluate_term,
     expanded_library,
@@ -14,14 +17,24 @@ from eqod.oplib import (
     standard_library,
     term_fields,
 )
+from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
-from eqod.symmetry import GALILEAN_BASIS, galilean_boost
-from eqod.weakform import IDENTIFY_GRID, WeakSystem, assemble, bump, bump_dt, make_test_grid
+from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C
+from eqod.weakform import (
+    IDENTIFY_GRID,
+    BoostedGrid,
+    WeakSystem,
+    assemble,
+    bump,
+    bump_dt,
+    make_test_grid,
+)
 
 UXX_ONLY = LibrarySpec((term_from_tag("u_xx"),))
 SINGLE_DERIVATIVES = LibrarySpec(
     tuple(term_from_tag(t) for t in ("u", "u_x", "u_xx", "u_xxx", "u_xxxx"))
 )
+THREE_TERMS = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
 
 
 def _support_slice(centers, c, r, n):
@@ -88,6 +101,24 @@ def abs_quadrature(trajset, spec, tg):
             )
         )
     return np.concatenate(theta), np.concatenate(b)
+
+
+def full_size_ffts(monkeypatch, ts, spec, *grids):
+    """The names of the FFTs over all nt rows that one assembly makes."""
+    seen = []
+
+    def counted(fn, name):
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for fn in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            patch.setattr(np.fft, fn, counted(getattr(np.fft, fn), fn))
+        assemble(ts, spec, *grids)
+    return [name for name, shape in seen if shape[0] == ts.grid.nt]
 
 
 class TestBump:
@@ -315,25 +346,26 @@ class TestSeparableAssembly:
         "spec, inverses", [(standard_library(), 2), (GALILEAN_BASIS, 1)], ids=["standard", "galilean_basis"]
     )
     def test_full_size_ffts_per_trajectory(self, burgers_clean, monkeypatch, spec, inverses):
-        # the standard library is the pipeline's base union GALILEAN_BASIS,
-        # and GALILEAN_BASIS alone is the boosted refit: one rfft of u and
-        # one irfft per order a product needs; the contracted spectra are small
-        seen = []
-
-        def counted(fn, name):
-            def wrapper(a, *args, **kwargs):
-                seen.append((name, np.shape(a)))
-                return fn(a, *args, **kwargs)
-
-            return wrapper
-
-        for fn in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, fn, counted(getattr(np.fft, fn), fn))
+        # the standard library is the pipeline's base union GALILEAN_BASIS:
+        # one rfft of u and one irfft per order a product needs; the
+        # contracted spectra are small
         g = burgers_clean.grid
-        assemble(burgers_clean, spec, make_test_grid(g, *IDENTIFY_GRID), make_test_grid(g, *STABILITY_GRID))
-        full = [name for name, shape in seen if shape[0] == g.nt]
+        full = full_size_ffts(monkeypatch, burgers_clean, spec, make_test_grid(g, *IDENTIFY_GRID), make_test_grid(g, *STABILITY_GRID))
         m = len(burgers_clean)
         assert sorted(full) == ["irfft"] * (inverses * m) + ["rfft"] * m
+
+    @pytest.mark.parametrize("data", ["burgers_clean", "kdv_clean"])
+    def test_boosted_grid_adds_no_full_size_fft(self, data, request, monkeypatch):
+        # the pipeline's call: the boost is read from the same spectrum and fields
+        ts = request.getfixturevalue(data)
+        g = ts.grid
+        tg = make_test_grid(g, *IDENTIFY_GRID)
+        grids = (tg, make_test_grid(g, *STABILITY_GRID))
+        boosted = BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS)
+        spec = standard_library()
+        with_boost = full_size_ffts(monkeypatch, ts, spec, *grids, boosted)
+        assert sorted(with_boost) == sorted(full_size_ffts(monkeypatch, ts, spec, *grids))
+        assert sorted(with_boost) == ["irfft"] * (2 * len(ts)) + ["rfft"] * len(ts)
 
     @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
     def test_grids_share_one_pass_bitwise(self, data, request):
@@ -354,3 +386,107 @@ class TestSeparableAssembly:
         tr = burgers_clean.trajectories[0]
         for term, field in zip(spec.terms, term_fields(tr, spec.terms)):
             assert np.array_equal(evaluate_term(tr, term), field)
+
+
+@pytest.fixture(scope="module")
+def law_set():
+    """Each law's 3-trajectory set at sigma, seed 0, made on first use."""
+    cache = {}
+
+    def get(name, sigma):
+        if (name, sigma) not in cache:
+            pde = PDES[name]
+            cache[name, sigma] = generate_set(pde, pde.default_grid(), 3, sigma, 0)
+        return cache[name, sigma]
+
+    return get
+
+
+class TestBoostedGrid:
+    @pytest.mark.parametrize("c", [0.3, -0.3, 50.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PDES))
+    def test_equals_the_gathered_boost(self, law_set, name, sigma, c):
+        # the boosted system is the assembly of the boosted copies (to
+        # 1e-11 of each column's and of b's largest entry); kdv and
+        # kdv_burgers at |c| = 0.3 shift by no cell, so the pass is one
+        # block, and c = 50 passes a whole period on the other laws
+        ts = law_set(name, sigma)
+        g = ts.grid
+        tg = make_test_grid(g, *IDENTIFY_GRID)
+        _, ws = assemble(ts, standard_library(), tg, BoostedGrid(tg, c, GALILEAN_BASIS))
+        (ref,) = assemble(galilean_boost(ts, c), GALILEAN_BASIS, tg)
+        assert ws.spec == GALILEAN_BASIS and ws.test_grid.test_grid is tg
+        assert ws.shape == ref.shape
+        assert np.all(np.abs(ws.theta - ref.theta) <= 1e-11 * np.abs(ref.theta).max(axis=0))
+        assert np.abs(ws.b - ref.b).max() <= 1e-11 * np.abs(ref.b).max()
+        shift = np.rint(c * g.t / g.dx)
+        if name in ("kdv", "kdv_burgers") and abs(c) < 1:
+            assert not shift.any()
+        elif c == 50.0 and name not in ("kdv", "kdv_burgers"):
+            assert shift.max() > g.nx
+
+    @pytest.mark.parametrize(
+        "base",
+        [standard_library(), THREE_TERMS, expanded_library(20), expanded_library(30)],
+        ids=["standard", "three_terms", "expanded20", "expanded30"],
+    )
+    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
+    def test_main_systems_are_the_plain_assembly(self, base, data, request):
+        # bitwise, with the boosted grid in the call (on the pipeline's
+        # union with GALILEAN_BASIS) and without it (on the base alone)
+        ts = request.getfixturevalue(data)
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        grids = (tg, make_test_grid(ts.grid, *STABILITY_GRID))
+        union = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
+        for spec, boost in ((union, (BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS),)), (base, ())):
+            got = assemble(ts, spec, *grids, *boost)
+            assert len(got) == len(grids) + len(boost)
+            for ws, ref in zip(got, plain_assemble(ts, spec, *grids)):
+                assert np.array_equal(ws.theta, ref.theta)
+                assert np.array_equal(ws.b, ref.b)
+                assert ws.spec == spec and ws.test_grid is ref.test_grid
+
+    @pytest.mark.parametrize(
+        "spec, boosted",
+        [(THREE_TERMS, "u^2"), (standard_library(), "u^2*u_xx"), (GALILEAN_BASIS, "u*u_xx")],
+    )
+    def test_unclosed_expansion_raises_before_any_transform(self, burgers_clean, monkeypatch, spec, boosted):
+        # (u + c)^2 needs the field of u^2, (u + c)^2 u_xx that of u^2 u_xx
+        # and (u + c) u_xx that of u u_xx
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        for fn in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, fn, no_transform)
+        tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
+        terms = LibrarySpec((term_from_tag("u_xx"), term_from_tag(boosted)))
+        with pytest.raises(ValueError, match=f"^boosted term {re.escape(boosted)} needs"):
+            assemble(burgers_clean, spec, tg, BoostedGrid(tg, GALILEAN_BOOST_C, terms))
+
+    def test_rejects_a_non_finite_boost(self, burgers_clean):
+        tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
+        with pytest.raises(ValueError, match="boost must be finite"):
+            BoostedGrid(tg, np.nan, GALILEAN_BASIS)
+
+
+class TestFieldPass:
+    @pytest.mark.parametrize("data", ["heat_noisy10", "fisher_kpp_clean"])
+    def test_fields_are_the_fresh_chains(self, data, request):
+        # shared prefixes and reused buffers give bitwise each term's own
+        # chain, on every trajectory of one pass
+        ts = request.getfixturevalue(data)
+        terms = expanded_library(30).terms
+        fields = FieldPass(terms, ts.grid)
+        for tr in ts:
+            for field, ref in zip(fields(tr), plain_fields(tr, terms)):
+                assert np.array_equal(field, ref)
+
+    def test_buffers_serve_every_trajectory(self, burgers_clean):
+        # the standard library's five products take two buffers, made once
+        products = [t for t in standard_library().terms if t.power > 1]
+        fields = FieldPass(products, burgers_clean.grid)
+        seen = [[f.base for f in fields(tr)] for tr in burgers_clean]
+        buffers = {id(b) for fs in seen for b in fs}
+        assert len(buffers) == 2
+        assert all([id(b) for b in fs] == [id(b) for b in seen[0]] for fs in seen)
