@@ -36,6 +36,14 @@ CV_STREAM = 11
 STABILITY_STREAM = 23
 
 
+def as_index(name: str, v) -> int:
+    """``operator.index(v)``: an integer, or a ValueError naming the argument."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Seedable portable RNG with derived substreams.
@@ -60,6 +68,7 @@ class RngStream:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_index("seed", self.seed))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -92,11 +101,7 @@ class Grid1D:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         for name in ("nx", "nt"):
-            v = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(v))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {v!r}") from None
+            object.__setattr__(self, name, as_index(name, getattr(self, name)))
         if self.length <= 0:
             raise ValueError("domain length must be positive")
         if self.nx < 8 or self.nt < 8:

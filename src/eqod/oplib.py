@@ -1,11 +1,13 @@
 """Candidate operator libraries and pointwise term evaluation: ``FieldPass``
-forms a term list's fields trajectory by trajectory in reused buffers,
-``term_fields`` is one trajectory's pass, and ``evaluate_term`` stays
-public as one term's field."""
+forms a term set's fields trajectory by trajectory, each product once
+per distinct chain prefix in (longest chain - 1) reused buffers, and
+yields them as (term, field) pairs in chain order; ``evaluate_term``
+stays public as one term's field."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -19,7 +21,6 @@ __all__ = [
     "odd_reflection_prune",
     "expanded_library",
     "FieldPass",
-    "term_fields",
     "evaluate_term",
 ]
 
@@ -97,58 +98,50 @@ def expanded_library(size: int) -> LibrarySpec:
 
 
 class FieldPass:
-    """The pointwise (nt, nx) fields of a fixed list of terms on one grid,
+    """The pointwise (nt, nx) fields of a fixed set of terms on one grid,
     formed one trajectory at a time in buffers that every trajectory reuses.
 
     This is the one place where products are formed. The spatial
     derivatives the terms need are shared by every term: one real FFT of
     u (``u_hat``, when the caller has already made it) and one inverse per
-    order (``spectrum_derivatives``). Each product is a chain of factors,
-    u before u_x before u_xx, each multiplied onto the one before it, so
-    u^3 is (u*u)*u and u^2*u_x is (u*u)*u_x. Terms whose chains share a
-    prefix share its field: both of these extend the one field of u^2, and
-    each product is bitwise the full chain formed on its own.
+    order (``spectrum_derivatives``). A term's chain lists its factors in
+    order, u before u_x before u_xx, so u^2*u_x is (0, 0, 1), and its
+    field is the chain's product, each factor multiplied onto the prefix
+    before it: u^3 is (u*u)*u and u^2*u_x is (u*u)*u_x.
 
-    The products go into the buffers of this pass (``out=`` on each
-    multiply): a buffer is free again once no later term of the list
-    extends the field it holds, so the standard library's five products
-    take two buffers, made once for all trajectories. The fields are
-    read-only. A single-factor term's field is the derivative itself, and
-    the field of u is a view of ``traj.values``. A product's buffer is
-    overwritten by a later product or trajectory: use each field before
-    drawing the next.
+    The terms are taken in the order of their chains, which puts every
+    shared prefix beside its extensions. Buffer k holds the prefix of
+    length k + 2 (``out=`` on each multiply): a term reuses the prefixes
+    it shares with the term before it and multiplies on from the first
+    factor where the two chains differ. So each distinct prefix is
+    multiplied once per trajectory, and the pass takes (longest chain - 1)
+    buffers, made once: two for the standard library's five products.
+    The walk is planned at construction.
+
+    Calling the pass on a trajectory yields (term, field) pairs in chain
+    order. The fields are read-only. A single-factor term's field is the
+    derivative itself, and the field of u is a view of ``traj.values``. A
+    product's buffer is overwritten by a later term or trajectory: use
+    each field before drawing the next.
     """
 
     def __init__(self, terms, grid):
-        terms = tuple(terms)
+        chains = {t: tuple(d for d, p in enumerate(t.powers) for _ in range(p)) for t in terms}
         self.grid = grid
-        self.orders = sorted({d for t in terms for d, p in enumerate(t.powers) if d and p})
-        chains = [tuple(d for d, p in enumerate(t.powers) for _ in range(p)) for t in terms]
-        last = {}  # a prefix field's last user, by term index
-        for i, chain in enumerate(chains):
-            for n in range(2, len(chain) + 1):
-                last[chain[:n]] = i
-        slot, free, n_slots = {}, [], 0
-        # Per term: its multiplies (out slot, prefix slot or None for the
-        # first factor, factor order) and its field (a slot, or an order).
-        self._plan = []
-        for i, chain in enumerate(chains):
-            steps = []
-            for n in range(2, len(chain) + 1):
-                if chain[:n] in slot:
-                    continue
-                if not free:
-                    free.append(n_slots)
-                    n_slots += 1
-                slot[chain[:n]] = free.pop()
-                steps.append((slot[chain[:n]], slot.get(chain[: n - 1]), chain[n - 1]))
-            self._plan.append((steps, slot[chain] if len(chain) > 1 else None, chain[0]))
-            for key in [k for k in slot if last[k] == i]:
-                free.append(slot.pop(key))
-        self._buffers = [np.empty((grid.nt, grid.nx)) for _ in range(n_slots)]
+        self.orders = sorted({d for chain in chains.values() for d in chain if d})
+        # Per term, in chain order: its chain and the first buffer it
+        # writes. The buffers before that one hold the prefixes that its
+        # chain shares with the chain before it.
+        self._plan, before = [], ()
+        for term, chain in sorted(chains.items(), key=lambda item: item[1]):
+            shared = len(list(takewhile(lambda pair: pair[0] == pair[1], zip(before, chain))))
+            self._plan.append((term, chain, max(shared - 1, 0)))
+            before = chain
+        n_buffers = max(map(len, chains.values()), default=1) - 1
+        self._buffers = [np.empty((grid.nt, grid.nx)) for _ in range(n_buffers)]
 
     def __call__(self, traj: Trajectory, u_hat=None):
-        """Yield the field of each term of the pass on ``traj``, in order."""
+        """Yield (term, field) for each term of the pass on ``traj``, in chain order."""
         u = traj.values
         g = self.grid
         derivs = {}
@@ -157,23 +150,17 @@ class FieldPass:
             derivs = dict(zip(self.orders, spectrum_derivatives(u_hat, self.orders, g.nx, g.length)))
         derivs[0] = u
         bufs = self._buffers
-        for steps, field, first in self._plan:
-            for out, prefix, d in steps:
-                np.multiply(derivs[first] if prefix is None else bufs[prefix], derivs[d], out=bufs[out])
-            out = (derivs[first] if field is None else bufs[field]).view()
+        for term, chain, start in self._plan:
+            for k in range(start, len(chain) - 1):
+                np.multiply(bufs[k - 1] if k else derivs[chain[0]], derivs[chain[k + 1]], out=bufs[k])
+            out = (bufs[len(chain) - 2] if len(chain) > 1 else derivs[chain[0]]).view()
             out.flags.writeable = False
-            yield out
-
-
-def term_fields(traj: Trajectory, terms, u_hat=None):
-    """Yield the pointwise (nt, nx) field of each term, in order: one
-    trajectory's ``FieldPass``, whose rules the fields follow (``u_hat``,
-    when given, is rfft(u)). Use each field before drawing the next.
-    Applied to noisy data this is deliberately the same path the weak-form
-    assembly uses."""
-    return FieldPass(terms, traj.grid)(traj, u_hat)
+            yield term, out
 
 
 def evaluate_term(traj: Trajectory, term: LibraryTerm) -> np.ndarray:
-    """Pointwise (nt, nx) field of one candidate term: the one-term case of ``term_fields``."""
-    return next(term_fields(traj, (term,)))
+    """Pointwise (nt, nx) field of one candidate term: the one-term ``FieldPass``.
+    Applied to noisy data this is deliberately the same path the weak-form
+    assembly uses."""
+    ((_, field),) = FieldPass((term,), traj.grid)(traj)
+    return field

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUPPORT_THRESHOLD, CoefficientVector, TrajectorySet, support_from_coeffs
+from .core import SUPPORT_THRESHOLD, CoefficientVector, RngStream, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import identify_on_system
 from .stability import STABILITY_GRID, stability_gate
@@ -110,6 +110,7 @@ def run_eqod(
     ``symmetry`` thresholds; and this module's GAMMA_SYMMETRY,
     GAMMA_STABILITY and MATERIAL_FRACTION.
     """
+    seed = RngStream(seed).seed  # a bad seed fails here, before any work
     base = base_library or standard_library()
     lib = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
     # Both test grids share their radii and margins, so the second grid
@@ -188,6 +189,7 @@ def run_wf_lasso_baseline(
     base_library: LibrarySpec | None = None,
 ) -> IdentificationResult:
     """Identification stage alone, on the base library's IDENTIFY_GRID system."""
+    seed = RngStream(seed).seed
     base = base_library or standard_library()
     (ws,) = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
     coeffs, _ = identify_on_system(ws, seed)

@@ -13,7 +13,8 @@ allows: a single-derivative column (u_x, ..., u_xxxx) is differentiated
 from Phi_t rfft(u), a few rows of modes per grid, since the t-contraction
 commutes with the x-derivative. Only product terms need pointwise
 derivative fields, which one ``oplib.FieldPass`` per call forms in reused
-buffers. One ``assemble`` call serves any number of test grids: each
+buffers and hands over as (term, field) pairs, each going to its term's
+column. One ``assemble`` call serves any number of test grids: each
 trajectory's spectrum and product fields are formed once (1 full-size
 ``rfft``, and 1 full-size ``irfft`` per derivative order a product
 needs) and contracted on every grid, so the identification and
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, LibraryTerm, TrajectorySet
+from .core import Grid1D, LibraryTerm, TrajectorySet, as_index
 from .oplib import FieldPass, LibrarySpec
 from .spectral import spectrum_derivatives
 
@@ -101,6 +102,7 @@ def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
     an axis spans more than 2 * MARGIN * RADIUS_CELLS = 16.8 cells:
     nt >= 18 and nx >= 17, so nx >= 18 for a Grid1D.
     """
+    n_t, n_x = as_index("n_t", n_t), as_index("n_x", n_x)
     if n_t < 1 or n_x < 1:
         raise ValueError(f"need at least one test-function center per axis, got {n_t} x {n_x}")
     t_range = grid.t_end - grid.t_start
@@ -272,9 +274,11 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     is (Phi_t u) Phi_x^T. Product terms keep their pointwise fields, from
     one ``FieldPass`` per call whose buffers every trajectory reuses and
     whose derivative fields come from the same u_hat, for the orders some
-    product needs. So a trajectory makes one full-size ``rfft`` and one
-    full-size ``irfft`` per order a product needs: 1 + 2 for the standard
-    library, which holds GALILEAN_BASIS.
+    product needs. The pass yields (term, field) pairs in its own chain
+    order, and each field is contracted into its term's column. So a
+    trajectory makes one full-size ``rfft`` and one full-size ``irfft``
+    per order a product needs: 1 + 2 for the standard library, which
+    holds GALILEAN_BASIS.
 
     A BoostedGrid adds no transform: its system, that of the boosted data
     (see BoostedGrid) on its test grid for its own terms, is contracted
@@ -309,11 +313,11 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     dxdt = grid.dx * grid.dt
     singles = [(k, term.derivative_order) for k, term in enumerate(spec.terms) if term.power == 1]
     orders = sorted({d for _, d in singles if d})
-    products = [(k, term) for k, term in enumerate(spec.terms) if term.power > 1]
+    products = {term: k for k, term in enumerate(spec.terms) if term.power > 1}
     specs = [g.spec if i in boosts else spec for i, g in enumerate(grids)]
     thetas = [np.empty((len(trajset) * tg.n_centers, len(s))) for tg, s in zip(test_grids, specs)]
     bs = [np.empty(len(trajset) * tg.n_centers) for tg in test_grids]
-    fields = FieldPass([term for _, term in products], grid)
+    fields = FieldPass(products, grid)
     for m, traj in enumerate(trajset):
         u = traj.values
         u_hat = np.fft.rfft(u)
@@ -329,12 +333,12 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
             contracted[0] = phi_t @ u
             for k, d in singles:
                 theta[r, k] = dxdt * (contracted[d] @ phi_x.T).ravel()
-        for (k, term), field in zip(products, fields(traj, u_hat)):
+        for term, field in fields(traj, u_hat):
             for i, ((phi_t, _, phi_x), theta, r) in enumerate(zip(bumps, thetas, rows)):
                 if i in boosts:
                     boosts[i].field(term, field)
                 else:
-                    theta[r, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
+                    theta[r, products[term]] = dxdt * (phi_t @ field @ phi_x.T).ravel()
         for i, boost in boosts.items():
             boost.write(thetas[i][rows[i]], bs[i][rows[i]], dxdt)
     return tuple(WeakSystem(theta, b, s, g) for g, s, theta, b in zip(grids, specs, thetas, bs))

@@ -36,7 +36,7 @@ def galilean_boost(trajset, c):
 
 def plain_fields(traj, terms, u_hat=None):
     """Each term's field by its own chain of fresh products, as
-    ``term_fields`` formed it before the field buffers."""
+    the package formed them before the field buffers."""
     g = traj.grid
     u_hat = np.fft.rfft(traj.values) if u_hat is None else u_hat
     orders = sorted({d for term in terms for d, p in enumerate(term.powers) if d and p})

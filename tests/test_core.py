@@ -120,6 +120,16 @@ class TestRngStream:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             RngStream(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_rejects_a_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            RngStream(seed)
+
+    def test_keeps_numpy_integer_seeds(self):
+        stream = RngStream(np.int64(7))
+        assert type(stream.seed) is int
+        assert np.array_equal(stream.generator(1).random(4), RngStream(7).generator(1).random(4))
+
 
 class TestCoefficientVector:
     def test_one_value_per_term(self):

@@ -3,13 +3,13 @@ import pytest
 
 from eqod.core import Grid1D, STANDARD_TERMS, Trajectory, term_from_tag
 from eqod.oplib import (
+    FieldPass,
     LibrarySpec,
     evaluate_term,
     expanded_library,
     galilean_reduced,
     odd_reflection_prune,
     standard_library,
-    term_fields,
 )
 
 
@@ -120,12 +120,12 @@ class TestEvaluateTerm:
         assert np.abs(ratio - 2.0**degree).max() < 1e-8
 
 
-class TestTermFields:
+class TestFieldPass:
     def test_cube_within_two_ulp_of_pow(self):
         rng = np.random.default_rng(5)
         g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 1.0, 16)
         tr = Trajectory(g, rng.standard_normal((16, 64)) * np.logspace(-3, 3, 64))
-        (field,) = term_fields(tr, (term_from_tag("u^3"),))
+        field = evaluate_term(tr, term_from_tag("u^3"))
         ref = tr.values**3
         assert np.all(np.abs(field - ref) <= 2 * np.spacing(np.abs(ref)))
 
@@ -133,7 +133,9 @@ class TestTermFields:
         tr = flat_trajectory(np.sin)
         before = tr.values.copy()
         terms = tuple(term_from_tag(t) for t in ("u", "u_x", "u*u_x"))
-        u, ux, uux = term_fields(tr, terms)
+        fields = dict(FieldPass(terms, tr.grid)(tr))
+        assert len(fields) == len(terms)
+        u, ux, uux = (fields[t] for t in terms)
         assert np.shares_memory(u, tr.values)
         for field in (u, ux, uux):
             with pytest.raises(ValueError):

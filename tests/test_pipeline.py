@@ -80,6 +80,13 @@ class TestRunEqod:
         assert seen == [standard_library()]
         assert not {"u^2", "u*u_xx"} & set(res.library_used.tags)
 
+    @pytest.mark.parametrize("run", [run_eqod, run_wf_lasso_baseline])
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_bad_seed_fails_before_the_assembly(self, heat_clean, monkeypatch, run, seed):
+        monkeypatch.setattr(pipeline, "assemble", _raise(AssertionError("assembled")))
+        with pytest.raises(ValueError, match="^seed must be"):
+            run(heat_clean, seed)
+
     def test_to_json_parses(self, heat_result):
         res = heat_result
         doc = json.loads(res.to_json())

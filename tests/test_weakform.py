@@ -15,7 +15,6 @@ from eqod.oplib import (
     expanded_library,
     galilean_reduced,
     standard_library,
-    term_fields,
 )
 from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
@@ -193,6 +192,12 @@ class TestTestGrid:
     def test_no_centers_errors(self, n_t, n_x):
         g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
         with pytest.raises(ValueError, match="at least one test-function center"):
+            make_test_grid(g, n_t, n_x)
+
+    @pytest.mark.parametrize("n_t, n_x, name", [(5.0, 7, "n_t"), (5, 7.5, "n_x"), (5, "7", "n_x")])
+    def test_non_integer_counts_error(self, n_t, n_x, name):
+        g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             make_test_grid(g, n_t, n_x)
 
 
@@ -384,8 +389,11 @@ class TestSeparableAssembly:
     def test_evaluate_term_is_the_assembly_field(self, burgers_clean):
         spec = standard_library()
         tr = burgers_clean.trajectories[0]
-        for term, field in zip(spec.terms, term_fields(tr, spec.terms)):
+        seen = []
+        for term, field in FieldPass(spec.terms, tr.grid)(tr):
             assert np.array_equal(evaluate_term(tr, term), field)
+            seen.append(term)
+        assert sorted(seen, key=spec.index) == list(spec.terms)
 
 
 @pytest.fixture(scope="module")
@@ -479,14 +487,49 @@ class TestFieldPass:
         terms = expanded_library(30).terms
         fields = FieldPass(terms, ts.grid)
         for tr in ts:
-            for field, ref in zip(fields(tr), plain_fields(tr, terms)):
-                assert np.array_equal(field, ref)
+            refs = dict(zip(terms, plain_fields(tr, terms)))
+            seen = []
+            for term, field in fields(tr):
+                assert np.array_equal(field, refs[term])
+                seen.append(term)
+            assert sorted(seen, key=terms.index) == list(terms)
+
+    @staticmethod
+    def buffers_used(fields, ts):
+        """The buffers behind each trajectory's (term, field) pairs."""
+        seen = [[(term, f.base) for term, f in fields(tr)] for tr in ts]
+        assert all([(t, id(b)) for t, b in fs] == [(t, id(b)) for t, b in seen[0]] for fs in seen)
+        return {id(b) for fs in seen for _, b in fs}
 
     def test_buffers_serve_every_trajectory(self, burgers_clean):
-        # the standard library's five products take two buffers, made once
+        # the standard library's five products take two buffers, made once:
+        # its longest chains, u^3 and u^2*u_x, have three factors
         products = [t for t in standard_library().terms if t.power > 1]
         fields = FieldPass(products, burgers_clean.grid)
-        seen = [[f.base for f in fields(tr)] for tr in burgers_clean]
-        buffers = {id(b) for fs in seen for b in fs}
-        assert len(buffers) == 2
-        assert all([id(b) for b in fs] == [id(b) for b in seen[0]] for fs in seen)
+        assert len(self.buffers_used(fields, burgers_clean)) == 2
+
+    def test_buffers_are_the_longest_chain_less_one(self, burgers_clean):
+        # expanded_library(30)'s longest chain is u^5
+        products = [t for t in expanded_library(30).terms if t.power > 1]
+        fields = FieldPass(products, burgers_clean.grid)
+        assert len(self.buffers_used(fields, burgers_clean)) == 4
+
+    def test_one_multiply_per_distinct_prefix(self, burgers_clean, monkeypatch):
+        # the standard products' chains (0, 0), (0, 0, 0), (0, 0, 1), (0, 1)
+        # and (0, 2) are their own distinct prefixes: u^3 and u^2*u_x both
+        # extend the one u^2, so 5 products per trajectory, not 6
+        products = [t for t in standard_library().terms if t.power > 1]
+        fields = FieldPass(products, burgers_clean.grid)
+        multiply, real = np.multiply, []
+
+        def counted(a, b, *args, **kwargs):
+            out = multiply(a, b, *args, **kwargs)
+            real.append(out.dtype.kind == "f")
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "multiply", counted)
+            for tr in burgers_clean:
+                for _ in fields(tr):
+                    pass
+        assert sum(real) == 5 * len(burgers_clean)
