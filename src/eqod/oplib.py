@@ -11,7 +11,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .core import STANDARD_TERMS, LibraryTerm, Trajectory, term_from_tag
+from .core import STANDARD_TERMS, LibraryTerm, Trajectory, as_index, term_from_tag
 from .spectral import spectrum_derivatives
 
 __all__ = [
@@ -89,6 +89,7 @@ def odd_reflection_prune(spec: LibrarySpec) -> LibrarySpec:
 
 def expanded_library(size: int) -> LibrarySpec:
     """Standard library grown to 15..30 terms with fixed extra products."""
+    size = as_index("size", size)
     if size not in (10, 15, 20, 25, 30):
         raise ValueError("size must be one of 10, 15, 20, 25, 30")
     if size == 10:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, LibraryTerm, RngStream, Trajectory, TrajectorySet
+    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, LibraryTerm, RngStream, Trajectory, TrajectorySet, as_index
 )
 from .spectral import wavenumbers
 
@@ -371,6 +371,7 @@ def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) ->
     (see ``core.RngStream``). The M initial conditions are propagated
     together, in one call to the solver.
     """
+    m = as_index("m", m)
     if m < 1:
         raise ValueError("need m >= 1")
     ic_stream = RngStream(seed)

@@ -23,13 +23,13 @@ stability systems share one field pass.
 A ``BoostedGrid`` is a test grid read on the Galilean boost of the data,
 u -> u + c with each time row t rolled by s_t = rint(c t / dx) whole
 cells. It is served by the same pass with no transform of its own: the
-test functions move by -s_t instead of the data by +s_t (a view of
-[Phi_x Phi_x] per run of rows with one shift, and the nx-th roots of
-unity on the contracted spectrum), and the offset c enters by the
-binomial expansion of (u + c)^p over the pass's own product fields. It
-adds no failure path that its test grid lacks, except that an expansion
-needing a product the library does not hold is rejected before any
-transform.
+test functions move by -s_t instead of the data by +s_t (the nx-th
+roots of unity on each row of the spectrum before its one time
+contraction, and a view of [Phi_x Phi_x] per run of rows with one shift
+for the product fields), and the offset c enters by the binomial
+expansion of (u + c)^p over the pass's own product fields. It adds no
+failure path that its test grid lacks, except that an expansion needing
+a product the library does not hold is rejected before any transform.
 """
 
 from __future__ import annotations
@@ -181,7 +181,9 @@ class _Boost:
     """One BoostedGrid's share of an assembly: the data's own spectrum and
     product fields, contracted with test functions that move with the
     boost (see ``assemble``). Moving the test functions of row t by -s_t
-    is rolling the data by +s_t."""
+    is rolling the data by +s_t. The spectrum takes per-row phases and
+    one contraction per trajectory; runs of rows with one shift serve
+    only to window Phi_x for the product fields."""
 
     def __init__(self, bg: BoostedGrid, spec: LibrarySpec, grid: Grid1D, bumps):
         products = {t for t in spec.terms if t.power > 1}
@@ -208,27 +210,27 @@ class _Boost:
 
         nx = grid.nx
         shift = np.rint(bg.c * grid.t / grid.dx).astype(np.int64) % nx
-        edges = [0, *(np.flatnonzero(np.diff(shift)) + 1).tolist(), grid.nt]
-        blocks = [(slice(a, z), int(shift[a])) for a, z in zip(edges, edges[1:])]
         phi_t, dphi_t, phi_x = bumps
+        # The phases e^(-2 pi i k s / nx) of each distinct shift s, gathered
+        # per row by s_t for each trajectory: a full (nt, nx/2+1) table would
+        # stay live through the whole pass (4 MB at 1024 x 512). Per run of
+        # rows with one shift, its window of Phi_x (a view).
         roots = np.exp(-2j * np.pi * np.arange(nx) / nx)
-        k = np.arange(nx // 2 + 1)
-        phi_tt, phi_xx = np.vstack((phi_t, dphi_t)), np.hstack((phi_x, phi_x))
-        # Per run of rows with shift s: its columns of [Phi_t; dPhi_t] and
-        # phases e^(-2 pi i k s / nx), and its window of Phi_x, all views
-        # but the phases.
-        self.spectral = [(rows, phi_tt[:, rows], roots[k * s % nx]) for rows, s in blocks]
-        self.windows = [(rows, phi_xx[:, s : s + nx].T) for rows, s in blocks]
+        distinct, self.which = np.unique(shift, return_inverse=True)
+        self.phases = roots[np.outer(distinct, np.arange(nx // 2 + 1)) % nx]
+        starts = np.flatnonzero(np.diff(shift, prepend=-1))
+        phi_xx = np.hstack((phi_x, phi_x))
+        self.windows = [(slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None])]
+        self.phi_tt = np.vstack((phi_t, dphi_t))
         self.phi_t, self.phi_x, self.grid = phi_t, phi_x, grid
         self.b_offset = bg.c * np.outer(dphi_t.sum(axis=1), phi_x.sum(axis=1))
         self.mats = {None: np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1))}
-        self.rows = np.empty((grid.nt, len(phi_x)))
 
     def spectrum(self, u_hat):
         """Contract one trajectory's spectrum: its single-derivative columns and b."""
         g = self.grid
-        # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
-        c_hat = sum((phi @ u_hat[rows].view(float)).view(complex) * phase for rows, phi, phase in self.spectral)
+        # Phi_t is real: contract the (re, im) pairs of the phased u_hat as one real matrix
+        c_hat = (self.phi_tt @ (u_hat * self.phases[self.which]).view(float)).view(complex)
         c_t, c_b = np.split(c_hat, 2)
         # order 0 multiplies by (ik)^0 = 1, exactly: the irfft of c_t itself
         for d, f in zip(self.orders, spectrum_derivatives(c_t, self.orders, g.nx, g.length)):
@@ -238,9 +240,7 @@ class _Boost:
     def field(self, term: LibraryTerm, field):
         """Contract one product field, if an expansion uses it."""
         if term in self.products:
-            for rows, window in self.windows:
-                np.matmul(field[rows], window, out=self.rows[rows])
-            self.mats[term] = self.phi_t @ self.rows
+            self.mats[term] = self.phi_t @ np.vstack([field[rows] @ window for rows, window in self.windows])
 
     def write(self, theta, b, dxdt: float):
         """One trajectory's rows of the boosted system."""
@@ -283,14 +283,17 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     A BoostedGrid adds no transform: its system, that of the boosted data
     (see BoostedGrid) on its test grid for its own terms, is contracted
     from the same u_hat and product fields with moving test functions.
-    Row t's shift s_t = rint(c t / dx) mod nx is undone by reading Phi_x
-    from s_t on: each run of rows with one s_t is contracted with the view
-    [Phi_x Phi_x][:, s:s+nx], and its share of the contracted spectrum
-    is phased by e^(-2 pi i k s / nx) before the single-derivative columns
-    and b are formed. The offset c enters by the binomial expansion of
-    (u + c)^p times the term's derivative factors: (u + c) u_x = u u_x +
-    c u_x, (u + c)^2 = u^2 + 2 c u + c^2, and so on, the constant's column
-    being outer(Phi_t 1, Phi_x 1). It matches the assembly of the
+    Row t's shift s_t = rint(c t / dx) mod nx is undone in two ways. Row
+    t of u_hat is phased by e^(-2 pi i k s_t / nx), the phases being made
+    once per call and distinct shift, and each trajectory's phased
+    spectrum is contracted once with [Phi_t; dPhi_t] before the
+    single-derivative columns and b are formed. A product field is read
+    with Phi_x from s_t on: each run of rows with one s_t is multiplied
+    by the view [Phi_x Phi_x][:, s:s+nx], and Phi_t contracts the stacked
+    runs. The offset c enters by the binomial expansion of (u + c)^p
+    times the term's derivative factors: (u + c) u_x = u u_x + c u_x,
+    (u + c)^2 = u^2 + 2 c u + c^2, and so on, the constant's column being
+    outer(Phi_t 1, Phi_x 1). It matches the assembly of the
     gathered boost to rounding (within 1.7e-12 of each column's largest
     entry on the eight laws). It adds no failure path that its test grid
     lacks, except that every product of an expansion must be a term of

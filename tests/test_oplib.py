@@ -89,6 +89,11 @@ class TestExpandedLibrary:
         with pytest.raises(ValueError):
             expanded_library(12)
 
+    @pytest.mark.parametrize("size", [15.0, 12.5, "15"])
+    def test_non_integer_size(self, size):
+        with pytest.raises(ValueError, match="^size must be an integer, got "):
+            expanded_library(size)
+
 
 class TestEvaluateTerm:
     def test_u_xx_of_sin(self):

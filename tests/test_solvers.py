@@ -489,6 +489,12 @@ class TestGenerateSet:
         with pytest.raises(ValueError, match="need m >= 1"):
             generate_set(pde, pde.default_grid(), m, 0.0, 42)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3"])
+    def test_rejects_a_non_integer_count(self, m):
+        pde = PDES["heat"]
+        with pytest.raises(ValueError, match="^m must be an integer, got "):
+            generate_set(pde, pde.default_grid(), m, 0.0, 42)
+
     def test_reproducible(self):
         pde = PDES["heat"]
         g = pde.default_grid()
