@@ -173,6 +173,10 @@ class TrajectorySet:
         return iter(self.trajectories)
 
 
+# The name of u's d-th spatial derivative, d = 0..4, in tags.
+_FACTOR_NAMES = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
+
+
 @dataclass(frozen=True, order=True)
 class LibraryTerm:
     """Monomial candidate operator: a product of powers of u and its x-derivatives.
@@ -189,9 +193,8 @@ class LibraryTerm:
 
     @property
     def tag(self) -> str:
-        names = ("u", "u_x", "u_xx", "u_xxx", "u_xxxx")
         parts = []
-        for name, p in zip(names, self.powers):
+        for name, p in zip(_FACTOR_NAMES, self.powers):
             if p == 1:
                 parts.append(name)
             elif p > 1:
@@ -210,35 +213,21 @@ class LibraryTerm:
         return f"LibraryTerm({self.tag})"
 
 
-def _t(*powers: int) -> LibraryTerm:
+def term_from_tag(tag: str) -> LibraryTerm:
+    """Parse a term's ASCII tag, e.g. "u_xx", "u*u_x" or "u^2*u_x"."""
+    powers = [0, 0, 0, 0, 0]
+    for part in tag.split("*"):
+        name, _, exp = part.partition("^")
+        if name not in _FACTOR_NAMES:
+            raise ValueError(f"unknown term tag {tag!r}")
+        powers[_FACTOR_NAMES.index(name)] += int(exp) if exp else 1
     return LibraryTerm(tuple(powers))
 
 
 # The standard 10-term candidate set, in canonical column order.
-STANDARD_TERMS: tuple[LibraryTerm, ...] = (
-    _t(1, 0, 0, 0, 0),  # u
-    _t(2, 0, 0, 0, 0),  # u^2
-    _t(3, 0, 0, 0, 0),  # u^3
-    _t(0, 1, 0, 0, 0),  # u_x
-    _t(0, 0, 1, 0, 0),  # u_xx
-    _t(0, 0, 0, 1, 0),  # u_xxx
-    _t(0, 0, 0, 0, 1),  # u_xxxx
-    _t(1, 1, 0, 0, 0),  # u*u_x
-    _t(1, 0, 1, 0, 0),  # u*u_xx
-    _t(2, 1, 0, 0, 0),  # u^2*u_x
+STANDARD_TERMS: tuple[LibraryTerm, ...] = tuple(
+    map(term_from_tag, ("u", "u^2", "u^3", "u_x", "u_xx", "u_xxx", "u_xxxx", "u*u_x", "u*u_xx", "u^2*u_x"))
 )
-
-
-def term_from_tag(tag: str) -> LibraryTerm:
-    """Parse a term's ASCII tag, e.g. "u_xx", "u*u_x" or "u^2*u_x"."""
-    names = {"u": 0, "u_x": 1, "u_xx": 2, "u_xxx": 3, "u_xxxx": 4}
-    powers = [0, 0, 0, 0, 0]
-    for part in tag.split("*"):
-        name, _, exp = part.partition("^")
-        if name not in names:
-            raise ValueError(f"unknown term tag {tag!r}")
-        powers[names[name]] += int(exp) if exp else 1
-    return LibraryTerm(tuple(powers))
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,16 @@ _EXPANSION_TAGS = (
 
 @dataclass(frozen=True)
 class LibrarySpec:
-    """Ordered, duplicate-free list of candidate terms."""
+    """Ordered, duplicate-free list of candidate terms, each a LibraryTerm."""
 
     terms: tuple[LibraryTerm, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("library must be nonempty")
+        for t in self.terms:
+            if not isinstance(t, LibraryTerm):
+                raise ValueError(f"library entry {t!r} is not a LibraryTerm; parse a tag with term_from_tag")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("library contains duplicate terms")
 

@@ -7,9 +7,12 @@ One solver serves every LASSO here: the exact piecewise-linear path from
 lambda_max down to the smallest lambda asked for (``_homotopy``), for a
 stack of problems that share their lambdas, followed in lock-step; each
 problem gets bitwise the answer it gets alone. A single lambda is that
-path stopped at it. The stability draws are one stack, and so are the
-CV folds together with the whole system, whose path is read at the
-chosen lambda instead of being solved again.
+path stopped at it. Every problem reaches it as a design and a response,
+whose Gram and correlation ``_lasso_path`` alone forms. The stability
+draws are one stack of designs. So are the CV folds, each its training
+rows followed by zero rows, together with the whole system, whose path
+is read at the chosen lambda instead of being solved again: bitwise
+what ``lasso`` gives on the C-ordered system ``_normalize`` returns.
 
 The calibration is the module constants: ``LAMBDA_GRID`` and
 ``CV_FOLDS`` for the cross-validation, ``THRESHOLD_FLOOR``,
@@ -48,17 +51,23 @@ DEBIAS_ROUNDS = 2
 def _normalize(theta, b):
     """Scale each column and the response to unit norm; a zero norm scales by 1.
 
-    Returns (theta_n, b_n, col_norms, b_norm): the normalized system, the
-    zero-guarded column norms and the response's own norm (0 for b = 0).
-    A non-finite entry raises ValueError.
+    Returns (theta_n, b_n, col_norms, b_norm): the normalized system, with
+    theta_n C-ordered whatever the layout of theta (a column subset comes
+    F-ordered), the zero-guarded column norms and the response's own norm
+    (0 for b = 0). theta must be (n, p) and b (n,); another shape, or a
+    non-finite entry, raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     b = np.asarray(b, dtype=float)
+    if theta.ndim != 2 or b.shape != theta.shape[:1]:
+        raise ValueError(
+            f"theta of shape {theta.shape} and b of shape {b.shape} are not one system, (n, p) and (n,)"
+        )
     _check_finite(theta, b)
     col_norms = np.linalg.norm(theta, axis=0)
     col_norms = np.where(col_norms > 0, col_norms, 1.0)
     b_norm = float(np.linalg.norm(b))
-    return theta / col_norms, b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
+    return np.ascontiguousarray(theta / col_norms), b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
 
 
 def _check_finite(theta, b):
@@ -297,34 +306,30 @@ def lasso_cv(theta, b, seed: int = 0):
     uncertified fold solves are still scored, with one RuntimeWarning
     that counts them, and an uncertified refit warns on its own.
 
-    The whole system's path rides in the folds' stack as its last
-    problem, so one homotopy call serves the folds and the refit, and
-    xi_norm is that path read at lambda_star. A path stopped at
-    lambda_star (lasso) gives the same xi_norm unless a breakpoint lands
-    bit-for-bit on lambda_star, and then differs only by rounding.
+    The folds and the whole system are one stack of designs and one
+    ``_lasso_path`` call. A fold's design is its training rows followed
+    by zero rows up to n, which add nothing to its Gram or correlation;
+    with two or more columns its path is bitwise the one its training
+    rows get alone (a one-column Gram is a dot product, whose rounding
+    depends on the length). The whole system is the last problem, the
+    C-ordered theta_n that ``_normalize`` returns and ``lasso`` is
+    given, and xi_norm is its path read at lambda_star: bitwise
+    ``lasso(theta_n, b_n, lambda_star)``, unless a breakpoint lands
+    bit-for-bit on lambda_star, and then it differs only by rounding.
     """
     theta_n, b_n, _, _ = _normalize(theta, b)
     n = theta_n.shape[0]
     if n < CV_FOLDS:
         raise ValueError("fewer rows than folds")
 
-    perm = _cv_permutation(seed, n)
-    folds = np.array_split(perm, CV_FOLDS)
-    # Training sets can differ in size by a row, so the folds' Gram forms,
-    # not their rows, are stacked for the one lock-step homotopy; the
-    # whole system's is formed as _lasso_path forms it.
-    gram, corr = [], []
-    for held in folds:
-        train = np.ones(n, bool)
-        train[held] = False
-        theta_f = theta_n[train]
-        gram.append(theta_f.T @ theta_f)
-        corr.append(theta_f.T @ b_n[train])
-    gram.append(theta_n.T @ theta_n)
-    corr.append((theta_n.T @ b_n[:, None])[:, 0])
-    gram, corr = np.array(gram), np.array(corr)
-    xi = _homotopy(gram, corr, LAMBDA_GRID)
-    kkt = _kkt_residual(gram, corr, LAMBDA_GRID, xi)
+    folds = np.array_split(_cv_permutation(seed, n), CV_FOLDS)
+    designs = np.zeros((CV_FOLDS + 1, *theta_n.shape))
+    rhs = np.zeros((CV_FOLDS + 1, n))
+    for k, held in enumerate(folds):
+        train = np.delete(np.arange(n), held)
+        designs[k, : len(train)], rhs[k, : len(train)] = theta_n[train], b_n[train]
+    designs[-1], rhs[-1] = theta_n, b_n
+    xi, kkt = _lasso_path(designs, rhs, LAMBDA_GRID)
     uncertified = kkt[:-1][~(kkt[:-1] <= KKT_TOL)].tolist()
     scores = np.zeros(len(LAMBDA_GRID))
     for held, xi_f in zip(folds, xi):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ class TestLibraries:
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError, match="library must be nonempty"):
             LibrarySpec(())
+
+    @pytest.mark.parametrize(
+        "entries, bad", [(("u_x", "u_xx"), "u_x"), ((term_from_tag("u_x"), (0, 0, 1, 0, 0)), (0, 0, 1, 0, 0))]
+    )
+    def test_non_term_entry_rejected(self, entries, bad):
+        with pytest.raises(ValueError, match=re.escape(f"library entry {bad!r} is not a LibraryTerm") + ".*term_from_tag"):
+            LibrarySpec(entries)
 
 
 class TestExpandedLibrary:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -150,13 +152,26 @@ def normalized_system(rng, n, p):
 
 def fold_systems(ws, seed):
     """The normalized training systems of lasso_cv's five folds."""
-    theta = ws.theta / np.linalg.norm(ws.theta, axis=0)
-    b = ws.b / np.linalg.norm(ws.b)
+    theta, b, _, _ = sparse._normalize(ws.theta, ws.b)
     perm = sparse._cv_permutation(seed, len(b))
     for held in np.array_split(perm, 5):
         train = np.ones(len(b), bool)
         train[held] = False
         yield theta[train], b[train]
+
+
+@functools.cache
+def law_system(name, sigma, library):
+    """run_eqod's identification system of a law's 3-trajectory set with
+    data seed 0, on the standard library or, as a column subset of it,
+    the Galilean-reduced one."""
+    from eqod.solvers import generate_set
+    from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+
+    pde = PDES[name]
+    ts = generate_set(pde, pde.default_grid(), 3, sigma, 0)
+    (ws,) = assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))
+    return ws if library == "standard" else ws.restricted(galilean_reduced())
 
 
 def kkt_from_rows(theta, b, xi, lam):
@@ -531,6 +546,19 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="theta and b must be finite"):
             call()
 
+    @pytest.mark.parametrize(
+        "theta_shape, b_shape", [((10, 2), (9,)), ((10, 2), (10, 1)), ((10,), (10,)), ((2, 10, 2), (2, 10))]
+    )
+    @pytest.mark.parametrize("entry", ["lasso_cv", "stability_select"])
+    def test_normalize_entries_reject_shapes(self, entry, theta_shape, b_shape, no_solve):
+        from eqod import stability
+
+        rng = np.random.default_rng(0)
+        theta, b = rng.random(theta_shape), rng.random(b_shape)
+        call = {"lasso_cv": lasso_cv, "stability_select": stability.stability_select}[entry]
+        with pytest.raises(ValueError, match=rf"theta of shape \({theta_shape[0]},.* and b of shape \({b_shape[0]},"):
+            call(theta, b, seed=0)
+
     def test_detect_all_downgrades_the_galilean_test(self, heat_clean, heat_system, no_solve):
         from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, detect_all
         from eqod.weakform import BoostedGrid, assemble
@@ -617,18 +645,32 @@ class TestLassoCV:
     @pytest.mark.parametrize("name", sorted(PDES))
     def test_refit_is_the_single_lambda_solve(self, name, sigma):
         """xi_norm, read off the whole system's path in the fold stack at
-        lambda_star, is bitwise the path stopped there, and is a copy,
-        not a view that keeps the stacked path alive."""
-        from eqod.solvers import generate_set
-        from eqod.weakform import IDENTIFY_GRID, assemble, make_test_grid
+        lambda_star, is bitwise the path stopped there, on the standard
+        library and on a column subset of it, which comes F-ordered; and
+        it is a copy, not a view that keeps the stacked path alive."""
+        for library in ("standard", "galilean_reduced"):
+            ws = law_system(name, sigma, library)
+            lam, xi, _ = lasso_cv(ws.theta, ws.b, seed=0)
+            theta_n, b_n, _, _ = sparse._normalize(ws.theta, ws.b)
+            assert xi.base is None and xi.flags.owndata
+            assert xi.tobytes() == lasso(theta_n, b_n, lam).tobytes(), library
 
-        pde = PDES[name]
-        ts = generate_set(pde, pde.default_grid(), 3, sigma, 0)
-        (ws,) = assemble(ts, standard_library(), make_test_grid(ts.grid, *IDENTIFY_GRID))
-        lam, xi, _ = lasso_cv(ws.theta, ws.b, seed=0)
-        theta_n, b_n, _, _ = sparse._normalize(ws.theta, ws.b)
-        assert xi.base is None and xi.flags.owndata
-        assert xi.tobytes() == lasso(theta_n, b_n, lam).tobytes()
+    @pytest.mark.parametrize("library", ["standard", "galilean_reduced"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PDES))
+    def test_fold_paths_are_the_training_rows_alone(self, name, sigma, library, monkeypatch):
+        """Each fold's path and KKT residuals in lasso_cv's stack, its
+        training rows followed by zero rows, are bitwise those of
+        _lasso_path on its training rows alone."""
+        ws = law_system(name, sigma, library)
+        stacks, path = [], sparse._lasso_path
+        monkeypatch.setattr(sparse, "_lasso_path", lambda *args: stacks.append(path(*args)) or stacks[-1])
+        lasso_cv(ws.theta, ws.b, seed=0)
+        ((xi, kkt),) = stacks
+        for k, (theta, b) in enumerate(fold_systems(ws, 0)):
+            xi_k, kkt_k = path(theta, b, sparse.LAMBDA_GRID)
+            assert xi[k].tobytes() == xi_k.tobytes()
+            assert kkt[k].tobytes() == kkt_k.tobytes()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
