@@ -56,13 +56,12 @@ class RngStream:
     - initial condition of trajectory i: ``(seed, i)``;
     - noise of trajectory i: ``(seed + NOISE_SEED_OFFSET, i)``;
     - the CV row permutation: ``(seed, CV_STREAM)``;
-    - stability draw k: ``(seed, STABILITY_STREAM, k)``.
+    - all stability subsamples and weights of one call: ``(seed, STABILITY_STREAM)``.
 
-    These streams are not all independent. SeedSequence pads a short key
-    with zeros, so ``(s, k, 0)`` is the stream ``(s, k)``. With the data
-    seed equal to the run seed, initial condition 11 is the CV
-    permutation stream and initial condition 23 is stability draw 0, in
-    sets of at least 12 and 24 trajectories.
+    These streams are not all independent, since their keys overlap:
+    with the data seed equal to the run seed, initial condition 11 is
+    the CV permutation stream and initial condition 23 is the stability
+    stream, in sets of at least 12 and 24 trajectories.
     """
 
     seed: int

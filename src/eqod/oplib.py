@@ -46,6 +46,7 @@ class LibrarySpec:
     terms: tuple[LibraryTerm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("library must be nonempty")
         for t in self.terms:

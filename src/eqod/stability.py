@@ -8,9 +8,11 @@ The calibration is the module constants: ``N_SUBSAMPLES`` draws with
 penalty weights from Uniform(``WEIGHT_LOW``, ``WEIGHT_HIGH``), the cut
 pi > ``PI_THRESHOLD``, the noise-adaptive penalty (``PENALTY_SCALE``,
 ``PENALTY_EXPONENT``, ``RESIDUAL_FLOOR``, ``PENALTY_CAP``) and the test
-grid ``STABILITY_GRID``. This module assembles nothing: the pipeline
-builds the ``STABILITY_GRID`` system in the same field pass as the
-identification system and hands it to ``stability_gate``.
+grid ``STABILITY_GRID``. All draws of one call come from one seeded
+generator, the stream ``(seed, STABILITY_STREAM)`` of ``core.RngStream``.
+This module assembles nothing: the pipeline builds the ``STABILITY_GRID``
+system in the same field pass as the identification system and hands it
+to ``stability_gate``.
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ def stability_select(theta, b, seed: int = 0):
 
     Columns and response are normalized once. Each of the N_SUBSAMPLES
     draws takes a floor(n/2)-row subset without replacement and
-    per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH);
-    draw i comes from substream (seed, STABILITY_STREAM, i) so results
-    are schedule-independent. The draws' weight-scaled designs are
-    solved as one stack by one ``sparse.lasso`` call at the fixed lambda
-    (one lock-step exact LASSO path per draw, stopped at that lambda;
-    each draw's KKT residual must be at most ``sparse.KKT_TOL``, or it
-    warns "lasso did not converge"), and each draw counts its nonzero
-    coefficients, which are its active set.
+    per-column penalty weights from Uniform(WEIGHT_LOW, WEIGHT_HIGH).
+    One generator, the stream (seed, STABILITY_STREAM), makes every
+    draw: one call shuffles each row of an (N_SUBSAMPLES, n) tile of
+    range(n) on its own, and one more draws every weight. The draws'
+    weight-scaled designs are solved as one stack by one ``sparse.lasso``
+    call at the fixed lambda (one lock-step exact LASSO path per draw,
+    stopped at that lambda; each draw's KKT residual must be at most
+    ``sparse.KKT_TOL``, or it warns "lasso did not converge"), and each
+    draw counts its nonzero coefficients, which are its active set.
 
     The penalty is noise-adaptive: each draw solves with a
     mean-squared-error penalty alpha = min(PENALTY_SCALE *
@@ -78,15 +81,11 @@ def stability_select(theta, b, seed: int = 0):
     ols, *_ = np.linalg.lstsq(theta_n, b_n, rcond=None)
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
     alpha = min(PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT, PENALTY_CAP)
-    stream = RngStream(seed)
+    rng = RngStream(seed).generator(STABILITY_STREAM)
     half = n // 2
     lam_objective = 2.0 * half * alpha
-    rows = np.empty((N_SUBSAMPLES, half), dtype=np.intp)
-    w = np.empty((N_SUBSAMPLES, 1, p))
-    for it in range(N_SUBSAMPLES):
-        rng = stream.generator(STABILITY_STREAM, it)
-        rows[it] = rng.permutation(n)[:half]
-        w[it, 0] = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, p)
+    rows = rng.permuted(np.tile(np.arange(n), (N_SUBSAMPLES, 1)), axis=1)[:, :half]
+    w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, (N_SUBSAMPLES, 1, p))
     designs = theta_n[rows]
     designs /= w
     xi = lasso(designs, b_n[rows], lam_objective)

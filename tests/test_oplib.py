@@ -13,6 +13,7 @@ from eqod.oplib import (
     odd_reflection_prune,
     standard_library,
 )
+from eqod.pipeline import run_eqod
 
 
 def flat_trajectory(fn, nx=128, nt=8):
@@ -70,6 +71,15 @@ class TestLibraries:
     def test_non_term_entry_rejected(self, entries, bad):
         with pytest.raises(ValueError, match=re.escape(f"library entry {bad!r} is not a LibraryTerm") + ".*term_from_tag"):
             LibrarySpec(entries)
+
+
+    def test_list_built_library_is_the_tuple_built_one(self, heat_clean):
+        terms = [term_from_tag("u_x"), term_from_tag("u_xx")]
+        spec = LibrarySpec(terms)
+        assert spec == LibrarySpec(tuple(terms))
+        assert hash(spec) == hash(LibrarySpec(tuple(terms)))
+        res = run_eqod(heat_clean, 0, spec)
+        assert np.array_equal(res.coeffs.values, run_eqod(heat_clean, 0, LibrarySpec(tuple(terms))).coeffs.values)
 
 
 class TestExpandedLibrary:

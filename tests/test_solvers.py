@@ -128,10 +128,10 @@ class TestStreamCollisions:
         ic = first_ic_draws(monkeypatch, 12, 5)
         assert not np.array_equal(ic[11], RngStream(5).generator(CV_STREAM).random(4))
 
-    @pytest.mark.xfail(strict=True, reason="initial condition 23 draws stability draw 0's stream")
-    def test_ic_stream_23_is_not_stability_draw_0(self, monkeypatch):
+    @pytest.mark.xfail(strict=True, reason="initial condition 23 draws the stability stream")
+    def test_ic_stream_23_is_not_the_stability_stream(self, monkeypatch):
         ic = first_ic_draws(monkeypatch, 24, 5)
-        assert not np.array_equal(ic[23], RngStream(5).generator(STABILITY_STREAM, 0).random(4))
+        assert not np.array_equal(ic[23], RngStream(5).generator(STABILITY_STREAM).random(4))
 
 
 class TestInitialConditions:

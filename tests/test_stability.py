@@ -4,7 +4,8 @@ import pytest
 from eqod.core import Grid1D, RngStream, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import odd_reflection_prune, standard_library
 from eqod.solvers import PDES, generate_set
-from eqod import stability
+from eqod import core, stability
+from eqod.sparse import _normalize
 from eqod.stability import stability_gate, stability_select
 from eqod.weakform import assemble, make_test_grid
 
@@ -86,6 +87,46 @@ class TestStabilitySelect:
         (draws,) = calls
         assert draws.shape == (stability.N_SUBSAMPLES, ws.theta.shape[1])
         assert np.array_equal(pi, np.mean([xi != 0.0 for xi in draws], axis=0))
+
+    def test_one_generator_per_call(self, heat10_system, monkeypatch):
+        made = []
+        generator = core.RngStream.generator
+
+        def counting(self, *stream):
+            made.append((self.seed, *stream))
+            return generator(self, *stream)
+
+        monkeypatch.setattr(core.RngStream, "generator", counting)
+        stability_select(heat10_system.theta, heat10_system.b, seed=42)
+        assert made == [(42, core.STABILITY_STREAM)]
+
+    def test_draws_are_half_subsets_with_column_weights(self, monkeypatch):
+        # b has distinct entries, so each draw's response names its rows
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal((61, 4))
+        b = rng.standard_normal(61)
+        calls = []
+        solve = stability.lasso
+
+        def recorder(designs, rhs, lam):
+            calls.append((designs, rhs))
+            return solve(designs, rhs, lam)
+
+        monkeypatch.setattr(stability, "lasso", recorder)
+        stability_select(theta, b, seed=3)
+        ((designs, rhs),) = calls
+        theta_n, b_n, _, _ = _normalize(theta, b)
+        row_of = {v: i for i, v in enumerate(b_n)}
+        assert len(row_of) == 61
+        subsets = set()
+        for design, draw_b in zip(designs, rhs):
+            rows = [row_of[v] for v in draw_b]
+            assert len(set(rows)) == len(rows) == 61 // 2
+            subsets.add(frozenset(rows))
+            w = theta_n[rows] / design
+            assert np.allclose(w, w[0], rtol=1e-14, atol=0)
+            assert np.all((w >= stability.WEIGHT_LOW) & (w < stability.WEIGHT_HIGH))
+        assert len(subsets) == stability.N_SUBSAMPLES
 
     def test_deterministic(self, heat10_system):
         a, _ = stability_select(heat10_system.theta, heat10_system.b, seed=11)
