@@ -129,13 +129,17 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i)."""
+    """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i), real and
+    finite (a complex dtype is rejected, not cast)."""
 
     grid: Grid1D
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values)
+        if np.iscomplexobj(v):
+            raise ValueError(f"trajectory values must be real, got dtype {v.dtype}")
+        v = np.asarray(v, dtype=float)
         if v.shape != (self.grid.nt, self.grid.nx):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "
@@ -181,14 +185,17 @@ class LibraryTerm:
     """Monomial candidate operator: a product of powers of u and its x-derivatives.
 
     ``powers[d]`` is the exponent of the d-th spatial derivative, d = 0..4,
-    so u*u_x is (1, 1, 0, 0, 0) and u^2*u_x is (2, 1, 0, 0, 0).
+    so u*u_x is (1, 1, 0, 0, 0) and u^2*u_x is (2, 1, 0, 0, 0). Each power
+    must be an integer (numpy integers are stored as int).
     """
 
     powers: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.powers) != 5 or any(p < 0 for p in self.powers) or sum(self.powers) == 0:
+        powers = tuple(as_index("term power", p) for p in self.powers)
+        if len(powers) != 5 or any(p < 0 for p in powers) or sum(powers) == 0:
             raise ValueError(f"invalid term powers {self.powers}")
+        object.__setattr__(self, "powers", powers)
 
     @property
     def tag(self) -> str:

@@ -4,8 +4,9 @@ The union of the base library and GALILEAN_BASIS is assembled once, in
 one ``assemble`` call and one field pass per trajectory, on three grids:
 the identification and the stability test grids, and the identification
 grid read on the data's Galilean boost (a BoostedGrid with
-GALILEAN_BOOST_C and GALILEAN_BASIS, contracted from the same spectrum
-and fields). Every later system is a column restriction of the first
+GALILEAN_BOOST_C and GALILEAN_BASIS, contracted from the same u,
+spectrum and fields as the plain grids, by the same contraction).
+Every later system is a column restriction of the first
 two. On the identification grid, the base columns give the full-library
 fit the guard compares against, the GALILEAN_BASIS columns the Galilean
 test (whose boosted refit is the third system), and the reduced columns

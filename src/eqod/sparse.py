@@ -48,12 +48,11 @@ THRESHOLD_FRAC = 0.03
 DEBIAS_ROUNDS = 2
 
 
-def _normalize(theta, b):
-    """Scale each column and the response to unit norm; a zero norm scales by 1.
+def _scales(theta, b):
+    """The validated system and its scales: (theta, b, col_norms, b_norm).
 
-    Returns (theta_n, b_n, col_norms, b_norm): the normalized system, with
-    theta_n C-ordered whatever the layout of theta (a column subset comes
-    F-ordered), the zero-guarded column norms and the response's own norm
+    theta and b come back as float arrays, as given otherwise; col_norms
+    are the zero-guarded column norms and b_norm the response's own norm
     (0 for b = 0). theta must be (n, p) and b (n,); another shape, or a
     non-finite entry, raises ValueError.
     """
@@ -65,8 +64,17 @@ def _normalize(theta, b):
         )
     _check_finite(theta, b)
     col_norms = np.linalg.norm(theta, axis=0)
-    col_norms = np.where(col_norms > 0, col_norms, 1.0)
-    b_norm = float(np.linalg.norm(b))
+    return theta, b, np.where(col_norms > 0, col_norms, 1.0), float(np.linalg.norm(b))
+
+
+def _normalize(theta, b):
+    """Scale each column and the response to unit norm; a zero norm scales by 1.
+
+    Returns (theta_n, b_n, col_norms, b_norm): the normalized system, with
+    theta_n C-ordered whatever the layout of theta (a column subset comes
+    F-ordered), and the scales of ``_scales``, which also checks the system.
+    """
+    theta, b, col_norms, b_norm = _scales(theta, b)
     return np.ascontiguousarray(theta / col_norms), b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
 
 
@@ -363,7 +371,7 @@ def identify_on_system(ws: WeakSystem, seed: int):
     coeffs.
     """
     theta, b = ws.theta, ws.b
-    _, _, col_norms, b_norm = _normalize(theta, b)
+    _, _, col_norms, b_norm = _scales(theta, b)  # lasso_cv normalizes the raw system itself
     _, xi_n, _ = lasso_cv(theta, b, seed)
     xi = xi_n / col_norms * b_norm
     dense = CoefficientVector(ws.spec.terms, xi)

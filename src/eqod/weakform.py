@@ -13,28 +13,28 @@ allows: a single-derivative column (u_x, ..., u_xxxx) is differentiated
 from Phi_t rfft(u), a few rows of modes per grid, since the t-contraction
 commutes with the x-derivative. Only product terms need pointwise
 derivative fields, which one ``oplib.FieldPass`` per call forms in reused
-buffers and hands over as (term, field) pairs, each going to its term's
-column. One ``assemble`` call serves any number of test grids: each
-trajectory's spectrum and product fields are formed once (1 full-size
-``rfft``, and 1 full-size ``irfft`` per derivative order a product
-needs) and contracted on every grid, so the identification and
-stability systems share one field pass.
+buffers and hands over as (term, field) pairs. One ``assemble`` call
+serves any number of test grids: each trajectory's spectrum and product
+fields are formed once (1 full-size ``rfft``, and 1 full-size ``irfft``
+per derivative order a product needs) and contracted on every grid, so
+the identification and stability systems share one field pass.
 
 A ``BoostedGrid`` is a test grid read on the Galilean boost of the data,
 u -> u + c with each time row t rolled by s_t = rint(c t / dx) whole
-cells. It is served by the same pass with no transform of its own: the
-test functions move by -s_t instead of the data by +s_t (the nx-th
-roots of unity on each row of the spectrum before its one time
-contraction, and a view of [Phi_x Phi_x] per run of rows with one shift
-for the product fields), and the offset c enters by the binomial
-expansion of (u + c)^p over the pass's own product fields. It adds no
-failure path that its test grid lacks, except that an expansion needing
-a product the library does not hold is rejected before any transform.
+cells, and a plain ``TestGrid`` is the boost at c = 0. Every grid goes
+through one contraction: its test functions move by -s_t instead of the
+data by +s_t, and each of its terms is the binomial expansion of
+(u + c)^p over the pass's own columns. At c = 0 no row moves and each
+term is its own expansion, so the arithmetic is that of the plain
+contraction above. A boost adds no failure path that its test grid
+lacks, except that an expansion needing a product the library does not
+hold is rejected before any transform.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +126,9 @@ class BoostedGrid:
     time row t to s_t = rint(c t / dx) whole cells (ties to even): row t
     of the boosted field is row t of u rolled by s_t, plus c. ``assemble``
     gives the system of the boosted data on ``test_grid`` for the terms of
-    ``spec``, from the field pass of the data itself (see ``assemble``).
+    ``spec``, from the field pass of the data itself, by the contraction
+    that serves every grid (see ``assemble``); a TestGrid is the boost at
+    c = 0.
     """
 
     test_grid: TestGrid
@@ -136,10 +138,6 @@ class BoostedGrid:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise ValueError(f"boost must be finite, got {self.c}")
-
-    @property
-    def n_centers(self) -> int:
-        return self.test_grid.n_centers
 
 
 @dataclass(frozen=True)
@@ -177,76 +175,92 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     return bump(rt), bump_dt(rt) / tg.r_t, phi_x
 
 
-class _Boost:
-    """One BoostedGrid's share of an assembly: the data's own spectrum and
-    product fields, contracted with test functions that move with the
-    boost (see ``assemble``). Moving the test functions of row t by -s_t
-    is rolling the data by +s_t. The spectrum takes per-row phases and
-    one contraction per trajectory; runs of rows with one shift serve
-    only to window Phi_x for the product fields."""
+class _Contraction:
+    """One grid's share of an assembly and its system: that of the data's
+    boost by ``bg`` on its test grid, contracted from the pass's own u,
+    spectrum and product fields with test functions that move with the
+    boost (see ``assemble``). A TestGrid is the boost at c = 0."""
 
-    def __init__(self, bg: BoostedGrid, spec: LibrarySpec, grid: Grid1D, bumps):
+    def __init__(self, bg: BoostedGrid, spec: LibrarySpec, grid: Grid1D, n_traj: int):
         products = {t for t in spec.terms if t.power > 1}
-        # Per boosted term, its expansion [(coefficient, key)]: key None is
-        # the constant, an int a single-derivative order, a term a product.
-        self.expansions = []
-        for term in bg.spec.terms:
+        dxdt = grid.dx * grid.dt
+        # Per key, its row of dx*dt times each term's binomial coefficients:
+        # key None is the constant, an int a single-derivative order (0, u's
+        # own, always: it comes with b) and a term a product.
+        expansion = defaultdict(lambda: np.zeros(len(bg.spec)), {0: np.zeros(len(bg.spec))})
+        for k, term in enumerate(bg.spec.terms):
             p0, rest = term.powers[0], term.powers[1:]
-            expansion = []
             for j in range(p0 + 1):
-                powers = (j, *rest)
-                key = None if sum(powers) == 0 else LibraryTerm(powers)
+                coef = math.comb(p0, j) * bg.c ** (p0 - j)
+                if coef == 0:
+                    continue
+                key = term if j == p0 else LibraryTerm((j, *rest)) if j or any(rest) else None
                 if key is not None and key.power == 1:
                     key = key.derivative_order
                 elif key is not None and key not in products:
-                    raise ValueError(
-                        f"boosted term {term.tag} needs the field of {key.tag}, which the assembled library does not form"
-                    )
-                expansion.append((math.comb(p0, j) * bg.c ** (p0 - j), key))
-            self.expansions.append(expansion)
-        keys = {key for expansion in self.expansions for _, key in expansion}
-        self.orders = sorted(k for k in keys if isinstance(k, int))
-        self.products = {k for k in keys if isinstance(k, LibraryTerm)}
+                    raise ValueError(f"boosted term {term.tag} needs the field of {key.tag}, which the assembled library does not form")
+                expansion[key][k] = dxdt * coef
+        self.at = {key: i for i, key in enumerate(expansion)}
+        self.expansion = np.array(list(expansion.values()))
+        self.orders = sorted(k for k in self.at if isinstance(k, int) and k)
+        self.spec, self.grid, self.dxdt, self.n_rows = bg.spec, grid, dxdt, bg.test_grid.n_centers
+        self.theta, self.b = np.empty((n_traj * self.n_rows, len(bg.spec))), np.empty(n_traj * self.n_rows)
 
         nx = grid.nx
+        phi_t, dphi_t, phi_x = _bump_matrices(grid, bg.test_grid)
         shift = np.rint(bg.c * grid.t / grid.dx).astype(np.int64) % nx
-        phi_t, dphi_t, phi_x = bumps
-        # The phases e^(-2 pi i k s / nx) of each distinct shift s, gathered
-        # per row by s_t for each trajectory: a full (nt, nx/2+1) table would
-        # stay live through the whole pass (4 MB at 1024 x 512). Per run of
-        # rows with one shift, its window of Phi_x (a view).
-        roots = np.exp(-2j * np.pi * np.arange(nx) / nx)
-        distinct, self.which = np.unique(shift, return_inverse=True)
-        self.phases = roots[np.outer(distinct, np.arange(nx // 2 + 1)) % nx]
-        starts = np.flatnonzero(np.diff(shift, prepend=-1))
-        phi_xx = np.hstack((phi_x, phi_x))
-        self.windows = [(slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None])]
-        self.phi_tt = np.vstack((phi_t, dphi_t))
-        self.phi_t, self.phi_x, self.grid = phi_t, phi_x, grid
+        # Per run of rows with one shift, its window of Phi_x: Phi_x itself
+        # when no row moves, else a view of [Phi_x Phi_x]
+        self.windows, self.phases = [(slice(None), phi_x.T)], None
+        if shift.any():
+            # The phases e^(-2 pi i k s / nx) of each distinct shift s, gathered
+            # per row by s_t for each trajectory: a full (nt, nx/2+1) table would
+            # stay live through the whole pass (4 MB at 1024 x 512).
+            roots = np.exp(-2j * np.pi * np.arange(nx) / nx)
+            distinct, self.which = np.unique(shift, return_inverse=True)
+            self.phases = roots[np.outer(distinct, np.arange(nx // 2 + 1)) % nx]
+            phi_xx = np.hstack((phi_x, phi_x))
+            starts = np.flatnonzero(np.diff(shift, prepend=-1))
+            self.windows = [(slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None])]
+            self.moved = np.empty((grid.nt, len(phi_x)))  # F Phi_x^T, run by run
+        self.phi_t, self.dphi_t, self.phi_x = phi_t, dphi_t, phi_x
         self.b_offset = bg.c * np.outer(dphi_t.sum(axis=1), phi_x.sum(axis=1))
-        self.mats = {None: np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1))}
+        self.mats = np.zeros((len(self.at), len(phi_t), len(phi_x)))
+        if None in self.at:
+            self.mats[self.at[None]] = np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1))
 
-    def spectrum(self, u_hat):
-        """Contract one trajectory's spectrum: its single-derivative columns and b."""
-        g = self.grid
-        # Phi_t is real: contract the (re, im) pairs of the phased u_hat as one real matrix
-        c_hat = (self.phi_tt @ (u_hat * self.phases[self.which]).view(float)).view(complex)
-        c_t, c_b = np.split(c_hat, 2)
-        # order 0 multiplies by (ik)^0 = 1, exactly: the irfft of c_t itself
-        for d, f in zip(self.orders, spectrum_derivatives(c_t, self.orders, g.nx, g.length)):
-            self.mats[d] = f @ self.phi_x.T
-        self.b = -(np.fft.irfft(c_b, n=g.nx) @ self.phi_x.T + self.b_offset)
+    def contract(self, field, *phis):
+        """phi F Phi_x^T for each phi, with Phi_x read from each row's shift:
+        t first when there is one window, per run of rows otherwise."""
+        if len(self.windows) == 1:
+            ((_, window),) = self.windows
+            return [phi @ field @ window for phi in phis]
+        for rows, window in self.windows:
+            np.matmul(field[rows], window, out=self.moved[rows])
+        return [phi @ self.moved for phi in phis]
+
+    def data(self, u, u_hat):
+        """Contract one trajectory's u and spectrum: u's own column, the
+        response (before its offset) and the single-derivative columns."""
+        self.mats[self.at[0]], self.b_u = self.contract(u, self.phi_t, self.dphi_t)
+        if self.phases is not None:
+            phased = self.phases[self.which]  # a fresh gather: phase it in place
+            u_hat = np.multiply(phased, u_hat, out=phased)
+        # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
+        c_hat = (self.phi_t @ u_hat.view(float)).view(complex)
+        for d, f in zip(self.orders, spectrum_derivatives(c_hat, self.orders, self.grid.nx, self.grid.length)):
+            self.mats[self.at[d]] = f @ self.phi_x.T
 
     def field(self, term: LibraryTerm, field):
         """Contract one product field, if an expansion uses it."""
-        if term in self.products:
-            self.mats[term] = self.phi_t @ np.vstack([field[rows] @ window for rows, window in self.windows])
+        if term in self.at:
+            (self.mats[self.at[term]],) = self.contract(field, self.phi_t)
 
-    def write(self, theta, b, dxdt: float):
-        """One trajectory's rows of the boosted system."""
-        for k, expansion in enumerate(self.expansions):
-            theta[:, k] = dxdt * sum(coef * self.mats[key] for coef, key in expansion).ravel()
-        b[:] = dxdt * self.b.ravel()
+    def write(self, m: int):
+        """Trajectory m's rows of the system."""
+        rows = slice(m * self.n_rows, (m + 1) * self.n_rows)
+        np.matmul(self.mats.reshape(len(self.mats), -1).T, self.expansion, out=self.theta[rows])
+        self.b[rows] = -self.dxdt * (self.b_u + self.b_offset).ravel()
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:
@@ -261,87 +275,67 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     is periodic, but the center margins keep every bump inside one
     period, so no support wraps.
 
-    A single-derivative term (one factor d^d u/dx^d, power 1) is
-    differentiated after the time contraction: Phi_t acts on t and the
-    Fourier derivative on x, so Phi_t d^d u = d^d (Phi_t u), and the rows
-    Phi_t u have the spectrum Phi_t u_hat, u_hat = rfft(u). Each grid
-    contracts u_hat once, and each order is then one small ``irfft`` of
-    (Phi_t u_hat) (ik)^d, contracted with Phi_x^T. The spectrum is
-    contracted, not u: then each mode keeps its own relative accuracy,
-    while the rounding of Phi_t u at the high modes is amplified by k^d
-    (on clean burgers, u_xxxx from rfft(Phi_t u) is off by 1.1e-12 of the
-    integral's scale, from Phi_t u_hat by 6e-15). The column of u itself
-    is (Phi_t u) Phi_x^T. Product terms keep their pointwise fields, from
-    one ``FieldPass`` per call whose buffers every trajectory reuses and
-    whose derivative fields come from the same u_hat, for the orders some
-    product needs. The pass yields (term, field) pairs in its own chain
-    order, and each field is contracted into its term's column. So a
-    trajectory makes one full-size ``rfft`` and one full-size ``irfft``
-    per order a product needs: 1 + 2 for the standard library, which
-    holds GALILEAN_BASIS.
+    Every grid, plain or boosted, is one contraction of the trajectory's
+    u, spectrum and product fields; a TestGrid is the BoostedGrid of its
+    own terms at c = 0. Row t's shift s_t = rint(c t / dx) mod nx is
+    undone by moving the test functions:
 
-    A BoostedGrid adds no transform: its system, that of the boosted data
-    (see BoostedGrid) on its test grid for its own terms, is contracted
-    from the same u_hat and product fields with moving test functions.
-    Row t's shift s_t = rint(c t / dx) mod nx is undone in two ways. Row
-    t of u_hat is phased by e^(-2 pi i k s_t / nx), the phases being made
-    once per call and distinct shift, and each trajectory's phased
-    spectrum is contracted once with [Phi_t; dPhi_t] before the
-    single-derivative columns and b are formed. A product field is read
-    with Phi_x from s_t on: each run of rows with one s_t is multiplied
-    by the view [Phi_x Phi_x][:, s:s+nx], and Phi_t contracts the stacked
-    runs. The offset c enters by the binomial expansion of (u + c)^p
-    times the term's derivative factors: (u + c) u_x = u u_x + c u_x,
-    (u + c)^2 = u^2 + 2 c u + c^2, and so on, the constant's column being
-    outer(Phi_t 1, Phi_x 1). It matches the assembly of the
-    gathered boost to rounding (within 1.7e-12 of each column's largest
-    entry on the eight laws). It adds no failure path that its test grid
-    lacks, except that every product of an expansion must be a term of
+    - A real field F (u, with Phi_t for u's own column and with dPhi_t for
+      b, as two products, and each product field) is read with Phi_x from
+      s_t on. With one run of rows of equal shift, as at c = 0, that is
+      (Phi_t F) W with the run's window W of Phi_x^T, t first; otherwise
+      each run of rows is multiplied by its view [Phi_x Phi_x][:, s:s+nx]^T
+      and Phi_t contracts the stacked runs.
+    - A single-derivative term (one factor d^d u/dx^d, power 1, d >= 1) is
+      differentiated after the time contraction: Phi_t acts on t and the
+      Fourier derivative on x, so Phi_t d^d u = d^d (Phi_t u), and the rows
+      Phi_t u have the spectrum Phi_t u_hat, u_hat = rfft(u). Each order
+      is one small ``irfft`` of (Phi_t u_hat) (ik)^d, contracted with
+      Phi_x^T. When some row moves, row t of u_hat is first phased by
+      e^(-2 pi i k s_t / nx), the phases being made once per call and
+      distinct shift and gathered per trajectory. The spectrum is
+      contracted, not u: then each mode keeps its own relative accuracy,
+      while the rounding of Phi_t u at the high modes is amplified by k^d
+      (on clean burgers, u_xxxx from rfft(Phi_t u) is off by 1.1e-12 of
+      the integral's scale, from Phi_t u_hat by 6e-15).
+    - The offset c enters by the binomial expansion of (u + c)^p times the
+      term's derivative factors: (u + c) u_x = u u_x + c u_x, (u + c)^2 =
+      u^2 + 2 c u + c^2, and so on, the constant's column being
+      outer(Phi_t 1, Phi_x 1), and b gains -c outer(dPhi_t 1, Phi_x 1).
+      Zero coefficients are dropped, so at c = 0 each term is its own
+      expansion. Each trajectory's rows are one product of its contracted
+      columns with the matrix of dx*dt times the coefficients: a 0/1 row
+      gives a column bitwise.
+
+    Product fields come from one ``FieldPass`` per call, whose buffers
+    every trajectory reuses and whose derivative fields come from the same
+    u_hat, for the orders some product needs. So a trajectory makes one
+    full-size ``rfft`` and one full-size ``irfft`` per order a product
+    needs: 1 + 2 for the standard library, which holds GALILEAN_BASIS.
+
+    A boosted system matches the assembly of the gathered boost to
+    rounding (within 1.7e-12 of each column's largest entry on the eight
+    laws). Every product of a boost's expansion must be a term of
     ``spec``: one that is not raises ValueError, naming the boosted term,
-    before any transform.
-
-    Every grid's columns come from the trajectory's spectrum and fields
-    through that grid's own matrices alone; stacking the grids' Phi_t in
-    one product would not give rows bitwise equal to the separate
-    products in BLAS. So every TestGrid's system is bitwise the one a
-    one-grid call gives.
+    before any transform. Every grid's columns come from the trajectory's
+    u, spectrum and fields through that grid's own matrices alone;
+    stacking the grids' Phi_t in one product would not give rows bitwise
+    equal to the separate products in BLAS. So every system is bitwise
+    the one a one-grid call gives.
 
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.
     """
     grid = trajset.grid
-    test_grids = [g.test_grid if isinstance(g, BoostedGrid) else g for g in grids]
-    bumps = [_bump_matrices(grid, tg) for tg in test_grids]
-    boosts = {i: _Boost(g, spec, grid, bumps[i]) for i, g in enumerate(grids) if isinstance(g, BoostedGrid)}
-    dxdt = grid.dx * grid.dt
-    singles = [(k, term.derivative_order) for k, term in enumerate(spec.terms) if term.power == 1]
-    orders = sorted({d for _, d in singles if d})
-    products = {term: k for k, term in enumerate(spec.terms) if term.power > 1}
-    specs = [g.spec if i in boosts else spec for i, g in enumerate(grids)]
-    thetas = [np.empty((len(trajset) * tg.n_centers, len(s))) for tg, s in zip(test_grids, specs)]
-    bs = [np.empty(len(trajset) * tg.n_centers) for tg in test_grids]
-    fields = FieldPass(products, grid)
+    passes = [_Contraction(g if isinstance(g, BoostedGrid) else BoostedGrid(g, 0.0, spec), spec, grid, len(trajset)) for g in grids]
+    fields = FieldPass([t for t in spec.terms if t.power > 1], grid)
     for m, traj in enumerate(trajset):
-        u = traj.values
-        u_hat = np.fft.rfft(u)
-        rows = [slice(m * tg.n_centers, (m + 1) * tg.n_centers) for tg in test_grids]
-        for i, ((phi_t, dphi_t, phi_x), theta, b, r) in enumerate(zip(bumps, thetas, bs, rows)):
-            if i in boosts:
-                boosts[i].spectrum(u_hat)
-                continue
-            b[r] = -dxdt * (dphi_t @ u @ phi_x.T).ravel()
-            # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
-            c_hat = (phi_t @ u_hat.view(float)).view(complex)
-            contracted = dict(zip(orders, spectrum_derivatives(c_hat, orders, grid.nx, grid.length)))
-            contracted[0] = phi_t @ u
-            for k, d in singles:
-                theta[r, k] = dxdt * (contracted[d] @ phi_x.T).ravel()
+        u_hat = np.fft.rfft(traj.values)
+        for p in passes:
+            p.data(traj.values, u_hat)
         for term, field in fields(traj, u_hat):
-            for i, ((phi_t, _, phi_x), theta, r) in enumerate(zip(bumps, thetas, rows)):
-                if i in boosts:
-                    boosts[i].field(term, field)
-                else:
-                    theta[r, products[term]] = dxdt * (phi_t @ field @ phi_x.T).ravel()
-        for i, boost in boosts.items():
-            boost.write(thetas[i][rows[i]], bs[i][rows[i]], dxdt)
-    return tuple(WeakSystem(theta, b, s, g) for g, s, theta, b in zip(grids, specs, thetas, bs))
+            for p in passes:
+                p.field(term, field)
+        for p in passes:
+            p.write(m)
+    return tuple(WeakSystem(p.theta, p.b, p.spec, g) for g, p in zip(grids, passes))

@@ -221,3 +221,25 @@ class TestCoefficientError:
         est = vec({"u_xx": 0.1})
         truth = vec({"u_xx": 0.1, "u*u_x": -1.0})
         assert coefficient_error(est, truth) == pytest.approx(0.1)
+
+
+class TestInputBoundary:
+    def test_trajectory_rejects_complex_values(self):
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
+        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+            Trajectory(g, np.ones((16, 16)) + 1e-3j)
+
+    def test_trajectory_keeps_real_integer_values(self):
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
+        tr = Trajectory(g, np.ones((16, 16), dtype=np.int64))
+        assert tr.values.dtype == np.float64 and np.all(tr.values == 1.0)
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, np.float64(1.0), "1"])
+    def test_term_rejects_a_non_integer_power(self, power):
+        with pytest.raises(ValueError, match=r"^term power must be an integer, got "):
+            LibraryTerm((power, 0, 0, 0, 0))
+
+    def test_term_stores_plain_int_powers(self):
+        term = LibraryTerm((np.int64(2), 1, 0, 0, 0))
+        assert term == term_from_tag("u^2*u_x") and hash(term) == hash(term_from_tag("u^2*u_x"))
+        assert all(type(p) is int for p in term.powers)

@@ -176,3 +176,37 @@ def test_time_scale_mode(clean, transformed, name, c):
     _, base = clean(name)
     res = transformed(name, c)
     assert (res.mode, res.fallback_triggered) == (base.mode, base.fallback_triggered)
+
+
+KDV_HALF_RATE = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "kdv at every second time row returns {u_x} instead of {u*u_x, u_xxx},"
+        " still in symmetry mode: its modes rotate by k^3 dt per sample, more"
+        " than pi above k ~ 34 at half the rate, so the time quadrature of b"
+        " aliases"
+    ),
+)
+
+
+def every_second(ts, axis):
+    """Every second time row (axis "t") or x point (axis "x") of an
+    even-sized record: T shrinks by one original step, and L is kept."""
+    g = ts.grid
+    if axis == "t":
+        grid, keep = Grid1D(g.x0, g.length, g.nx, g.t_start, float(g.t[-2]), g.nt // 2), np.s_[::2]
+    else:
+        grid, keep = Grid1D(g.x0, g.length, g.nx // 2, g.t_start, g.t_end, g.nt), np.s_[:, ::2]
+    return TrajectorySet(tuple(Trajectory(grid, tr.values[keep]) for tr in ts))
+
+
+@pytest.mark.parametrize(
+    "name, axis",
+    [(n, a) if (n, a) != ("kdv", "t") else pytest.param(n, a, marks=KDV_HALF_RATE) for n in METAMORPHIC_LAWS for a in "tx"],
+)
+def test_sampling(clean, name, axis):
+    # the same record sampled half as finely in t or in x: the same law
+    ts, base = clean(name)
+    res = run_eqod(every_second(ts, axis), 42)
+    assert (res.mode, res.fallback_triggered) == (base.mode, base.fallback_triggered)
+    assert res.support() == base.support()

@@ -773,3 +773,21 @@ class TestIdentify:
         below = np.abs(dense.values) < eta
         assert below.any()
         assert np.all(coeffs.values[below] == 0.0)
+
+    def test_one_normalize_per_identification(self, burgers_clean, monkeypatch):
+        # the norms come from _scales; only lasso_cv normalizes the system
+        from eqod.weakform import assemble, make_test_grid
+
+        (ws,) = assemble(burgers_clean, standard_library(), make_test_grid(burgers_clean.grid, 5, 7))
+        expected = sparse.identify_on_system(ws, 42)
+        made = []
+        exact = sparse._normalize
+
+        def counted(theta, b):
+            made.append(theta.shape)
+            return exact(theta, b)
+
+        monkeypatch.setattr(sparse, "_normalize", counted)
+        coeffs, dense = sparse.identify_on_system(ws, 42)
+        assert made == [ws.shape]
+        assert np.array_equal(coeffs.values, expected[0].values) and np.array_equal(dense.values, expected[1].values)

@@ -434,6 +434,18 @@ class TestBoostedGrid:
         elif c == 50.0 and name not in ("kdv", "kdv_burgers"):
             assert shift.max() > g.nx
 
+    @pytest.mark.parametrize("data", ["heat_clean", "burgers_clean"])
+    def test_boost_at_zero_is_the_plain_system(self, data, request):
+        # a plain test grid is the boost at c = 0: no row moves, and each
+        # term is its own expansion, so the systems agree bitwise
+        ts = request.getfixturevalue(data)
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        plain, boosted = assemble(ts, standard_library(), tg, BoostedGrid(tg, 0.0, GALILEAN_BASIS))
+        restricted = plain.restricted(GALILEAN_BASIS)
+        assert boosted.spec == GALILEAN_BASIS
+        assert np.array_equal(boosted.theta, restricted.theta)
+        assert np.array_equal(boosted.b, restricted.b)
+
     @pytest.mark.parametrize(
         "base",
         [standard_library(), THREE_TERMS, expanded_library(20), expanded_library(30)],
