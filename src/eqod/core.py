@@ -130,7 +130,13 @@ class Grid1D:
 @dataclass(frozen=True)
 class Trajectory:
     """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i), real and
-    finite (a complex dtype is rejected, not cast)."""
+    finite (a complex dtype is rejected, not cast).
+
+    A writeable or non-float64 input is copied, so a later write by the
+    caller cannot reach the checked values. A read-only float64 array is
+    kept as given, without a copy: the solvers hand their own output over
+    this way, and whoever holds a writeable view of it must not write.
+    """
 
     grid: Grid1D
     values: np.ndarray
@@ -139,7 +145,8 @@ class Trajectory:
         v = np.asarray(self.values)
         if np.iscomplexobj(v):
             raise ValueError(f"trajectory values must be real, got dtype {v.dtype}")
-        v = np.asarray(v, dtype=float)
+        if v.dtype != np.float64 or v.flags.writeable:
+            v = np.array(v, dtype=np.float64)
         if v.shape != (self.grid.nt, self.grid.nx):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "

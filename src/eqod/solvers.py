@@ -10,10 +10,13 @@ periodic grid, by one of two paths:
   exactly, and the coefficients come from a contour integral (Kassam &
   Trefethen 2005).
 
-The nonlinear terms are evaluated in flux form: u^p (p >= 2) is F(u^p),
-and u^p·u_x = (u^(p+1))_x/(p+1) is ik/(p+1)·F(u^(p+1)), so each stage
-makes one inverse FFT of the 2/3-rule-dealiased field and one forward FFT
-of the powers of u it needs. Any other nonlinear monomial is rejected.
+One walk over the law's nonzero terms (``_operators``) sums the power-1
+terms into the linear symbol and the others into the nonlinear tendency;
+a law without the latter takes the exact path. The nonlinear terms are
+evaluated in flux form: u^p (p >= 2) is F(u^p), and u^p·u_x =
+(u^(p+1))_x/(p+1) is ik/(p+1)·F(u^(p+1)), so each stage makes one inverse
+FFT of the 2/3-rule-dealiased field and one forward FFT of the powers of
+u it needs. Any other nonlinear monomial is rejected.
 A trajectory set's initial conditions are propagated together, as a
 leading batch axis of one computation, and each row equals the solve of
 that row alone.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, LibraryTerm, RngStream, Trajectory, TrajectorySet, as_index
+    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, RngStream, Trajectory, TrajectorySet, as_index
 )
 from .spectral import wavenumbers
 
@@ -61,8 +64,9 @@ class PdeSpec:
     about 1e-2), and it takes 6.
 
     A nonlinear term of ``true_coeffs`` must be u^p with p >= 2 or u^p·u_x
-    with p >= 1: ETDRK4 evaluates them in flux form (see
-    ``_nonlinear_operator``), and ``solve`` rejects any other monomial.
+    with p >= 1: ETDRK4 evaluates them in flux form (see ``_operators``,
+    the one walk over a law's terms), and ``solve`` rejects any other
+    monomial.
     """
 
     name: str
@@ -160,31 +164,20 @@ def initial_condition(pde: PdeSpec, grid: Grid1D, rng: np.random.Generator) -> n
     raise ValueError(f"unknown PDE {name!r}")
 
 
-def _split_terms(coeffs: CoefficientVector):
-    """Partition active terms into a linear Fourier symbol and nonlinear monomials."""
-    linear = []
-    nonlinear = []
-    for term, c in zip(coeffs.terms, coeffs.values):
-        if c == 0.0:
-            continue
-        if term.power == 1:
-            linear.append((term.derivative_order, c))
-        else:
-            nonlinear.append((term, c))
-    return linear, nonlinear
+def _operators(coeffs: CoefficientVector, k, nx: int):
+    """(sym, nl): the law's linear Fourier symbol and its nonlinear tendency
+    N(v), from one walk over its nonzero terms; nl is None for a law with
+    no nonlinear term.
 
-
-def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
-    """N(v): the nonlinear tendency of Fourier rows v, in flux form.
-
-    Each supported monomial is a Fourier multiplier on a power of u:
+    A term of power 1 adds c·(ik)^d to sym, in coefficient order. Every
+    other term is a Fourier multiplier on a power of u, in flux form:
     c·u^p (p >= 2) is c·F(u^p), and c·u^p·u_x (p >= 1), which is
     c·(u^(p+1))_x/(p+1), is c·ik/(p+1)·F(u^(p+1)). Kassam & Trefethen (2005)
     write the KS nonlinearity this way. The multipliers of the terms that
     share a power q are summed once per solve. Any other monomial (u*u_xx,
     u_x^2, ...) raises ValueError here, before a step is taken.
 
-    v holds rfft coefficients along its last axis; any leading axes are a
+    N takes rfft coefficients v along the last axis; any leading axes are a
     batch. A call makes one irfft of the modes |k| <= K, with K < nx/3 (the
     2/3 rule), one rfft of the stacked powers of u, and zeroes every mode
     above K. Since nx > 3K, the kept modes of u^2 are alias-free, so for
@@ -198,8 +191,14 @@ def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
     keep = (nx - 1) // 3 + 1
     kept = np.arange(k.size) < keep
     ik = np.where(kept, 1j * k, 0.0)
+    sym = np.zeros_like(k, dtype=complex)
     by_power: dict[int, np.ndarray] = {}
-    for term, c in nonlinear:
+    for term, c in zip(coeffs.terms, coeffs.values):
+        if c == 0.0:
+            continue
+        if term.power == 1:
+            sym = sym + c * (1j * k) ** term.derivative_order
+            continue
         p, px, *higher = term.powers
         if any(higher) or px > 1:
             raise ValueError(
@@ -208,10 +207,12 @@ def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
             )
         mult = c * ik / (p + 1) if px else c * kept
         by_power[p + px] = by_power.get(p + px, 0.0) + mult
+    if not by_power:
+        return sym, None
     powers = sorted(by_power)
     mults = [by_power[q] for q in powers]
 
-    def apply(v):
+    def nl(v):
         u = np.fft.irfft(v[..., :keep], n=nx)
         stack = np.empty((len(powers),) + u.shape)
         for row, q in zip(stack, powers):
@@ -222,14 +223,7 @@ def _nonlinear_operator(nonlinear: list[tuple[LibraryTerm, float]], k, nx: int):
             nv += mult * fq
         return nv
 
-    return apply
-
-
-def _linear_symbol(k, linear):
-    sym = np.zeros_like(k, dtype=complex)
-    for d, c in linear:
-        sym = sym + c * (1j * k) ** d
-    return sym
+    return sym, nl
 
 
 def _etdrk4_coeffs(sym, h, m=32):
@@ -249,12 +243,6 @@ def _etdrk4_coeffs(sym, h, m=32):
     f2 = h * ((2 + lr + np.exp(lr) * (lr - 2)) / lr**3).mean(axis=1)
     f3 = h * ((-4 - 3 * lr - lr**2 + np.exp(lr) * (4 - lr)) / lr**3).mean(axis=1)
     return e_full, e_half, q, f1, f2, f3
-
-
-def _propagate_exact(pde, v0, grid, sym):
-    """A law with no nonlinear term in closed form: v(t) = exp(sym (transient + t)) v(0)."""
-    growth = np.exp(np.outer(pde.transient + grid.t, sym))
-    return np.fft.irfft(v0[:, None, :] * growth, n=grid.nx)
 
 
 def _etdrk4_step(sym, h, nl):
@@ -325,12 +313,12 @@ def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> np.ndarray:
     # (-1)^j·cos(c·k_N^d·t), the real part of the rotated coefficient that
     # irfft keeps; only the derivative of the sampled mode is zero.
     k = wavenumbers(grid.nx, grid.length)
-    linear, nonlinear = _split_terms(pde.true_coeffs)
-    sym = _linear_symbol(k, linear)
+    sym, nl = _operators(pde.true_coeffs, k, grid.nx)
     v0 = np.fft.rfft(u0)
-    if not nonlinear:
-        return _propagate_exact(pde, v0, grid, sym)
-    return _solve_etdrk4(pde, v0, grid, sym, _nonlinear_operator(nonlinear, k, grid.nx))
+    if nl is None:  # in closed form: v(t) = exp(sym (transient + t)) v(0)
+        growth = np.exp(np.outer(pde.transient + grid.t, sym))
+        return np.fft.irfft(v0[:, None, :] * growth, n=grid.nx)
+    return _solve_etdrk4(pde, v0, grid, sym, nl)
 
 
 def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
@@ -347,7 +335,9 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):
         raise ValueError("u0 length must equal grid.nx")
-    return Trajectory(grid, _propagate(pde, u0[None], grid)[0])
+    values = _propagate(pde, u0[None], grid)[0]
+    values.flags.writeable = False  # handed over without a copy
+    return Trajectory(grid, values)
 
 
 def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
@@ -360,6 +350,7 @@ def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Traje
         return traj
     scale = sigma * float(np.std(traj.values))
     noisy = traj.values + scale * rng.standard_normal(traj.values.shape)
+    noisy.flags.writeable = False  # handed over without a copy
     return Trajectory(traj.grid, noisy)
 
 
@@ -378,6 +369,7 @@ def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) ->
     noise_stream = RngStream(seed + NOISE_SEED_OFFSET)
     u0 = np.stack([initial_condition(pde, grid, ic_stream.generator(i)) for i in range(m)])
     values = _propagate(pde, u0, grid)
+    values.flags.writeable = False  # each row is handed over without a copy
     return TrajectorySet(
         tuple(
             add_noise(Trajectory(grid, v), sigma, noise_stream.generator(i))

@@ -28,7 +28,8 @@ data by +s_t, and each of its terms is the binomial expansion of
 term is its own expansion, so the arithmetic is that of the plain
 contraction above. A boost adds no failure path that its test grid
 lacks, except that an expansion needing a product the library does not
-hold is rejected before any transform.
+hold, or a c whose shifts or coefficients overflow, is rejected before
+any transform.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ class _Contraction:
     boost (see ``assemble``). A TestGrid is the boost at c = 0."""
 
     def __init__(self, bg: BoostedGrid, spec: LibrarySpec, grid: Grid1D, n_traj: int):
+        # Each row's shift rint(c t / dx) must fit an int64, and (1 + |c|)^p,
+        # which bounds the binomial coefficients of a term with u-power p, a float64
+        reach = abs(bg.c) * max(abs(grid.t_start), abs(grid.t_end)) / grid.dx
+        p_max = max(t.powers[0] for t in bg.spec.terms)
+        if not reach < 2.0**63 or p_max * math.log2(1 + abs(bg.c)) >= 1024:
+            raise ValueError(f"boost c = {bg.c} is too large for the grid and library: its row shifts or binomial coefficients overflow")
         products = {t for t in spec.terms if t.power > 1}
         dxdt = grid.dx * grid.dt
         # Per key, its row of dx*dt times each term's binomial coefficients:
@@ -317,11 +324,13 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     rounding (within 1.7e-12 of each column's largest entry on the eight
     laws). Every product of a boost's expansion must be a term of
     ``spec``: one that is not raises ValueError, naming the boosted term,
-    before any transform. Every grid's columns come from the trajectory's
-    u, spectrum and fields through that grid's own matrices alone;
-    stacking the grids' Phi_t in one product would not give rows bitwise
-    equal to the separate products in BLAS. So every system is bitwise
-    the one a one-grid call gives.
+    before any transform. So does a c, named in the message, whose row
+    shifts overflow an int64 or whose expansion's coefficients may
+    overflow a float64 ((1 + |c|)^p >= 2^1024). Every grid's columns come
+    from the trajectory's u, spectrum and fields through that grid's own
+    matrices alone; stacking the grids' Phi_t in one product would not
+    give rows bitwise equal to the separate products in BLAS. So every
+    system is bitwise the one a one-grid call gives.
 
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.

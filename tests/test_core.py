@@ -234,6 +234,20 @@ class TestInputBoundary:
         tr = Trajectory(g, np.ones((16, 16), dtype=np.int64))
         assert tr.values.dtype == np.float64 and np.all(tr.values == 1.0)
 
+    def test_trajectory_is_not_reached_by_a_later_write(self):
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
+        a = np.ones((16, 16))
+        tr = Trajectory(g, a)
+        a[0, 0] = np.nan
+        assert not np.shares_memory(tr.values, a)
+        assert np.all(tr.values == 1.0)
+
+    def test_trajectory_keeps_a_read_only_array_without_a_copy(self):
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
+        a = np.ones((16, 16))
+        a.flags.writeable = False
+        assert Trajectory(g, a).values is a
+
     @pytest.mark.parametrize("power", [1.5, 2.0, np.float64(1.0), "1"])
     def test_term_rejects_a_non_integer_power(self, power):
         with pytest.raises(ValueError, match=r"^term power must be an integer, got "):

@@ -21,8 +21,7 @@ from eqod.solvers import (
     PDES,
     SolverBlowUpError,
     _etdrk4_coeffs,
-    _nonlinear_operator,
-    _split_terms,
+    _operators,
     add_noise,
     generate_set,
     initial_condition,
@@ -195,6 +194,26 @@ class TestSolve:
         tr = solve(pde, np.sin(g.x), g)
         exact = np.exp(-0.1 * (0.3 + g.t))[:, None] * np.sin(g.x)[None, :]
         assert np.abs(tr.values - exact).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "name, exact",
+        [
+            ("heat", lambda x, t: np.exp(-0.1 * t) * np.sin(x)),
+            ("adv_diff", lambda x, t: np.exp(-0.05 * t) * np.sin(x - t)),
+        ],
+    )
+    def test_linear_law_never_builds_a_step(self, name, exact, monkeypatch):
+        # no nonlinear term selects the closed form, even with a step count
+        def no_step(*args):
+            raise AssertionError("a step was built")
+
+        g = PDES[name].default_grid()
+        clean = solve(PDES[name], np.sin(g.x), g).values
+        monkeypatch.setattr(solvers, "_etdrk4_step", no_step)
+        pde = dataclasses.replace(PDES[name], steps_per_sample=1)
+        tr = solve(pde, np.sin(g.x), g)
+        assert np.array_equal(tr.values, clean)
+        assert np.abs(tr.values - exact(g.x[None, :], g.t[:, None])).max() < 1e-12
 
     @pytest.mark.parametrize("tag, order", [("u_x", 1), ("u_xxx", 3)])
     def test_nyquist_mode_under_odd_order(self, tag, order):
@@ -390,8 +409,8 @@ class TestNonlinearOperator:
     @staticmethod
     def operators(coeffs, nx, length=2 * np.pi):
         k = 2 * np.pi * np.arange(nx // 2 + 1) / length
-        _, nonlinear = _split_terms(coeffs)
-        return _nonlinear_operator(nonlinear, k, nx), reference_nonlinear(nonlinear, k, nx)
+        nonlinear = [(t, c) for t, c in zip(coeffs.terms, coeffs.values) if c != 0.0 and t.power > 1]
+        return _operators(coeffs, k, nx)[1], reference_nonlinear(nonlinear, k, nx)
 
     @pytest.mark.parametrize("name", NONLINEAR_LAWS + ["mixed"])
     def test_matches_pointwise_reference(self, name):
@@ -433,12 +452,13 @@ class TestNonlinearOperator:
 
         for fn in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, fn, counted(getattr(np.fft, fn), "fft"))
-        operator = solvers._nonlinear_operator
-        monkeypatch.setattr(
-            solvers,
-            "_nonlinear_operator",
-            lambda *args: counted(operator(*args), "stage"),
-        )
+        operators = solvers._operators
+
+        def counted_operators(*args):
+            sym, nl = operators(*args)
+            return sym, counted(nl, "stage")
+
+        monkeypatch.setattr(solvers, "_operators", counted_operators)
         pde = PDES[name]
         g = pde.default_grid(64, 32)
         generate_set(pde, g, 2, 0.0, 0)

@@ -489,6 +489,33 @@ class TestBoostedGrid:
         with pytest.raises(ValueError, match="boost must be finite"):
             BoostedGrid(tg, np.nan, GALILEAN_BASIS)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e20, -1e20, 1e110])
+    def test_rejects_a_boost_too_large_for_its_grid(self, burgers_clean, monkeypatch, c):
+        # rint(c t / dx) does not fit an int64 on burgers' 128 x 128 grid
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        ts = TrajectorySet((burgers_clean.trajectories[0],))
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        with pytest.raises(ValueError, match=f"^boost c = {re.escape(str(c))} is too large"):
+            assemble(ts, standard_library(), tg, BoostedGrid(tg, c, GALILEAN_BASIS))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_boost_whose_coefficients_overflow(self, monkeypatch):
+        # on a record 1e-200 long the shifts of c = 1e150 are small, but
+        # the c^3 of (u + c)^3 overflows a float64
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 1e-200, 64)
+        ts = TrajectorySet((Trajectory(g, np.ones((64, 64))),))
+        tg = make_test_grid(g, *IDENTIFY_GRID)
+        with pytest.raises(ValueError, match=r"^boost c = 1e\+150 is too large"):
+            assemble(ts, standard_library(), tg, BoostedGrid(tg, 1e150, GALILEAN_BASIS))
+
 
 class TestFieldPass:
     @pytest.mark.parametrize("data", ["heat_noisy10", "fisher_kpp_clean"])

@@ -1,28 +1,32 @@
-"""In-process A/B timing of one assembly and one LASSO path in two source trees.
+"""In-process A/B timing of data generation, one assembly and one LASSO path in two source trees.
 
 Each tree's ``src/eqod`` is copied to a temporary directory under its own
 package name (``eqod_a``, ``eqod_b``), so both import side by side in one
-process and their relative imports keep working. Per case, the data are
-made once by tree A (``generate_set(pde, pde.default_grid(nx, nt), 3,
-sigma, 42)``) and rebuilt as tree B's own types from the same arrays.
-The calls then alternate between the trees (A then B, B then A, ...):
+process and their relative imports keep working. Per case, the calls
+alternate between the trees (A then B, B then A, ...):
 
+- ``generate_set``: each tree generates the case's data,
+  ``generate_set(pde, pde.default_grid(nx, nt), 3, sigma, 42)``;
 - ``assemble``: the pipeline's three-grid call (the identification grid,
   the stability grid and the identification grid's Galilean boost) on the
   union of the standard library and ``GALILEAN_BASIS``;
 - ``lasso_cv``: one CV-LASSO path on the identification system restricted
   to the standard library, as ``identify_on_system`` makes it.
 
+The last two run on tree A's data, rebuilt as tree B's own types from the
+same arrays. The cases are every law at 128 x 128 with sigma 0 and 0.1,
+and heat (sigma 0.1) and ks (sigma 0) at 1024 x 512.
+
 Timings in separate processes spread by tens of percent on one machine,
 so a change of a few percent in one layer shows only when both trees run
 in one process. The script prints the median milliseconds of each call
-per tree, B's median against A's, and whether the two trees' systems are
-bitwise equal (the identification and stability systems) and how far
-apart the boosted system is (largest distance over each column's, and
-b's, largest entry).
+per tree, B's median against A's, whether the two trees' data are
+bitwise equal, whether their systems are (the identification and
+stability systems), and how far apart the boosted system is (largest
+distance over each column's, and b's, largest entry).
 
 Run from anywhere, with the standard library and numpy:
-``python tools/ab_layers.py TREE_A TREE_B [--reps N] [--cases heat-128,ks-1024x512]``
+``python tools/ab_layers.py TREE_A TREE_B [--reps N] [--cases heat-128-0.1,ks-1024x512-0]``
 where a tree is a directory holding ``src/eqod`` (a checkout of the repo).
 BLAS and OpenMP default to one thread unless the environment sets them.
 """
@@ -44,12 +48,12 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+LAWS = ("heat", "burgers", "kdv", "fisher_kpp", "adv_diff", "ks", "kdv_burgers", "react_diff")
 # (name, pde, sigma, nx, nt)
 CASES = (
-    ("heat-128", "heat", 0.10, 128, 128),
-    ("ks-128", "ks", 0.0, 128, 128),
-    ("heat-1024x512", "heat", 0.10, 1024, 512),
-    ("ks-1024x512", "ks", 0.0, 1024, 512),
+    *((f"{pde}-128-{sigma:g}", pde, sigma, 128, 128) for pde in LAWS for sigma in (0.0, 0.1)),
+    ("heat-1024x512-0.1", "heat", 0.1, 1024, 512),
+    ("ks-1024x512-0", "ks", 0.0, 1024, 512),
 )
 SEED = 42
 N_TRAJ = 3
@@ -76,8 +80,8 @@ def rebuild(tree, trajset):
     return core.TrajectorySet(tuple(core.Trajectory(grid, tr.values) for tr in trajset))
 
 
-def calls(tree, trajset):
-    """The two timed calls on one trajectory set, as zero-argument functions."""
+def calls(tree, case, trajset):
+    """The timed calls of one case, the last two on ``trajset``, as zero-argument functions."""
     wf, oplib, sym = tree["weakform"], tree["oplib"], tree["symmetry"]
     base = oplib.standard_library()
     lib = oplib.LibrarySpec(tuple(dict.fromkeys(base.terms + sym.GALILEAN_BASIS.terms)))
@@ -90,20 +94,22 @@ def calls(tree, trajset):
     systems = wf.assemble(trajset, lib, *grids)
     ws = systems[0].restricted(base)
     return systems, {
+        "generate_set": lambda: make_data(tree, *case),
         "assemble": lambda: wf.assemble(trajset, lib, *grids),
         "lasso_cv": lambda: tree["sparse"].lasso_cv(ws.theta, ws.b, SEED),
     }
 
 
-def compare(systems_a, systems_b) -> str:
-    """Bitwise equality of the plain systems and the boosted system's distance."""
+def compare(data_a, data_b, systems_a, systems_b) -> str:
+    """Bitwise equality of the data and the plain systems, and the boosted system's distance."""
+    data = all(np.array_equal(a.values, b.values) for a, b in zip(data_a, data_b))
     plain = all(
         np.array_equal(a.theta, b.theta) and np.array_equal(a.b, b.b) for a, b in zip(systems_a[:2], systems_b[:2])
     )
     a, b = systems_a[2], systems_b[2]
     theta = float((np.abs(a.theta - b.theta) / np.abs(a.theta).max(axis=0)).max())
     resp = float(np.abs(a.b - b.b).max() / np.abs(a.b).max())
-    return f"plain systems bitwise: {plain}; boosted system apart by {theta:.1e} (theta), {resp:.1e} (b)"
+    return f"data bitwise: {data}; plain systems bitwise: {plain}; boosted system apart by {theta:.1e} (theta), {resp:.1e} (b)"
 
 
 def time_case(fns_a, fns_b, reps: int) -> dict:
@@ -135,17 +141,17 @@ def main(argv=None) -> None:
         tree_a = load_tree(args.tree_a.resolve(), "eqod_a", Path(tmp))
         tree_b = load_tree(args.tree_b.resolve(), "eqod_b", Path(tmp))
         print(f"A = {args.tree_a}, B = {args.tree_b}; {args.reps} alternating calls each; median ms")
-        print(f"{'case':<15} {'call':<9} {'A':>9} {'B':>9} {'B/A - 1':>8}")
-        for name, pde, sigma, nx, nt in CASES:
+        print(f"{'case':<19} {'call':<12} {'A':>9} {'B':>9} {'B/A - 1':>8}")
+        for name, *case in CASES:
             if name not in chosen:
                 continue
-            data_a = make_data(tree_a, pde, sigma, nx, nt)
-            systems_a, fns_a = calls(tree_a, data_a)
-            systems_b, fns_b = calls(tree_b, rebuild(tree_b, data_a))
+            data_a, data_b = make_data(tree_a, *case), make_data(tree_b, *case)
+            systems_a, fns_a = calls(tree_a, case, data_a)
+            systems_b, fns_b = calls(tree_b, case, rebuild(tree_b, data_a))
             for call, (times_a, times_b) in time_case(fns_a, fns_b, args.reps).items():
                 med_a, med_b = statistics.median(times_a), statistics.median(times_b)
-                print(f"{name:<15} {call:<9} {med_a:9.3f} {med_b:9.3f} {100 * (med_b / med_a - 1):+7.1f}%")
-            print(f"{'':<15} {compare(systems_a, systems_b)}")
+                print(f"{name:<19} {call:<12} {med_a:9.3f} {med_b:9.3f} {100 * (med_b / med_a - 1):+7.1f}%")
+            print(f"{'':<19} {compare(data_a, data_b, systems_a, systems_b)}")
 
 
 if __name__ == "__main__":
