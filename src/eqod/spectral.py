@@ -7,10 +7,13 @@ is the checked one-order entry: it rejects a bad order or non-finite
 input before any transform. ``spectrum_derivatives`` is the unchecked
 many-order step on rows of ``rfft`` modes, which a caller holding a
 spectrum, or a linear contraction of one, uses without a further
-forward transform.
+forward transform; it makes each order's multiplier (ik)^d once per grid
+and keeps it, read-only, for later calls.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,20 +38,31 @@ def spectrum_derivatives(u_hat, orders, nx: int, length: float) -> list[np.ndarr
     every order of the call reuses, and one ``irfft``. For
     odd orders the Nyquist mode is zeroed: on the grid that mode is
     cos(k_N x_j) = (-1)^j, whose derivative vanishes at every grid point.
-    The orders are not checked here.
+    The multipliers are memoized across calls, keyed by the type and value
+    of (nx, length, order) and bounded to the last 64 keys used; each is
+    read-only. The orders are not checked here, and nx and length only
+    by ``wavenumbers`` when a multiplier is made.
 
     Returns one array of u_hat's leading shape by nx per order, in the
     order given.
     """
-    ik = 1j * wavenumbers(nx, length)
     out, scaled = [], None
     for order in orders:
-        mult = ik**order
-        if order % 2 == 1:
-            mult[nx // 2] = 0.0
-        scaled = np.multiply(u_hat, mult, out=scaled)
+        scaled = np.multiply(u_hat, _multiplier(nx, length, order), out=scaled)
         out.append(np.fft.irfft(scaled, n=nx, axis=-1))
     return out
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _multiplier(nx: int, length: float, order: int) -> np.ndarray:
+    """(ik)^order on the ``rfft`` modes, its Nyquist mode zeroed for odd
+    orders: read-only, and made once per (nx, length, order) of the last
+    64 used, each argument keyed by its type and value."""
+    mult = (1j * wavenumbers(nx, length)) ** order
+    if order % 2 == 1:
+        mult[nx // 2] = 0.0
+    mult.flags.writeable = False
+    return mult
 
 
 def spectral_derivative(row, order: int, length: float) -> np.ndarray:

@@ -30,13 +30,22 @@ contraction above. A boost adds no failure path that its test grid
 lacks, except that an expansion needing a product the library does not
 hold, or a c whose shifts or coefficients overflow, is rejected before
 any transform.
+
+Everything a grid's contraction reads besides the data (bump matrices,
+shift windows and phases, expansion, constant column) is its plan,
+which depends only on the Grid1D, the test grid, the boost and the
+libraries. Plans are memoized by the value of those inputs, the last 16
+used, and are read-only, so repeated calls on one grid, as in an
+evaluation over seeds and noise levels, build each plan once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -176,13 +185,14 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     return bump(rt), bump_dt(rt) / tg.r_t, phi_x
 
 
-class _Contraction:
-    """One grid's share of an assembly and its system: that of the data's
-    boost by ``bg`` on its test grid, contracted from the pass's own u,
-    spectrum and product fields with test functions that move with the
-    boost (see ``assemble``). A TestGrid is the boost at c = 0."""
+class _Plan:
+    """What one grid's contraction needs besides the data: the test
+    functions of ``bg`` on ``grid``, moved with its boost, and the
+    expansion of its terms over the columns an assembly of ``spec``
+    forms. Its arrays are read-only, so every call shares it (see
+    ``assemble``); a TestGrid is the boost at c = 0."""
 
-    def __init__(self, bg: BoostedGrid, spec: LibrarySpec, grid: Grid1D, n_traj: int):
+    def __init__(self, grid: Grid1D, bg: BoostedGrid, spec: LibrarySpec):
         # Each row's shift rint(c t / dx) must fit an int64, and (1 + |c|)^p,
         # which bounds the binomial coefficients of a term with u-power p, a float64
         reach = abs(bg.c) * max(abs(grid.t_start), abs(grid.t_end)) / grid.dx
@@ -207,18 +217,17 @@ class _Contraction:
                 elif key is not None and key not in products:
                     raise ValueError(f"boosted term {term.tag} needs the field of {key.tag}, which the assembled library does not form")
                 expansion[key][k] = dxdt * coef
-        self.at = {key: i for i, key in enumerate(expansion)}
+        self.at = MappingProxyType({key: i for i, key in enumerate(expansion)})
         self.expansion = np.array(list(expansion.values()))
-        self.orders = sorted(k for k in self.at if isinstance(k, int) and k)
-        self.spec, self.grid, self.dxdt, self.n_rows = bg.spec, grid, dxdt, bg.test_grid.n_centers
-        self.theta, self.b = np.empty((n_traj * self.n_rows, len(bg.spec))), np.empty(n_traj * self.n_rows)
+        self.orders = tuple(sorted(k for k in self.at if isinstance(k, int) and k))
+        self.grid, self.dxdt, self.n_rows = grid, dxdt, bg.test_grid.n_centers
 
         nx = grid.nx
         phi_t, dphi_t, phi_x = _bump_matrices(grid, bg.test_grid)
         shift = np.rint(bg.c * grid.t / grid.dx).astype(np.int64) % nx
         # Per run of rows with one shift, its window of Phi_x: Phi_x itself
         # when no row moves, else a view of [Phi_x Phi_x]
-        self.windows, self.phases = [(slice(None), phi_x.T)], None
+        self.windows, self.phases, self.which = ((slice(None), phi_x.T),), None, None
         if shift.any():
             # The phases e^(-2 pi i k s / nx) of each distinct shift s, gathered
             # per row by s_t for each trajectory: a full (nt, nx/2+1) table would
@@ -228,46 +237,89 @@ class _Contraction:
             self.phases = roots[np.outer(distinct, np.arange(nx // 2 + 1)) % nx]
             phi_xx = np.hstack((phi_x, phi_x))
             starts = np.flatnonzero(np.diff(shift, prepend=-1))
-            self.windows = [(slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None])]
-            self.moved = np.empty((grid.nt, len(phi_x)))  # F Phi_x^T, run by run
+            self.windows = tuple((slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None]))
         self.phi_t, self.dphi_t, self.phi_x = phi_t, dphi_t, phi_x
         self.b_offset = bg.c * np.outer(dphi_t.sum(axis=1), phi_x.sum(axis=1))
-        self.mats = np.zeros((len(self.at), len(phi_t), len(phi_x)))
-        if None in self.at:
-            self.mats[self.at[None]] = np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1))
+        self.const = np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1)) if None in self.at else None
+        shared = (self.expansion, phi_t, dphi_t, phi_x, self.b_offset, self.const, self.phases, self.which)
+        for a in (*shared, *(window for _, window in self.windows)):
+            if a is not None:
+                a.flags.writeable = False
+
+
+def _values(a) -> tuple:
+    """An array as a hashable value: its shape, dtype and bytes."""
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _memo_plan(grid, t_centers, x_centers, r_t, r_x, c, sign, boost_spec, spec) -> _Plan:
+    """The plan of one key of ``_plan``, built from the key alone, so that
+    no hit can read a value its key does not hold. ``sign`` is c's: as
+    keys -0.0 and 0.0 are equal, yet they can give b's zeros opposite
+    signs. 16 plans are the three of ``run_eqod``'s grids for each of the
+    five grids of the eight benchmark laws, and one more."""
+    tg = TestGrid(*(np.frombuffer(data, dtype).reshape(shape) for shape, dtype, data in (t_centers, x_centers)), r_t, r_x)
+    return _Plan(grid, BoostedGrid(tg, c, boost_spec), spec)
+
+
+def _plan(grid: Grid1D, bg: BoostedGrid, spec: LibrarySpec) -> _Plan:
+    """The shared plan of ``bg`` on ``grid`` for an assembly of ``spec``."""
+    tg = bg.test_grid
+    key = (_values(tg.t_centers), _values(tg.x_centers), tg.r_t, tg.r_x, bg.c, math.copysign(1.0, bg.c))
+    return _memo_plan(grid, *key, bg.spec, spec)
+
+
+class _Contraction:
+    """One grid's share of an assembly and its system: that of the data's
+    boost on its test grid, contracted by the grid's plan from the pass's
+    own u, spectrum and product fields (see ``assemble``)."""
+
+    def __init__(self, plan: _Plan, n_traj: int):
+        self.plan = plan
+        n_rows = n_traj * plan.n_rows
+        self.theta, self.b = np.empty((n_rows, plan.expansion.shape[1])), np.empty(n_rows)
+        self.mats = np.zeros((len(plan.at), len(plan.phi_t), len(plan.phi_x)))
+        if plan.const is not None:
+            self.mats[plan.at[None]] = plan.const
+        if len(plan.windows) > 1:
+            self.moved = np.empty((plan.grid.nt, len(plan.phi_x)))  # F Phi_x^T, run by run
 
     def contract(self, field, *phis):
         """phi F Phi_x^T for each phi, with Phi_x read from each row's shift:
         t first when there is one window, per run of rows otherwise."""
-        if len(self.windows) == 1:
-            ((_, window),) = self.windows
+        if len(self.plan.windows) == 1:
+            ((_, window),) = self.plan.windows
             return [phi @ field @ window for phi in phis]
-        for rows, window in self.windows:
+        for rows, window in self.plan.windows:
             np.matmul(field[rows], window, out=self.moved[rows])
         return [phi @ self.moved for phi in phis]
 
     def data(self, u, u_hat):
         """Contract one trajectory's u and spectrum: u's own column, the
         response (before its offset) and the single-derivative columns."""
-        self.mats[self.at[0]], self.b_u = self.contract(u, self.phi_t, self.dphi_t)
-        if self.phases is not None:
-            phased = self.phases[self.which]  # a fresh gather: phase it in place
+        p = self.plan
+        self.mats[p.at[0]], self.b_u = self.contract(u, p.phi_t, p.dphi_t)
+        if p.phases is not None:
+            phased = p.phases[p.which]  # a fresh gather: phase it in place
             u_hat = np.multiply(phased, u_hat, out=phased)
         # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
-        c_hat = (self.phi_t @ u_hat.view(float)).view(complex)
-        for d, f in zip(self.orders, spectrum_derivatives(c_hat, self.orders, self.grid.nx, self.grid.length)):
-            self.mats[self.at[d]] = f @ self.phi_x.T
+        c_hat = (p.phi_t @ u_hat.view(float)).view(complex)
+        for d, f in zip(p.orders, spectrum_derivatives(c_hat, p.orders, p.grid.nx, p.grid.length)):
+            self.mats[p.at[d]] = f @ p.phi_x.T
 
     def field(self, term: LibraryTerm, field):
         """Contract one product field, if an expansion uses it."""
-        if term in self.at:
-            (self.mats[self.at[term]],) = self.contract(field, self.phi_t)
+        if term in self.plan.at:
+            (self.mats[self.plan.at[term]],) = self.contract(field, self.plan.phi_t)
 
     def write(self, m: int):
         """Trajectory m's rows of the system."""
-        rows = slice(m * self.n_rows, (m + 1) * self.n_rows)
-        np.matmul(self.mats.reshape(len(self.mats), -1).T, self.expansion, out=self.theta[rows])
-        self.b[rows] = -self.dxdt * (self.b_u + self.b_offset).ravel()
+        p = self.plan
+        rows = slice(m * p.n_rows, (m + 1) * p.n_rows)
+        np.matmul(self.mats.reshape(len(self.mats), -1).T, p.expansion, out=self.theta[rows])
+        self.b[rows] = -p.dxdt * (self.b_u + p.b_offset).ravel()
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:
@@ -277,10 +329,21 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     u * dphi/dt and Theta_k = integral of theta_k(u) * phi, both by the
     trapezoidal rule (the bumps vanish at the ends of their supports).
     Each is a separable contraction with the dense, zero-padded bump
-    matrices, built once per grid and call: b = -dx*dt * dPhi_t u Phi_x^T
-    and Theta_k = dx*dt * Phi_t F_k Phi_x^T, raveled t-major. The x-axis
-    is periodic, but the center margins keep every bump inside one
-    period, so no support wraps.
+    matrices: b = -dx*dt * dPhi_t u Phi_x^T and Theta_k = dx*dt * Phi_t
+    F_k Phi_x^T, raveled t-major. The x-axis is periodic, but the center
+    margins keep every bump inside one period, so no support wraps.
+
+    What a grid's contraction needs besides the data is its plan: the
+    bump matrices, the windows and phases of its shifts, the binomial
+    expansion and the constant column. Plans are memoized across calls
+    and shared read-only, so a call on a grid seen before builds none of
+    it. The key is the value of every input of the plan:
+    the Grid1D, the test grid's centers (shape, dtype and bytes) and
+    radii, the boost c (type, value and sign) and the boost's library and
+    ``spec``; so an equal test grid built apart shares a plan, and a
+    changed constant never reads a stale one. The memo keeps the last 16
+    plans used. A plan that fails is not kept: each call raises anew.
+    Each WeakSystem carries the caller's own spec and grid objects.
 
     Every grid, plain or boosted, is one contraction of the trajectory's
     u, spectrum and product fields; a TestGrid is the BoostedGrid of its
@@ -299,7 +362,7 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
       Phi_t u have the spectrum Phi_t u_hat, u_hat = rfft(u). Each order
       is one small ``irfft`` of (Phi_t u_hat) (ik)^d, contracted with
       Phi_x^T. When some row moves, row t of u_hat is first phased by
-      e^(-2 pi i k s_t / nx), the phases being made once per call and
+      e^(-2 pi i k s_t / nx), the phases being made once per plan and
       distinct shift and gathered per trajectory. The spectrum is
       contracted, not u: then each mode keeps its own relative accuracy,
       while the rounding of Phi_t u at the high modes is amplified by k^d
@@ -336,7 +399,8 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     its grid.
     """
     grid = trajset.grid
-    passes = [_Contraction(g if isinstance(g, BoostedGrid) else BoostedGrid(g, 0.0, spec), spec, grid, len(trajset)) for g in grids]
+    boosts = [g if isinstance(g, BoostedGrid) else BoostedGrid(g, 0.0, spec) for g in grids]
+    passes = [_Contraction(_plan(grid, bg, spec), len(trajset)) for bg in boosts]
     fields = FieldPass([t for t in spec.terms if t.power > 1], grid)
     for m, traj in enumerate(trajset):
         u_hat = np.fft.rfft(traj.values)
@@ -347,4 +411,4 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
                 p.field(term, field)
         for p in passes:
             p.write(m)
-    return tuple(WeakSystem(p.theta, p.b, p.spec, g) for g, p in zip(grids, passes))
+    return tuple(WeakSystem(p.theta, p.b, bg.spec, g) for g, bg, p in zip(grids, boosts, passes))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import eqod.spectral as spectral
 from eqod.spectral import spectral_derivative, spectrum_derivatives, wavenumbers
 
 
@@ -133,3 +134,59 @@ class TestDerivatives:
         for d_after, order in zip(after, orders):
             d = spectral_derivative(u, order, 3.0)
             assert np.abs(d_after - a @ d).max() < 1e-12 * np.abs(a).sum(axis=1).max() * np.abs(d).max()
+
+
+class TestMultiplierMemo:
+    """Each (nx, length, order)'s multiplier (ik)^d is made once and kept read-only."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        spectral._multiplier.cache_clear()
+        yield
+        spectral._multiplier.cache_clear()
+
+    def test_a_hit_gives_the_first_call_bitwise(self):
+        u = np.random.default_rng(7).standard_normal((5, 64))
+        orders = (1, 2, 3, 4)
+        first = spectrum_derivatives(np.fft.rfft(u), orders, 64, 3.0)
+        assert spectral._multiplier.cache_info().misses == 4
+        second = spectrum_derivatives(np.fft.rfft(u), orders, 64, 3.0)
+        assert spectral._multiplier.cache_info().hits == 4
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_multiplier_is_ik_to_the_order(self, order):
+        # the Nyquist mode is zeroed for odd orders only
+        ik = 1j * wavenumbers(16, 2.0)
+        want = ik**order
+        if order % 2:
+            want[8] = 0.0
+        mult = spectral._multiplier(16, 2.0, order)
+        assert np.array_equal(mult, want)
+        assert spectral._multiplier(16, 2.0, order) is mult
+
+    def test_keys_are_typed_values(self):
+        spectral._multiplier(16, 2.0, 2)
+        spectral._multiplier(16, 2, 2)
+        spectral._multiplier(16, 2.0, 3)
+        assert spectral._multiplier.cache_info().currsize == 3
+
+    def test_multipliers_reject_writes(self):
+        mult = spectral._multiplier(16, 2.0, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            mult[0] = 1.0
+
+    def test_the_memo_is_bounded(self):
+        bound = spectral._multiplier.cache_info().maxsize
+        assert bound == 64
+        for n in range(bound + 5):
+            spectral._multiplier(16, 1.0 + n, 1)
+            assert spectral._multiplier.cache_info().currsize == min(n + 1, bound)
+
+    @pytest.mark.parametrize("nx, length, message", [(15, 2.0, "nx must be even"), (16, 0.0, "length must be positive")])
+    def test_bad_grid_raises_on_every_call(self, nx, length, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                spectrum_derivatives(np.zeros(nx // 2 + 1, complex), (1,), nx, length)
+        assert spectral._multiplier.cache_info().currsize == 0

@@ -7,6 +7,7 @@ from oracles import galilean_boost, plain_assemble, plain_fields
 from scipy.interpolate import RectBivariateSpline
 
 import eqod.oplib as oplib
+import eqod.weakform as weakform
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import (
     FieldPass,
@@ -572,3 +573,143 @@ class TestFieldPass:
                 for _ in fields(tr):
                     pass
         assert sum(real) == 5 * len(burgers_clean)
+
+
+def pipeline_grids(ts):
+    """The three grids of run_eqod's assembly: identification, stability and the boost."""
+    tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+    return tg, make_test_grid(ts.grid, *STABILITY_GRID), BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS)
+
+
+def assert_same_systems(got, want):
+    assert len(got) == len(want)
+    for ws, ref in zip(got, want):
+        assert np.array_equal(ws.theta, ref.theta)
+        assert np.array_equal(ws.b, ref.b)
+
+
+class TestPlanMemo:
+    """Each grid's plan is built once and shared by value across calls."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        weakform._memo_plan.cache_clear()
+        yield
+        weakform._memo_plan.cache_clear()
+
+    @staticmethod
+    def counts():
+        info = weakform._memo_plan.cache_info()
+        return info.hits, info.misses
+
+    @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
+    def test_a_hit_gives_the_first_call_bitwise(self, data, request):
+        ts = request.getfixturevalue(data)
+        grids = pipeline_grids(ts)
+        first = assemble(ts, standard_library(), *grids)
+        assert self.counts() == (0, 3)
+        second = assemble(ts, standard_library(), *grids)
+        assert self.counts() == (3, 3)
+        assert_same_systems(second, first)
+        assert_same_systems(second[:2], plain_assemble(ts, standard_library(), *grids[:2]))
+
+    def test_an_equal_grid_built_apart_hits(self, burgers_clean):
+        # equal values in new arrays (and in another layout) share the plan
+        ts, spec = burgers_clean, standard_library()
+        tg, stab, boost = pipeline_grids(ts)
+        first = assemble(ts, spec, tg, stab, boost)
+        again = weakform.TestGrid(np.array(tg.t_centers), np.array(tg.x_centers[::-1])[::-1], float(tg.r_t), tg.r_x)
+        assert again is not tg and again.t_centers is not tg.t_centers
+        rebuilt = (again, make_test_grid(ts.grid, *STABILITY_GRID), BoostedGrid(again, GALILEAN_BOOST_C, GALILEAN_BASIS))
+        second = assemble(ts, LibrarySpec(tuple(spec.terms)), *rebuilt)
+        assert self.counts() == (3, 3)
+        assert_same_systems(second, first)
+
+    def test_the_caller_objects_come_back_on_a_hit(self, burgers_clean):
+        ts = burgers_clean
+        assemble(ts, standard_library(), *pipeline_grids(ts))
+        spec, basis = LibrarySpec(tuple(standard_library().terms)), LibrarySpec(tuple(GALILEAN_BASIS.terms))
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        stab = make_test_grid(ts.grid, *STABILITY_GRID)
+        boost = BoostedGrid(tg, GALILEAN_BOOST_C, basis)
+        got = assemble(ts, spec, tg, stab, boost)
+        assert self.counts() == (3, 3)
+        assert got[0].spec is spec and got[1].spec is spec and got[2].spec is basis
+        assert got[0].test_grid is tg and got[1].test_grid is stab and got[2].test_grid is boost
+
+    def test_a_changed_input_gets_its_own_plan(self, burgers_clean):
+        # each variant misses and is the system an assembly with an empty
+        # memo gives; moved centers and another c change the system, and
+        # another assembled library changes only the plan's key
+        ts, spec = burgers_clean, standard_library()
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        (base,) = assemble(ts, spec, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
+        moved = dataclasses.replace(tg, x_centers=tg.x_centers + ts.grid.dx)
+        variants = [
+            (spec, BoostedGrid(moved, GALILEAN_BOOST_C, GALILEAN_BASIS), False),
+            (spec, BoostedGrid(tg, 0.5, GALILEAN_BASIS), False),
+            (spec, BoostedGrid(tg, GALILEAN_BOOST_C, galilean_reduced()), None),
+            (expanded_library(20), BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), True),
+        ]
+        for lib, boost, same in variants:
+            hits, misses = self.counts()
+            (got,) = assemble(ts, lib, boost)
+            assert self.counts() == (hits, misses + 1)
+            weakform._memo_plan.cache_clear()
+            (fresh,) = assemble(ts, lib, boost)
+            assert_same_systems((got,), (fresh,))
+            if same is not None:
+                assert np.array_equal(got.theta, base.theta) is same
+
+    def test_centers_changed_in_place_are_a_new_key(self, heat_clean):
+        # TestGrid is frozen, but its arrays are not: the key holds a copy
+        ts = heat_clean
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        (before,) = assemble(ts, UXX_ONLY, tg)
+        tg.t_centers[0] += 2 * ts.grid.dt
+        (after,) = assemble(ts, UXX_ONLY, tg)
+        assert self.counts() == (0, 2)
+        assert not np.array_equal(after.theta, before.theta)
+        assert_same_systems((after,), plain_assemble(ts, UXX_ONLY, tg))
+
+    def test_failures_raise_on_every_call_before_any_transform(self, burgers_clean, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        ts, spec = burgers_clean, standard_library()
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        assemble(ts, spec, tg)  # the valid plan of the same grid is kept
+        unclosed = LibrarySpec((term_from_tag("u_xx"), term_from_tag("u^2")))
+        cases = [
+            (spec, BoostedGrid(tg, 1e20, GALILEAN_BASIS), "^boost c = 1e\\+20 is too large"),
+            (THREE_TERMS, BoostedGrid(tg, GALILEAN_BOOST_C, unclosed), "^boosted term u\\^2 needs"),
+            (spec, dataclasses.replace(tg, r_t=ts.grid.dt), "radius below two grid cells"),
+        ]
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        for lib, grid, message in cases:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    assemble(ts, lib, grid)
+        assert weakform._memo_plan.cache_info().currsize == 1
+
+    def test_the_memo_is_bounded(self):
+        g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 1.0, 64)
+        ts = TrajectorySet((Trajectory(g, np.ones((64, 64))),))
+        bound = weakform._memo_plan.cache_info().maxsize
+        assert bound == 16
+        for n in range(1, bound + 5):
+            assemble(ts, UXX_ONLY, make_test_grid(g, n, 3))
+            assert weakform._memo_plan.cache_info().currsize == min(n, bound)
+
+    def test_plan_arrays_reject_writes(self, burgers_clean):
+        ts = burgers_clean
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        plan = weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library())
+        assert plan is weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library())
+        assert len(plan.windows) > 1 and plan.phases is not None and plan.const is not None
+        arrays = [plan.expansion, plan.phi_t, plan.dphi_t, plan.phi_x, plan.b_offset, plan.const, plan.phases, plan.which]
+        for a in [*arrays, *(window for _, window in plan.windows)]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        with pytest.raises(TypeError):
+            plan.at[0] = 1
