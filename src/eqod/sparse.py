@@ -53,14 +53,14 @@ def _scales(theta, b):
 
     theta and b come back as float arrays, as given otherwise; col_norms
     are the zero-guarded column norms and b_norm the response's own norm
-    (0 for b = 0). theta must be (n, p) and b (n,); another shape, or a
-    non-finite entry, raises ValueError.
+    (0 for b = 0). theta must be (n, p) with p >= 1 and b (n,); another
+    shape, or a non-finite entry, raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     b = np.asarray(b, dtype=float)
-    if theta.ndim != 2 or b.shape != theta.shape[:1]:
+    if theta.ndim != 2 or not theta.shape[1] or b.shape != theta.shape[:1]:
         raise ValueError(
-            f"theta of shape {theta.shape} and b of shape {b.shape} are not one system, (n, p) and (n,)"
+            f"theta of shape {theta.shape} and b of shape {b.shape} are not one system, (n, p) with p >= 1 and (n,)"
         )
     _check_finite(theta, b)
     col_norms = np.linalg.norm(theta, axis=0)
@@ -272,8 +272,9 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     followed from lambda_max down to lambda, and carries a KKT
     certificate: if its residual exceeds KKT_TOL, a RuntimeWarning says
     "lasso did not converge" and the solution is still returned.
-    lambda = 0 is least squares. A negative or non-finite lambda, or a
-    non-finite entry of the system, raises ValueError.
+    lambda = 0 is least squares. A negative or non-finite lambda, a
+    system with no columns, or a non-finite entry of the system, raises
+    ValueError.
 
     theta_norm (n, p) with b_norm (n,) returns xi (p,). A stack,
     theta_norm (D, n, p) with b_norm (D, n), is solved in one lock-step
@@ -282,10 +283,10 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     """
     theta_norm = np.asarray(theta_norm, dtype=float)
     b_norm = np.asarray(b_norm, dtype=float)
-    if theta_norm.ndim not in (2, 3) or b_norm.shape != theta_norm.shape[:-1]:
+    if theta_norm.ndim not in (2, 3) or not theta_norm.shape[-1] or b_norm.shape != theta_norm.shape[:-1]:
         raise ValueError(
             f"theta of shape {theta_norm.shape} and b of shape {b_norm.shape} are neither"
-            " one system, (n, p) and (n,), nor a stack, (D, n, p) and (D, n)"
+            " one system, (n, p) and (n,), nor a stack, (D, n, p) and (D, n), with p >= 1"
         )
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")

@@ -33,10 +33,12 @@ any transform.
 
 Everything a grid's contraction reads besides the data (bump matrices,
 shift windows and phases, expansion, constant column) is its plan,
-which depends only on the Grid1D, the test grid, the boost and the
-libraries. Plans are memoized by the value of those inputs, the last 16
-used, and are read-only, so repeated calls on one grid, as in an
-evaluation over seeds and noise levels, build each plan once.
+which depends only on the Grid1D, the boost (test grid, c and library)
+and the assembled library. Test grids and boosts are immutable values,
+checked when made, so these arguments are themselves the key of a memo
+of the last 16 plans used. Plans are read-only, so repeated calls on one
+grid, as in an evaluation over seeds and noise levels, build each plan
+once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -91,12 +93,38 @@ def bump_dt(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestGrid:
-    """Bump centers and radii for one weak-form assembly."""
+    """Bump centers and radii for one weak-form assembly, as a value.
 
-    t_centers: np.ndarray
-    x_centers: np.ndarray
+    Each axis's centers must be a nonempty 1-D array of finite real
+    numbers, and each radius finite and positive (stored as a float);
+    anything else raises ValueError naming the field. The centers are kept
+    as read-only float64 copies, so no write, by the caller or through
+    the grid, can change a grid once it is made. Two test grids are equal,
+    and hash alike, when their centers have the same bytes (1-D float64,
+    so the bytes fix the shape) and their radii are equal: an equal grid
+    built apart is the same key of the plan memo (see ``assemble``).
+    """
+
+    t_centers: np.ndarray = field(compare=False)
+    x_centers: np.ndarray = field(compare=False)
     r_t: float
     r_x: float
+    _centers: tuple = field(init=False, repr=False)  # the arrays' bytes, which equality reads
+
+    def __post_init__(self):
+        for name in ("t_centers", "x_centers"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or not a.size or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be a nonempty 1-D array of finite real numbers, got {a!r}")
+            a = a.astype(np.float64)  # a copy, which the caller cannot write
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        for name in ("r_t", "r_x"):
+            r = float(getattr(self, name))
+            if not 0 < r < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {r}")
+            object.__setattr__(self, name, r)
+        object.__setattr__(self, "_centers", (self.t_centers.tobytes(), self.x_centers.tobytes()))
 
     @property
     def n_centers(self) -> int:
@@ -138,7 +166,9 @@ class BoostedGrid:
     gives the system of the boosted data on ``test_grid`` for the terms of
     ``spec``, from the field pass of the data itself, by the contraction
     that serves every grid (see ``assemble``); a TestGrid is the boost at
-    c = 0.
+    c = 0. c is stored as a float, with -0.0 folded into 0.0, so a boost
+    compares and hashes by value: equal boosts, c = 1 and c = 1.0 among
+    them, are one key of the plan memo.
     """
 
     test_grid: TestGrid
@@ -146,8 +176,10 @@ class BoostedGrid:
     spec: LibrarySpec
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError(f"boost must be finite, got {self.c}")
+        c = float(self.c) + 0.0  # -0.0 + 0.0 is 0.0: one value, and one key, for c = 0
+        if not math.isfinite(c):
+            raise ValueError(f"boost must be finite, got {c}")
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -180,6 +212,10 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     """Dense, zero-padded (Phi_t, dPhi_t/dt, Phi_x) of one test grid."""
     if tg.r_t < 2 * grid.dt or tg.r_x < 2 * grid.dx:
         raise ValueError("test-function radius below two grid cells")
+    # b moves d/dt onto the bumps, which is exact only if each vanishes within the record
+    first, last = tg.t_centers.min() - tg.r_t, tg.t_centers.max() + tg.r_t
+    if first < grid.t_start or last > grid.t_end:
+        raise ValueError(f"test-function t-supports span [{first}, {last}], which leaves the record [{grid.t_start}, {grid.t_end}]")
     rt = (grid.t[None, :] - tg.t_centers[:, None]) / tg.r_t
     phi_x = bump((grid.x[None, :] - tg.x_centers[:, None]) / tg.r_x)
     return bump(rt), bump_dt(rt) / tg.r_t, phi_x
@@ -247,28 +283,10 @@ class _Plan:
                 a.flags.writeable = False
 
 
-def _values(a) -> tuple:
-    """An array as a hashable value: its shape, dtype and bytes."""
-    a = np.asarray(a)
-    return a.shape, a.dtype.str, a.tobytes()
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def _memo_plan(grid, t_centers, x_centers, r_t, r_x, c, sign, boost_spec, spec) -> _Plan:
-    """The plan of one key of ``_plan``, built from the key alone, so that
-    no hit can read a value its key does not hold. ``sign`` is c's: as
-    keys -0.0 and 0.0 are equal, yet they can give b's zeros opposite
-    signs. 16 plans are the three of ``run_eqod``'s grids for each of the
-    five grids of the eight benchmark laws, and one more."""
-    tg = TestGrid(*(np.frombuffer(data, dtype).reshape(shape) for shape, dtype, data in (t_centers, x_centers)), r_t, r_x)
-    return _Plan(grid, BoostedGrid(tg, c, boost_spec), spec)
-
-
-def _plan(grid: Grid1D, bg: BoostedGrid, spec: LibrarySpec) -> _Plan:
-    """The shared plan of ``bg`` on ``grid`` for an assembly of ``spec``."""
-    tg = bg.test_grid
-    key = (_values(tg.t_centers), _values(tg.x_centers), tg.r_t, tg.r_x, bg.c, math.copysign(1.0, bg.c))
-    return _memo_plan(grid, *key, bg.spec, spec)
+# The plan memo, keyed by the arguments themselves: 16 plans are the three
+# of ``run_eqod``'s grids for each of the five grids of the eight benchmark
+# laws, and one more. A call that raises keeps nothing.
+_plan = functools.lru_cache(maxsize=16)(_Plan)
 
 
 class _Contraction:
@@ -337,13 +355,14 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     bump matrices, the windows and phases of its shifts, the binomial
     expansion and the constant column. Plans are memoized across calls
     and shared read-only, so a call on a grid seen before builds none of
-    it. The key is the value of every input of the plan:
-    the Grid1D, the test grid's centers (shape, dtype and bytes) and
-    radii, the boost c (type, value and sign) and the boost's library and
-    ``spec``; so an equal test grid built apart shares a plan, and a
-    changed constant never reads a stale one. The memo keeps the last 16
-    plans used. A plan that fails is not kept: each call raises anew.
-    Each WeakSystem carries the caller's own spec and grid objects.
+    it. The key is the plan's own arguments: the Grid1D, the BoostedGrid
+    (a TestGrid being the boost at c = 0) and ``spec``. Each is an
+    immutable value that compares and hashes by value, so an equal test
+    grid built apart shares a plan, a changed constant never reads a
+    stale one, and no write can change a grid under its kept plan. The
+    memo keeps the last 16 plans used. A plan that fails is not kept:
+    each call raises anew. Each WeakSystem carries the caller's own spec
+    and grid objects.
 
     Every grid, plain or boosted, is one contraction of the trajectory's
     u, spectrum and product fields; a TestGrid is the BoostedGrid of its
@@ -389,7 +408,11 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     ``spec``: one that is not raises ValueError, naming the boosted term,
     before any transform. So does a c, named in the message, whose row
     shifts overflow an int64 or whose expansion's coefficients may
-    overflow a float64 ((1 + |c|)^p >= 2^1024). Every grid's columns come
+    overflow a float64 ((1 + |c|)^p >= 2^1024), and so does a test grid
+    whose radius is below two grid cells or whose t-supports
+    [t_c - r_t, t_c + r_t] leave the record [t_start, t_end]: b moves
+    d/dt onto the bumps, which is exact only where each vanishes at both
+    ends of its support within the record. Every grid's columns come
     from the trajectory's u, spectrum and fields through that grid's own
     matrices alone; stacking the grids' Phi_t in one product would not
     give rows bitwise equal to the separate products in BLAS. So every

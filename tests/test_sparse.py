@@ -488,8 +488,9 @@ class TestLasso:
 
 
 class TestNonFinite:
-    """A non-finite lambda or system entry raises ValueError before any
-    solve, at every entry into the LASSO and at the Galilean fit."""
+    """A non-finite lambda or system entry, or a system of the wrong shape
+    or without columns, raises ValueError before any solve, at every entry
+    into the LASSO and at the Galilean fit."""
 
     @pytest.fixture
     def no_solve(self, monkeypatch):
@@ -558,6 +559,23 @@ class TestNonFinite:
         call = {"lasso_cv": lasso_cv, "stability_select": stability.stability_select}[entry]
         with pytest.raises(ValueError, match=rf"theta of shape \({theta_shape[0]},.* and b of shape \({b_shape[0]},"):
             call(theta, b, seed=0)
+
+    @pytest.mark.parametrize("entry", ["lasso", "lasso_stack", "lasso_cv", "identify_on_system", "stability_select"])
+    def test_a_system_without_columns_is_rejected(self, entry, heat_system, no_solve):
+        # the Galilean fit always has its six columns: it restricts to GALILEAN_BASIS first
+        from eqod import stability
+        from eqod.weakform import WeakSystem
+
+        theta, b = np.zeros((10, 0)), np.zeros(10)
+        call = {
+            "lasso": lambda: lasso(np.zeros((5, 0)), np.zeros(5), 0.1),
+            "lasso_stack": lambda: lasso(np.zeros((3, 5, 0)), np.zeros((3, 5)), 0.1),
+            "lasso_cv": lambda: lasso_cv(theta, b),
+            "identify_on_system": lambda: sparse.identify_on_system(WeakSystem(theta, b, heat_system.spec, heat_system.test_grid), 0),
+            "stability_select": lambda: stability.stability_select(theta, b, seed=0),
+        }[entry]
+        with pytest.raises(ValueError, match=r"^theta of shape \((\d+, )+0\) and b of shape \("):
+            call()
 
     def test_detect_all_downgrades_the_galilean_test(self, heat_clean, heat_system, no_solve):
         from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, detect_all

@@ -201,6 +201,99 @@ class TestTestGrid:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             make_test_grid(g, n_t, n_x)
 
+    def test_equal_grids_built_apart_are_one_value(self):
+        g = Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128)
+        tg, again = make_test_grid(g, 5, 7), make_test_grid(g, 5, 7)
+        assert again is not tg and again == tg and hash(again) == hash(tg)
+        others = [
+            dataclasses.replace(tg, t_centers=tg.t_centers + g.dt),
+            dataclasses.replace(tg, x_centers=tg.x_centers[:-1]),
+            dataclasses.replace(tg, r_t=1.01 * tg.r_t),
+            dataclasses.replace(tg, r_x=tg.r_x / 2),
+            make_test_grid(g, 5, 8),
+        ]
+        assert all(other != tg for other in others)
+        assert len({tg, again, *others}) == 1 + len(others)
+
+    def test_centers_are_read_only_float64_copies(self):
+        t, x = np.linspace(0.2, 0.8, 5), np.arange(2, 5)
+        view = t[:]
+        view.flags.writeable = False  # read-only, yet the caller can still write t
+        tg = weakform.TestGrid(view, x, np.float64(0.18), 1)
+        t[0], x[0] = 0.5, 9
+        assert tg.t_centers[0] == 0.2 and tg.x_centers[0] == 2.0
+        assert tg.x_centers.dtype == np.float64 and type(tg.r_t) is float and type(tg.r_x) is float
+        for a in (tg.t_centers, tg.x_centers):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tg.t_centers = t
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t_centers", np.full((5, 1), 0.5)),
+            ("t_centers", np.array([])),
+            ("t_centers", 0.5),
+            ("x_centers", np.array([2.0 + 0.5j, 3.0])),
+            ("x_centers", np.array([None, 3.0])),
+            ("t_centers", np.array([0.3, np.nan, 0.6])),
+            ("x_centers", np.array([2.0, np.inf])),
+            ("r_t", np.nan),
+            ("r_t", np.inf),
+            ("r_t", 0.0),
+            ("r_x", np.nan),
+            ("r_x", -1.2),
+        ],
+    )
+    def test_rejects_a_malformed_field_before_any_transform(self, heat_clean, monkeypatch, name, value):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        tg = make_test_grid(heat_clean.grid, *IDENTIFY_GRID)
+        must = "be a nonempty 1-D array of finite real numbers" if name.endswith("centers") else "be finite and positive"
+        with pytest.raises(ValueError, match=f"^{name} must {must}, got "):
+            assemble(heat_clean, UXX_ONLY, dataclasses.replace(tg, **{name: value}))
+
+    @pytest.mark.parametrize("where", ["first center at t_start", "last center at t_end", "radius past t_start"])
+    def test_rejects_a_t_support_that_leaves_the_record(self, heat_clean, monkeypatch, where):
+        # b moves d/dt onto the bumps: one cut off by the record's end gives a
+        # wrong b, so the plan refuses it on every call, boosted or not
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        ts, g = heat_clean, heat_clean.grid
+        tg = make_test_grid(g, *IDENTIFY_GRID)
+        t = tg.t_centers
+        bad = {
+            "first center at t_start": dataclasses.replace(tg, t_centers=np.r_[g.t_start, t[1:]]),
+            "last center at t_end": dataclasses.replace(tg, t_centers=np.r_[t[:-1], g.t_end]),
+            "radius past t_start": dataclasses.replace(tg, r_t=1.01 * (t[0] - g.t_start)),
+        }[where]
+        for grid in (bad, bad, BoostedGrid(bad, GALILEAN_BOOST_C, GALILEAN_BASIS)):
+            with pytest.raises(ValueError, match=r"^test-function t-supports span \[.*\], which leaves the record \[0\.0, "):
+                assemble(ts, standard_library(), grid)
+
+    def test_every_grid_of_the_suite_keeps_its_t_supports_in_the_record(self):
+        grids = [
+            Grid1D(0.0, 2 * np.pi, 128, 0.0, 1.0, 128),
+            Grid1D(0.0, 2 * np.pi, 64, 0.0, 1.0, 64),
+            Grid1D(0.0, 2 * np.pi, 64, 0.0, 1e-200, 64),
+            Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32),
+            Grid1D(0.0, 2 * np.pi, 18, 0.0, 1.0, 18),
+        ]
+        for pde in PDES.values():
+            g = pde.default_grid()
+            grids += [g, pde.default_grid(1024, 512), dataclasses.replace(g, nt=g.nt // 2, t_end=float(g.t[-2]))]
+            grids += [dataclasses.replace(g, nx=g.nx // 2), dataclasses.replace(g, t_start=1e3 * g.t_start, t_end=1e3 * g.t_end)]
+        densities = [IDENTIFY_GRID, STABILITY_GRID, (3, 3), (5, 7), (8, 10), *((n, 3) for n in range(1, 21))]
+        for g in grids:
+            for density in densities:
+                weakform._bump_matrices(g, make_test_grid(g, *density))
+
 
 class TestAssemble:
     def test_constant_field_rows(self):
@@ -593,13 +686,13 @@ class TestPlanMemo:
 
     @pytest.fixture(autouse=True)
     def cleared(self):
-        weakform._memo_plan.cache_clear()
+        weakform._plan.cache_clear()
         yield
-        weakform._memo_plan.cache_clear()
+        weakform._plan.cache_clear()
 
     @staticmethod
     def counts():
-        info = weakform._memo_plan.cache_info()
+        info = weakform._plan.cache_info()
         return info.hits, info.misses
 
     @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean"])
@@ -655,22 +748,47 @@ class TestPlanMemo:
             hits, misses = self.counts()
             (got,) = assemble(ts, lib, boost)
             assert self.counts() == (hits, misses + 1)
-            weakform._memo_plan.cache_clear()
+            weakform._plan.cache_clear()
             (fresh,) = assemble(ts, lib, boost)
             assert_same_systems((got,), (fresh,))
             if same is not None:
                 assert np.array_equal(got.theta, base.theta) is same
 
-    def test_centers_changed_in_place_are_a_new_key(self, heat_clean):
-        # TestGrid is frozen, but its arrays are not: the key holds a copy
+    def test_centers_changed_in_place_are_rejected(self, heat_clean):
+        # TestGrid's centers are read-only: a kept plan cannot go stale
         ts = heat_clean
         tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
         (before,) = assemble(ts, UXX_ONLY, tg)
-        tg.t_centers[0] += 2 * ts.grid.dt
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            tg.t_centers[0] += 2 * ts.grid.dt
         (after,) = assemble(ts, UXX_ONLY, tg)
-        assert self.counts() == (0, 2)
-        assert not np.array_equal(after.theta, before.theta)
-        assert_same_systems((after,), plain_assemble(ts, UXX_ONLY, tg))
+        assert self.counts() == (1, 1)
+        assert_same_systems((after,), (before,))
+
+    def test_a_replaced_field_re_keys(self, heat_clean):
+        ts = heat_clean
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        moved = dataclasses.replace(tg, x_centers=tg.x_centers + ts.grid.dx)
+        back = dataclasses.replace(moved, x_centers=tg.x_centers)
+        assert moved != tg and back == tg
+        for grid in (tg, moved, back):
+            assemble(ts, UXX_ONLY, grid)
+        assert self.counts() == (1, 2)
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (-0.0, 0.0)])
+    def test_equal_boosts_share_one_plan(self, burgers_clean, first, second):
+        # c is kept as a float with -0.0 folded into 0.0, so each pair is one
+        # key, and both systems are bitwise the one an empty memo gives
+        ts, spec = burgers_clean, standard_library()
+        tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
+        a, b = BoostedGrid(tg, first, GALILEAN_BASIS), BoostedGrid(tg, second, GALILEAN_BASIS)
+        assert a == b and hash(a) == hash(b) and str(a.c) == str(b.c) == str(float(second))
+        got = assemble(ts, spec, a, b)
+        assert self.counts() == (1, 1)
+        weakform._plan.cache_clear()
+        (fresh,) = assemble(ts, spec, b)
+        for ws in got:
+            assert ws.theta.tobytes() == fresh.theta.tobytes() and ws.b.tobytes() == fresh.b.tobytes()
 
     def test_failures_raise_on_every_call_before_any_transform(self, burgers_clean, monkeypatch):
         def no_transform(*args, **kwargs):
@@ -690,16 +808,16 @@ class TestPlanMemo:
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
                     assemble(ts, lib, grid)
-        assert weakform._memo_plan.cache_info().currsize == 1
+        assert weakform._plan.cache_info().currsize == 1
 
     def test_the_memo_is_bounded(self):
         g = Grid1D(0.0, 2 * np.pi, 64, 0.0, 1.0, 64)
         ts = TrajectorySet((Trajectory(g, np.ones((64, 64))),))
-        bound = weakform._memo_plan.cache_info().maxsize
+        bound = weakform._plan.cache_info().maxsize
         assert bound == 16
         for n in range(1, bound + 5):
             assemble(ts, UXX_ONLY, make_test_grid(g, n, 3))
-            assert weakform._memo_plan.cache_info().currsize == min(n, bound)
+            assert weakform._plan.cache_info().currsize == min(n, bound)
 
     def test_plan_arrays_reject_writes(self, burgers_clean):
         ts = burgers_clean
