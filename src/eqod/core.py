@@ -127,7 +127,7 @@ class Grid1D:
         return np.linspace(self.t_start, self.t_end, self.nt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i), real and
     finite (a complex dtype is rejected, not cast).
@@ -136,6 +136,7 @@ class Trajectory:
     caller cannot reach the checked values. A read-only float64 array is
     kept as given, without a copy: the solvers hand their own output over
     this way, and whoever holds a writeable view of it must not write.
+    Trajectories compare and hash by identity.
     """
 
     grid: Grid1D
@@ -157,9 +158,9 @@ class Trajectory:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """M >= 1 trajectories sharing a single grid."""
+    """M >= 1 trajectories sharing a single grid, compared and hashed by identity."""
 
     trajectories: tuple[Trajectory, ...]
 
@@ -245,18 +246,28 @@ STANDARD_TERMS: tuple[LibraryTerm, ...] = tuple(
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Ordered (term, value) pairs over a term list."""
+    """Ordered (term, value) pairs over a term list, as a value.
+
+    The values are kept as a read-only float64 copy, so no write can
+    change a vector once it is made. Two vectors are equal, and hash
+    alike, when their terms are equal and their values have the same
+    bytes, so a PdeSpec that holds one hashes too.
+    """
 
     terms: tuple[LibraryTerm, ...]
-    values: np.ndarray
+    values: np.ndarray = field(compare=False)
+    _values: bytes = field(init=False, repr=False)  # the values' bytes, which equality reads
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "terms", tuple(self.terms))
+        v = np.array(self.values, dtype=np.float64)  # a copy, which the caller cannot write
         if v.shape != (len(self.terms),):
             raise ValueError("one value per term required")
         if not np.all(np.isfinite(v)):
             raise ValueError("coefficients must be finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_values", v.tobytes())
 
     @classmethod
     def from_dict(cls, entries: dict, terms: tuple[LibraryTerm, ...] = STANDARD_TERMS):

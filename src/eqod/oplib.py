@@ -6,6 +6,7 @@ stays public as one term's field."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -120,47 +121,82 @@ class FieldPass:
     it shares with the term before it and multiplies on from the first
     factor where the two chains differ. So each distinct prefix is
     multiplied once per trajectory, and the pass takes (longest chain - 1)
-    buffers, made once: two for the standard library's five products.
-    The walk is planned at construction.
+    product buffers, made once: two for the standard library's five
+    products.
+
+    Each derivative order is formed once per trajectory, when the first
+    term that needs it comes, into a derivative buffer that it holds
+    until the last such term has been yielded; then a later order may
+    take that buffer. So the pass keeps as many derivative buffers as
+    orders are ever needed at once, made once: one for the standard
+    library, whose chains need u_x (u^2*u_x, u*u_x) and u_xx (u*u_xx)
+    one after the other. ``scaled``, if given, is the complex (nt,
+    nx // 2 + 1) buffer that ``spectrum_derivatives`` multiplies each
+    spectrum into; left None, each call makes its own. The walk and the
+    buffers' turns are planned once per tuple of terms (``_walk``).
 
     Calling the pass on a trajectory yields (term, field) pairs in chain
     order. The fields are read-only. A single-factor term's field is the
     derivative itself, and the field of u is a view of ``traj.values``. A
-    product's buffer is overwritten by a later term or trajectory: use
-    each field before drawing the next.
+    product's or derivative's buffer is overwritten by a later term or
+    trajectory: use each field before drawing the next.
     """
 
-    def __init__(self, terms, grid):
-        chains = {t: tuple(d for d, p in enumerate(t.powers) for _ in range(p)) for t in terms}
-        self.grid = grid
-        self.orders = sorted({d for chain in chains.values() for d in chain if d})
-        # Per term, in chain order: its chain and the first buffer it
-        # writes. The buffers before that one hold the prefixes that its
-        # chain shares with the chain before it.
-        self._plan, before = [], ()
-        for term, chain in sorted(chains.items(), key=lambda item: item[1]):
-            shared = len(list(takewhile(lambda pair: pair[0] == pair[1], zip(before, chain))))
-            self._plan.append((term, chain, max(shared - 1, 0)))
-            before = chain
-        n_buffers = max(map(len, chains.values()), default=1) - 1
+    def __init__(self, terms, grid, scaled=None):
+        self.grid, self.scaled = grid, scaled
+        steps, n_buffers, n_derivs = _walk(tuple(terms))
         self._buffers = [np.empty((grid.nt, grid.nx)) for _ in range(n_buffers)]
+        derivs = [np.empty((grid.nt, grid.nx)) for _ in range(n_derivs)]
+        self._plan = [
+            (term, chain, start, orders, tuple(derivs[k] for k in slots)) for term, chain, start, orders, slots in steps
+        ]
 
     def __call__(self, traj: Trajectory, u_hat=None):
         """Yield (term, field) for each term of the pass on ``traj``, in chain order."""
         u = traj.values
         g = self.grid
-        derivs = {}
-        if self.orders:
-            u_hat = np.fft.rfft(u) if u_hat is None else u_hat
-            derivs = dict(zip(self.orders, spectrum_derivatives(u_hat, self.orders, g.nx, g.length)))
-        derivs[0] = u
+        derivs = {0: u}
         bufs = self._buffers
-        for term, chain, start in self._plan:
+        for term, chain, start, orders, into in self._plan:
+            if orders:
+                u_hat = np.fft.rfft(u) if u_hat is None else u_hat
+                spectrum_derivatives(u_hat, orders, g.nx, g.length, out=into, scaled=self.scaled)
+                derivs.update(zip(orders, into))
             for k in range(start, len(chain) - 1):
                 np.multiply(bufs[k - 1] if k else derivs[chain[0]], derivs[chain[k + 1]], out=bufs[k])
             out = (bufs[len(chain) - 2] if len(chain) > 1 else derivs[chain[0]]).view()
             out.flags.writeable = False
             yield term, out
+
+
+@functools.lru_cache(maxsize=16)
+def _walk(terms: tuple[LibraryTerm, ...]):
+    """A ``FieldPass``'s plan for ``terms``, made once for the last 16 term
+    tuples used: per term in chain order, (term, chain, the first product
+    buffer it writes, the orders it is the first to need, the derivative
+    buffer each takes), then the numbers of product and derivative
+    buffers."""
+    chains = {t: tuple(d for d, p in enumerate(t.powers) for _ in range(p)) for t in terms}
+    walk = sorted(chains.items(), key=lambda item: item[1])
+    last = {d: i for i, (_, chain) in enumerate(walk) for d in chain if d}
+    # The product buffers before a term's first hold the prefixes that its
+    # chain shares with the chain before it. An order takes a free
+    # derivative buffer when it is first needed and frees it after its
+    # last term.
+    steps, before, held, free, n_derivs = [], (), {}, [], 0
+    for i, (term, chain) in enumerate(walk):
+        shared = len(list(takewhile(lambda pair: pair[0] == pair[1], zip(before, chain))))
+        new = tuple(sorted({d for d in chain if d} - held.keys()))
+        for d in new:
+            if not free:
+                free.append(n_derivs)
+                n_derivs += 1
+            held[d] = free.pop()
+        steps.append((term, chain, max(shared - 1, 0), new, tuple(held[d] for d in new)))
+        free += [held.pop(d) for d in sorted(held) if last[d] == i]
+        before = chain
+    n_buffers = max(map(len, chains.values()), default=1) - 1
+    return tuple(steps), n_buffers, n_derivs
 
 
 def evaluate_term(traj: Trajectory, term: LibraryTerm) -> np.ndarray:

@@ -30,7 +30,7 @@ def wavenumbers(nx: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.arange(nx // 2 + 1) / length
 
 
-def spectrum_derivatives(u_hat, orders, nx: int, length: float) -> list[np.ndarray]:
+def spectrum_derivatives(u_hat, orders, nx: int, length: float, out=None, scaled=None) -> list[np.ndarray]:
     """d^order/dx^order, on the nx-point grid, of the field whose ``rfft``
     along the last axis is ``u_hat``, for each order in ``orders``.
 
@@ -43,14 +43,21 @@ def spectrum_derivatives(u_hat, orders, nx: int, length: float) -> list[np.ndarr
     read-only. The orders are not checked here, and nx and length only
     by ``wavenumbers`` when a multiplier is made.
 
+    A caller that reuses its memory passes the buffers: ``out``, one
+    float64 array of u_hat's leading shape by nx per order, which that
+    order's ``irfft`` writes, and ``scaled``, a complex128 array of
+    u_hat's shape, which takes each product u_hat (ik)^order. Either one
+    left None is made here. The buffers change no bit of the result.
+
     Returns one array of u_hat's leading shape by nx per order, in the
-    order given.
+    order given: the arrays of ``out``, when given.
     """
-    out, scaled = [], None
-    for order in orders:
+    outs = [None] * len(orders) if out is None else out
+    derivs = []
+    for order, into in zip(orders, outs):
         scaled = np.multiply(u_hat, _multiplier(nx, length, order), out=scaled)
-        out.append(np.fft.irfft(scaled, n=nx, axis=-1))
-    return out
+        derivs.append(np.fft.irfft(scaled, n=nx, axis=-1, out=into))
+    return derivs
 
 
 @functools.lru_cache(maxsize=64, typed=True)

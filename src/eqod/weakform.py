@@ -12,7 +12,7 @@ Derivatives are taken after the time contraction wherever the term
 allows: a single-derivative column (u_x, ..., u_xxxx) is differentiated
 from Phi_t rfft(u), a few rows of modes per grid, since the t-contraction
 commutes with the x-derivative. Only product terms need pointwise
-derivative fields, which one ``oplib.FieldPass`` per call forms in reused
+derivative fields, which one ``oplib.FieldPass`` per worker forms in reused
 buffers and hands over as (term, field) pairs. One ``assemble`` call
 serves any number of test grids: each trajectory's spectrum and product
 fields are formed once (1 full-size ``rfft``, and 1 full-size ``irfft``
@@ -39,12 +39,23 @@ checked when made, so these arguments are themselves the key of a memo
 of the last 16 plans used. Plans are read-only, so repeated calls on one
 grid, as in an evaluation over seeds and noise levels, build each plan
 once.
+
+One trajectory's field pass is one task: its ``rfft``, its product
+fields and every grid's contraction into that trajectory's own rows.
+A task reads shared plans and writes rows no other task writes, over
+buffers that belong to one worker, so tasks can run at once and each
+system stays bitwise that of the inline pass. A set of at least
+``_THREADED_CELLS`` grid cells (nt * nx) runs its tasks on min(M,
+usable CPUs) workers, the calling thread and helper threads that end
+inside the call; a smaller set runs them inline (see ``assemble``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -182,7 +193,7 @@ class BoostedGrid:
         object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakSystem:
     """Design matrix and response of a weak-form system, with its test grid.
 
@@ -190,7 +201,7 @@ class WeakSystem:
     len(test_grid.x_centers), row r comes from trajectory r // n_centers,
     t-center (r % n_centers) // n_x and x-center r % n_x. The system of
     boosted data carries its BoostedGrid, whose rows are those of the
-    underlying test grid.
+    underlying test grid. Systems compare and hash by identity.
     """
 
     theta: np.ndarray
@@ -290,14 +301,13 @@ _plan = functools.lru_cache(maxsize=16)(_Plan)
 
 
 class _Contraction:
-    """One grid's share of an assembly and its system: that of the data's
-    boost on its test grid, contracted by the grid's plan from the pass's
-    own u, spectrum and product fields (see ``assemble``)."""
+    """One grid's share of one worker: the scratch in which it contracts
+    a trajectory's u, spectrum and product fields by the grid's plan, and
+    the system whose rows it writes, which every worker shares (see
+    ``assemble``)."""
 
-    def __init__(self, plan: _Plan, n_traj: int):
-        self.plan = plan
-        n_rows = n_traj * plan.n_rows
-        self.theta, self.b = np.empty((n_rows, plan.expansion.shape[1])), np.empty(n_rows)
+    def __init__(self, plan: _Plan, theta, b):
+        self.plan, self.theta, self.b = plan, theta, b
         self.mats = np.zeros((len(plan.at), len(plan.phi_t), len(plan.phi_x)))
         if plan.const is not None:
             self.mats[plan.at[None]] = plan.const
@@ -314,13 +324,16 @@ class _Contraction:
             np.matmul(field[rows], window, out=self.moved[rows])
         return [phi @ self.moved for phi in phis]
 
-    def data(self, u, u_hat):
+    def data(self, u, u_hat, phased):
         """Contract one trajectory's u and spectrum: u's own column, the
-        response (before its offset) and the single-derivative columns."""
+        response (before its offset) and the single-derivative columns.
+        ``phased`` is a complex buffer of u_hat's shape, written when some
+        row moves."""
         p = self.plan
         self.mats[p.at[0]], self.b_u = self.contract(u, p.phi_t, p.dphi_t)
         if p.phases is not None:
-            phased = p.phases[p.which]  # a fresh gather: phase it in place
+            # which is always in range; mode "raise" would gather through a full-size temporary
+            np.take(p.phases, p.which, axis=0, out=phased, mode="clip")
             u_hat = np.multiply(phased, u_hat, out=phased)
         # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
         c_hat = (p.phi_t @ u_hat.view(float)).view(complex)
@@ -338,6 +351,89 @@ class _Contraction:
         rows = slice(m * p.n_rows, (m + 1) * p.n_rows)
         np.matmul(self.mats.reshape(len(self.mats), -1).T, p.expansion, out=self.theta[rows])
         self.b[rows] = -p.dxdt * (self.b_u + p.b_offset).ravel()
+
+
+class _Worker:
+    """What one worker reuses across its trajectories: the spectrum
+    u_hat, one complex scratch (a moved grid's phased spectrum, then each
+    derivative order's (ik)^d u_hat), a ``FieldPass`` with its product
+    and derivative buffers, and one contraction per grid. Every full-size
+    array is made here, in the thread that builds the worker."""
+
+    def __init__(self, grid: Grid1D, products, systems):
+        shape = (grid.nt, grid.nx // 2 + 1)
+        self.u_hat, self.scaled = np.empty(shape, complex), np.empty(shape, complex)
+        self.fields = FieldPass(products, grid, scaled=self.scaled)
+        self.passes = [_Contraction(*system) for system in systems]
+
+    def run(self, tasks):
+        """Assemble the rows of each (m, trajectory) of ``tasks`` on every grid."""
+        for m, traj in tasks:
+            u_hat = np.fft.rfft(traj.values, out=self.u_hat)
+            for p in self.passes:
+                p.data(traj.values, u_hat, self.scaled)
+            for term, field in self.fields(traj, u_hat):
+                for p in self.passes:
+                    p.field(term, field)
+            for p in self.passes:
+                p.write(m)
+
+
+# A set's tasks run on parallel workers from this many grid cells (nt * nx)
+# on, and inline below. On a 2-vCPU x86-64 host with one BLAS thread, the
+# pipeline's three grids and M = 3, the threaded pass took this share of
+# the inline one's time (medians of 30 alternating calls, three runs):
+# 1.31-1.36 at 128 x 128, 1.04-1.10 at 256 x 128, 0.91-0.94 at 256 x 256,
+# 0.76-0.79 at 512 x 512 and 0.70-0.74 at 1024 x 512. So 256 x 256 is the
+# smallest grid that runs threaded.
+_THREADED_CELLS = 2**16
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _pin(cpus):
+    """Run the calling thread on ``cpus`` alone, where the platform allows."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cpus)
+
+
+def _run(workers, tasks, cpus):
+    """Run worker k on tasks k, k + n, ... of the n workers: worker 0 in
+    the calling thread, the others in helper threads joined before this
+    returns or raises. Worker k runs on cpus[k] alone (unpinned, the
+    threads' hand-offs of the interpreter lock kept them on one CPU), and
+    the caller gets its affinity, ``cpus``, back on the way out. A
+    helper's failure is re-raised here, the first in worker order."""
+    n = len(workers)
+    failures = [None] * n
+
+    def helper(k):
+        try:
+            _pin(cpus[k : k + 1])
+            workers[k].run(tasks[k::n])
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failures[k] = exc
+
+    threads = []
+    try:
+        _pin(cpus[:1])
+        for k in range(1, n):
+            thread = threading.Thread(target=helper, args=(k,), name=f"eqod-assemble-{k}")
+            thread.start()
+            threads.append(thread)
+        workers[0].run(tasks[::n])
+    finally:
+        _pin(cpus)
+        for thread in threads:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:
@@ -396,11 +492,12 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
       columns with the matrix of dx*dt times the coefficients: a 0/1 row
       gives a column bitwise.
 
-    Product fields come from one ``FieldPass`` per call, whose buffers
-    every trajectory reuses and whose derivative fields come from the same
-    u_hat, for the orders some product needs. So a trajectory makes one
-    full-size ``rfft`` and one full-size ``irfft`` per order a product
-    needs: 1 + 2 for the standard library, which holds GALILEAN_BASIS.
+    Product fields come from one ``FieldPass`` per worker, whose buffers
+    every trajectory of the worker reuses and whose derivative fields come
+    from the same u_hat, each order when the first product needing it
+    comes. So a trajectory makes one full-size ``rfft`` and one full-size
+    ``irfft`` per order a product needs: 1 + 2 for the standard library,
+    which holds GALILEAN_BASIS.
 
     A boosted system matches the assembly of the gathered boost to
     rounding (within 1.7e-12 of each column's largest entry on the eight
@@ -418,20 +515,49 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     give rows bitwise equal to the separate products in BLAS. So every
     system is bitwise the one a one-grid call gives.
 
+    Each trajectory is one task: its ``rfft`` into the worker's u_hat,
+    its product fields and every grid's contraction into that
+    trajectory's rows of each system. With M trajectories on a grid of
+    at least ``_THREADED_CELLS`` = 2^16 cells (nt * nx: 256 x 256 and
+    up), the tasks run on n = min(M, usable CPUs) workers, worker k
+    taking trajectories k, k + n, ...: worker 0 is the calling thread,
+    the others are helper threads started and joined inside the call.
+    While the call lasts, worker k runs on the k-th usable CPU alone:
+    left to the scheduler, the threads' hand-offs of the interpreter lock
+    kept both on one CPU. Smaller sets, and single workers, run inline.
+    The rule is a measured crossover: on a 2-vCPU host, the pipeline's
+    three grids with M = 3 took 1.31-1.36 times the inline time on
+    threads at 128 x 128, 0.91-0.94 at 256 x 256 and 0.70-0.74 at
+    1024 x 512. The time goes to FFT, BLAS and ufunc calls on full-size
+    arrays, which release the interpreter lock.
+
+    The caller makes the plans, the systems and every worker's full-size
+    buffers before any thread starts, so a plan error raises exactly as
+    inline and a helper thread allocates nothing full-size. A worker's
+    buffers are u_hat, one complex scratch (a moved grid's phased
+    spectrum, then each order's (ik)^d u_hat), and its FieldPass's
+    product buffers and derivative buffers, one per order needed at
+    once. For the standard library at 1024 x 512 that is two complex
+    (512, 513) and three real (512, 1024) arrays, 20 MiB per worker,
+    reused by each of its trajectories. Each trajectory's arithmetic is
+    the inline pass's and no two tasks write one row, so every system is
+    bitwise the inline one. A helper's failure is re-raised from
+    ``assemble``, the first in worker order, once every worker has
+    ended; the caller's CPU affinity is restored either way.
+
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.
     """
-    grid = trajset.grid
+    grid, n_traj = trajset.grid, len(trajset)
     boosts = [g if isinstance(g, BoostedGrid) else BoostedGrid(g, 0.0, spec) for g in grids]
-    passes = [_Contraction(_plan(grid, bg, spec), len(trajset)) for bg in boosts]
-    fields = FieldPass([t for t in spec.terms if t.power > 1], grid)
-    for m, traj in enumerate(trajset):
-        u_hat = np.fft.rfft(traj.values)
-        for p in passes:
-            p.data(traj.values, u_hat)
-        for term, field in fields(traj, u_hat):
-            for p in passes:
-                p.field(term, field)
-        for p in passes:
-            p.write(m)
-    return tuple(WeakSystem(p.theta, p.b, bg.spec, g) for g, bg, p in zip(grids, boosts, passes))
+    plans = [_plan(grid, bg, spec) for bg in boosts]
+    systems = [(p, np.empty((n_traj * p.n_rows, len(bg.spec))), np.empty(n_traj * p.n_rows)) for p, bg in zip(plans, boosts)]
+    products = [t for t in spec.terms if t.power > 1]
+    tasks, cpus = list(enumerate(trajset)), _usable_cpus()
+    n_workers = min(n_traj, len(cpus)) if grid.nt * grid.nx >= _THREADED_CELLS else 1
+    workers = [_Worker(grid, products, systems) for _ in range(n_workers)]
+    if n_workers == 1:
+        workers[0].run(tasks)
+    else:
+        _run(workers, tasks, cpus)
+    return tuple(WeakSystem(theta, b, bg.spec, g) for g, bg, (_, theta, b) in zip(grids, boosts, systems))

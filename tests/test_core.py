@@ -147,6 +147,32 @@ class TestCoefficientVector:
         with pytest.raises(ValueError, match=r"not in target ordering: \['u\^4'\]"):
             vec({"u_xx": 0.1, "u^4": 1.0})
 
+    def test_equal_vectors_built_apart_are_one_value(self):
+        # == used to raise "truth value of an array ... is ambiguous", and hash TypeError
+        a, b = vec({"u_xx": 0.1}), vec({"u_xx": 0.1})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != vec({"u_xx": 0.2})
+        assert a != CoefficientVector(STANDARD_TERMS[::-1], a.values[::-1])
+
+    def test_values_are_a_read_only_float64_copy(self):
+        values = np.zeros(len(STANDARD_TERMS), dtype=np.float32)
+        c = CoefficientVector(list(STANDARD_TERMS), values)
+        values[0] = 1.0
+        assert c.values.dtype == np.float64 and not c.values.any()
+        assert c.terms == STANDARD_TERMS
+        with pytest.raises(ValueError, match="read-only"):
+            c.values[0] = 1.0
+
+
+class TestIdentityEquality:
+    def test_trajectories_and_sets_compare_by_identity(self):
+        # == between distinct objects used to raise on their arrays
+        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
+        a, b = Trajectory(g, np.zeros((16, 16))), Trajectory(g, np.zeros((16, 16)))
+        assert a == a and a != b and len({a, b}) == 2
+        s, t = TrajectorySet((a, b)), TrajectorySet((a, b))
+        assert s == s and s != t and len({s, t}) == 2
+
 
 class TestSupport:
     def test_strict_threshold(self):

@@ -89,6 +89,15 @@ def test_true_support_is_the_nonzero_true_coeffs(name):
     assert pde.true_support == support_from_coeffs(pde.true_coeffs)
 
 
+def test_specs_compare_and_hash_by_value():
+    # hash(PDES["heat"]) used to raise TypeError on the coefficient array
+    heat = PDES["heat"]
+    again = dataclasses.replace(heat, true_coeffs=CoefficientVector.from_dict({"u_xx": 0.1}))
+    assert again == heat and hash(again) == hash(heat)
+    assert dataclasses.replace(heat, true_coeffs=CoefficientVector.from_dict({"u_xx": 0.2})) != heat
+    assert len(set(PDES.values())) == len(PDES)
+
+
 class TestRngStream:
     def test_determinism(self):
         a = RngStream(42).generator(3).standard_normal(8)

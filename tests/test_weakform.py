@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -406,6 +409,12 @@ class TestAssemble:
         with pytest.raises(ValueError, match="radius"):
             assemble(ts, UXX_ONLY, bad)
 
+    def test_systems_compare_by_identity(self, heat_clean):
+        # == between distinct systems used to raise on their arrays
+        tg = make_test_grid(heat_clean.grid, 3, 3)
+        (a,), (b,) = assemble(heat_clean, UXX_ONLY, tg), assemble(heat_clean, UXX_ONLY, tg)
+        assert a == a and a != b and len({a, b}) == 2
+
 
 class TestSeparableAssembly:
     @pytest.mark.parametrize("data", ["heat_noisy10", "burgers_clean", "fisher_kpp_clean"])
@@ -426,17 +435,18 @@ class TestSeparableAssembly:
 
     def test_each_derivative_order_computed_once(self, heat_noisy10, monkeypatch):
         # single-derivative columns are differentiated after the time
-        # contraction; full-size fields are made once per order a product uses
+        # contraction; full-size fields are made once per order a product
+        # uses, each when the first product that needs it comes
         calls = []
         real = oplib.spectrum_derivatives
 
-        def counting(u_hat, orders, nx, length):
+        def counting(u_hat, orders, *args, **kwargs):
             calls.append(tuple(orders))
-            return real(u_hat, orders, nx, length)
+            return real(u_hat, orders, *args, **kwargs)
 
         monkeypatch.setattr(oplib, "spectrum_derivatives", counting)
         tg = make_test_grid(heat_noisy10.grid, 5, 7)
-        for spec, orders in ((standard_library(), [(1, 2)]), (GALILEAN_BASIS, [(1,)]), (SINGLE_DERIVATIVES, [])):
+        for spec, orders in ((standard_library(), [(1,), (2,)]), (GALILEAN_BASIS, [(1,)]), (SINGLE_DERIVATIVES, [])):
             calls.clear()
             assemble(heat_noisy10, spec, tg)
             assert calls == orders * len(heat_noisy10)
@@ -647,6 +657,13 @@ class TestFieldPass:
         fields = FieldPass(products, burgers_clean.grid)
         assert len(self.buffers_used(fields, burgers_clean)) == 4
 
+    def test_derivative_orders_take_turns_in_one_buffer(self):
+        # u_x serves u^2*u_x and u*u_x before u_xx serves u*u_xx; u_x*u_xx
+        # needs both orders at once
+        products = tuple(t for t in standard_library().terms if t.power > 1)
+        assert oplib._walk(products)[2] == 1
+        assert oplib._walk((term_from_tag("u_x*u_xx"),))[2] == 2
+
     def test_one_multiply_per_distinct_prefix(self, burgers_clean, monkeypatch):
         # the standard products' chains (0, 0), (0, 0, 0), (0, 0, 1), (0, 1)
         # and (0, 2) are their own distinct prefixes: u^3 and u^2*u_x both
@@ -831,3 +848,98 @@ class TestPlanMemo:
                 a[(0,) * a.ndim] = 1
         with pytest.raises(TypeError):
             plan.at[0] = 1
+
+
+@pytest.fixture(scope="module")
+def burgers_set():
+    """burgers at sigma 0.1 on its 128 x 128 grid, by number of trajectories, made on first use."""
+    cache = {}
+
+    def get(m):
+        if m not in cache:
+            pde = PDES["burgers"]
+            cache[m] = generate_set(pde, pde.default_grid(), m, 0.1, 42)
+        return cache[m]
+
+    return get
+
+
+class TestThreadedPass:
+    """A large set's trajectories are assembled on parallel workers. With
+    the size rule lowered, a 128 x 128 set takes that path too."""
+
+    @staticmethod
+    def starts(monkeypatch):
+        """The names of the threads started from here on."""
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_systems_are_the_inline_ones_bitwise(self, burgers_set, monkeypatch, m):
+        # the pipeline's three grids, on min(m, usable CPUs) workers
+        ts = burgers_set(m)
+        grids = pipeline_grids(ts)
+        inline = assemble(ts, standard_library(), *grids)
+        affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        started = self.starts(monkeypatch)
+        assert_same_systems(assemble(ts, standard_library(), *grids), inline)
+        assert len(started) == min(m, len(weakform._usable_cpus())) - 1
+        if affinity is not None:
+            assert os.sched_getaffinity(0) == affinity
+
+    def test_more_workers_than_cpus_under_frequent_switches(self, burgers_set, monkeypatch):
+        # one unpinned worker per trajectory, with the interpreter switching
+        # threads every microsecond: a lost or misplaced row would show
+        ts = burgers_set(5)
+        grids = pipeline_grids(ts)
+        inline = assemble(ts, standard_library(), *grids)
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: list(range(5)))
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        started, out = self.starts(monkeypatch), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: out.append(assemble(ts, standard_library(), *grids)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(started) == 1 + 4
+        assert_same_systems(out[0], inline)
+
+    def test_a_helpers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
+        ts = burgers_set(3)
+
+        class Failing(FieldPass):
+            def __call__(self, traj, u_hat=None):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError(f"no fields for trajectory {ts.trajectories.index(traj)}")
+                yield from super().__call__(traj, u_hat)
+
+        monkeypatch.setattr(weakform, "FieldPass", Failing)
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        before = threading.active_count()
+        # helpers 1 and 2 both fail: the first in worker order is raised
+        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 1$"):
+            assemble(ts, standard_library(), *pipeline_grids(ts))
+        assert threading.active_count() == before
+
+    def test_a_small_set_runs_inline(self, burgers_set, monkeypatch):
+        # grid-quick's 128 x 128 sets run inline, large-grid's 1024 x 512 ones on workers
+        assert 128 * 128 < weakform._THREADED_CELLS <= 1024 * 512
+        ts = burgers_set(5)
+        started, pinned = self.starts(monkeypatch), []
+        monkeypatch.setattr(weakform, "_pin", pinned.append)
+        assemble(ts, standard_library(), *pipeline_grids(ts))
+        assert started == [] and pinned == []
