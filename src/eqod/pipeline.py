@@ -13,7 +13,8 @@ test (whose boosted refit is the third system), and the reduced columns
 the final fit.
 The stability system, restricted to the library being pruned, is what
 the stability gate selects on. A column's values do not depend on which
-other terms share its assembly.
+other terms share its assembly: a library product that overflows would
+break this, and ``assemble`` rejects it.
 
 Stage 1 runs the two symmetry tests that steer the run: the weak-form
 Galilean test and the odd-reflection test. Stage 2 reduces the

@@ -43,11 +43,10 @@ once.
 One trajectory's field pass is one task: its ``rfft``, its product
 fields and every grid's contraction into that trajectory's own rows.
 A task reads shared plans and writes rows no other task writes, over
-buffers that belong to one worker, so tasks can run at once and each
-system stays bitwise that of the inline pass. A set of at least
-``_THREADED_CELLS`` grid cells (nt * nx) runs its tasks on min(M,
-usable CPUs) workers, the calling thread and helper threads that end
-inside the call; a smaller set runs them inline (see ``assemble``).
+buffers that belong to one worker (``_Worker``), so tasks can run at
+once and each system stays bitwise that of the inline pass. A set of at
+least ``_THREADED_CELLS`` grid cells runs its tasks on helper threads
+(``_run``); a smaller set runs them inline.
 """
 
 from __future__ import annotations
@@ -357,8 +356,15 @@ class _Worker:
     """What one worker reuses across its trajectories: the spectrum
     u_hat, one complex scratch (a moved grid's phased spectrum, then each
     derivative order's (ik)^d u_hat), a ``FieldPass`` with its product
-    and derivative buffers, and one contraction per grid. Every full-size
-    array is made here, in the thread that builds the worker."""
+    buffers and its derivative buffers (one per order needed at once),
+    and one contraction per grid. For the standard library at 1024 x 512
+    that is two complex (512, 513) and three real (512, 1024) arrays, 20
+    MiB per worker, reused by each of its trajectories.
+
+    The caller makes every worker before any thread starts, so a helper
+    thread allocates nothing full-size: helpers that made their own
+    spectrum and scratch raised large-grid's peak RSS from 115.8 to 123.6
+    MB."""
 
     def __init__(self, grid: Grid1D, products, systems):
         shape = (grid.nt, grid.nx // 2 + 1)
@@ -379,13 +385,15 @@ class _Worker:
                 p.write(m)
 
 
-# A set's tasks run on parallel workers from this many grid cells (nt * nx)
-# on, and inline below. On a 2-vCPU x86-64 host with one BLAS thread, the
-# pipeline's three grids and M = 3, the threaded pass took this share of
-# the inline one's time (medians of 30 alternating calls, three runs):
-# 1.31-1.36 at 128 x 128, 1.04-1.10 at 256 x 128, 0.91-0.94 at 256 x 256,
-# 0.76-0.79 at 512 x 512 and 0.70-0.74 at 1024 x 512. So 256 x 256 is the
-# smallest grid that runs threaded.
+# A set's tasks run on helper threads (``_run``) from this many grid cells
+# (nt * nx) on, and inline below. On a 2-vCPU x86-64 host with one BLAS
+# thread, the pipeline's three grids and M = 3, the threaded pass took this
+# share of the inline one's time (medians of 30 alternating calls, three
+# runs each of heat at sigma 0.1 and ks at sigma 0; nx x nt): 1.17-1.51 at
+# 128 x 128, 0.98-1.25 at 256 x 128, 0.91-0.98 at 256 x 256, 0.72-0.81 at
+# 512 x 512 and 0.73-0.77 at 1024 x 512. So 256 x 256 is the smallest grid
+# that runs threaded. The work is FFT, BLAS and ufunc calls on full-size
+# arrays, which release the interpreter lock.
 _THREADED_CELLS = 2**16
 
 
@@ -403,37 +411,37 @@ def _pin(cpus):
 
 
 def _run(workers, tasks, cpus):
-    """Run worker k on tasks k, k + n, ... of the n workers: worker 0 in
-    the calling thread, the others in helper threads joined before this
-    returns or raises. Worker k runs on cpus[k] alone (unpinned, the
-    threads' hand-offs of the interpreter lock kept them on one CPU), and
-    the caller gets its affinity, ``cpus``, back on the way out. A
-    helper's failure is re-raised here, the first in worker order."""
-    n = len(workers)
-    failures = [None] * n
+    """Run worker k of the n on tasks k, k + n, ... in a helper thread
+    pinned to cpus[k] alone (left to the scheduler, the threads' hand-offs
+    of the interpreter lock kept them on one CPU). The calling thread is
+    never pinned: it starts every helper, releases them together, joins
+    each one it started, in a ``finally`` so that none outlives the call
+    even when a start fails, and re-raises the first failure in worker
+    order. Helpers wait to be released because one that set to work at
+    once held the interpreter lock while the caller waited to start the
+    next: at 256 x 256 the second helper began 3.5-4.7 ms into a 10 ms
+    call."""
+    n, failures, go = len(workers), {}, threading.Event()  # failures: worker -> its exception
 
     def helper(k):
         try:
             _pin(cpus[k : k + 1])
+            go.wait()
             workers[k].run(tasks[k::n])
         except BaseException as exc:  # handed to the calling thread, which raises it
             failures[k] = exc
 
-    threads = []
+    threads = [threading.Thread(target=helper, args=(k,), name=f"eqod-assemble-{k}") for k in range(n)]
     try:
-        _pin(cpus[:1])
-        for k in range(1, n):
-            thread = threading.Thread(target=helper, args=(k,), name=f"eqod-assemble-{k}")
-            thread.start()
-            threads.append(thread)
-        workers[0].run(tasks[::n])
-    finally:
-        _pin(cpus)
         for thread in threads:
-            thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+            thread.start()
+    finally:
+        go.set()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:
@@ -492,12 +500,11 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
       columns with the matrix of dx*dt times the coefficients: a 0/1 row
       gives a column bitwise.
 
-    Product fields come from one ``FieldPass`` per worker, whose buffers
-    every trajectory of the worker reuses and whose derivative fields come
-    from the same u_hat, each order when the first product needing it
-    comes. So a trajectory makes one full-size ``rfft`` and one full-size
-    ``irfft`` per order a product needs: 1 + 2 for the standard library,
-    which holds GALILEAN_BASIS.
+    Product fields come from the worker's ``FieldPass``, whose derivative
+    fields come from the same u_hat, each order when the first product
+    needing it comes. So a trajectory makes one full-size ``rfft`` and
+    one full-size ``irfft`` per order a product needs: 1 + 2 for the
+    standard library, which holds GALILEAN_BASIS.
 
     A boosted system matches the assembly of the gathered boost to
     rounding (within 1.7e-12 of each column's largest entry on the eight
@@ -515,35 +522,22 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     give rows bitwise equal to the separate products in BLAS. So every
     system is bitwise the one a one-grid call gives.
 
-    Each trajectory is one task: its ``rfft`` into the worker's u_hat,
-    its product fields and every grid's contraction into that
-    trajectory's rows of each system. With M trajectories on a grid of
-    at least ``_THREADED_CELLS`` = 2^16 cells (nt * nx: 256 x 256 and
-    up), the tasks run on n = min(M, usable CPUs) workers, worker k
-    taking trajectories k, k + n, ...: worker 0 is the calling thread,
-    the others are helper threads started and joined inside the call.
-    While the call lasts, worker k runs on the k-th usable CPU alone:
-    left to the scheduler, the threads' hand-offs of the interpreter lock
-    kept both on one CPU. Smaller sets, and single workers, run inline.
-    The rule is a measured crossover: on a 2-vCPU host, the pipeline's
-    three grids with M = 3 took 1.31-1.36 times the inline time on
-    threads at 128 x 128, 0.91-0.94 at 256 x 256 and 0.70-0.74 at
-    1024 x 512. The time goes to FFT, BLAS and ufunc calls on full-size
-    arrays, which release the interpreter lock.
+    Each trajectory is one task: its ``rfft``, its product fields and
+    every grid's contraction into that trajectory's rows of each system,
+    over one worker's buffers (``_Worker``). A set of at least
+    ``_THREADED_CELLS`` grid cells runs its tasks on n = min(M, usable
+    CPUs) helper threads (``_run``); a smaller set, or one worker, runs
+    them inline. The caller makes the plans, the systems and every worker
+    before any thread starts, so a plan error raises exactly as inline.
+    Each trajectory's arithmetic is the inline pass's and no two tasks
+    write one row, so every system is bitwise the inline one. A helper's
+    failure is re-raised from ``assemble``, the first in worker order,
+    once every helper has ended.
 
-    The caller makes the plans, the systems and every worker's full-size
-    buffers before any thread starts, so a plan error raises exactly as
-    inline and a helper thread allocates nothing full-size. A worker's
-    buffers are u_hat, one complex scratch (a moved grid's phased
-    spectrum, then each order's (ik)^d u_hat), and its FieldPass's
-    product buffers and derivative buffers, one per order needed at
-    once. For the standard library at 1024 x 512 that is two complex
-    (512, 513) and three real (512, 1024) arrays, 20 MiB per worker,
-    reused by each of its trajectories. Each trajectory's arithmetic is
-    the inline pass's and no two tasks write one row, so every system is
-    bitwise the inline one. A helper's failure is re-raised from
-    ``assemble``, the first in worker order, once every worker has
-    ended; the caller's CPU affinity is restored either way.
+    The data are finite, but a library product of them may overflow: an
+    infinite field, multiplied by the expansion's zeros, would make every
+    column of its system non-finite. So a finished system that is not
+    finite raises ValueError, giving the largest |u|.
 
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.
@@ -560,4 +554,7 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
         workers[0].run(tasks)
     else:
         _run(workers, tasks, cpus)
+    if not all(np.isfinite(theta).all() and np.isfinite(b).all() for _, theta, b in systems):
+        peak = max(np.abs(traj.values).max() for traj in trajset)
+        raise ValueError(f"the weak-form system is not finite: a library product of the data overflows (largest |u| is {peak:.3g})")
     return tuple(WeakSystem(theta, b, bg.spec, g) for g, bg, (_, theta, b) in zip(grids, boosts, systems))

@@ -52,6 +52,13 @@ class TestRunEqod:
         assert res.coeffs.value(term_from_tag("u_xx")) == pytest.approx(0.1, abs=1e-3)
         assert res.coeffs.value(term_from_tag("u*u_x")) == pytest.approx(-1.0, abs=1e-2)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    def test_an_overflowing_product_raises_from_the_assembly(self, heat_clean):
+        # the standard library's u^2 and u^3 overflow on heat scaled by 1e200
+        big = TrajectorySet(tuple(Trajectory(t.grid, t.values * 1e200) for t in heat_clean))
+        with pytest.raises(ValueError, match=r"^the weak-form system is not finite: a library product of the data overflows \(largest \|u\| is 2\.\d+e\+200\)$"):
+            run_eqod(big, 42)
+
     def test_all_zero_set(self):
         # every residual is zero, so the guard's ratio is 1 and nothing reverts
         g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)

@@ -409,6 +409,20 @@ class TestAssemble:
         with pytest.raises(ValueError, match="radius"):
             assemble(ts, UXX_ONLY, bad)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    def test_an_overflowing_product_raises(self, heat_clean):
+        # u^2 of heat scaled by 1e200 overflows, and its infinite contraction,
+        # times the expansion's zeros, would poison the u and u_xx columns too
+        big = TrajectorySet(tuple(Trajectory(t.grid, t.values * 1e200) for t in heat_clean))
+        tg = make_test_grid(big.grid, *IDENTIFY_GRID)
+        peak = max(np.abs(t.values).max() for t in big)
+        message = f"the weak-form system is not finite: a library product of the data overflows (largest |u| is {peak:.3g})"
+        spec = LibrarySpec(tuple(term_from_tag(t) for t in ("u", "u_xx", "u^2")))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble(big, spec, tg)
+        (ws,) = assemble(big, SINGLE_DERIVATIVES, tg)
+        assert np.isfinite(ws.theta).all() and np.isfinite(ws.b).all()
+
     def test_systems_compare_by_identity(self, heat_clean):
         # == between distinct systems used to raise on their arrays
         tg = make_test_grid(heat_clean.grid, 3, 3)
@@ -890,12 +904,13 @@ class TestThreadedPass:
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         started = self.starts(monkeypatch)
         assert_same_systems(assemble(ts, standard_library(), *grids), inline)
-        assert len(started) == min(m, len(weakform._usable_cpus())) - 1
+        n = min(m, len(weakform._usable_cpus()))
+        assert len(started) == (n if n > 1 else 0)
         if affinity is not None:
             assert os.sched_getaffinity(0) == affinity
 
     def test_more_workers_than_cpus_under_frequent_switches(self, burgers_set, monkeypatch):
-        # one unpinned worker per trajectory, with the interpreter switching
+        # one unpinned helper per trajectory, with the interpreter switching
         # threads every microsecond: a lost or misplaced row would show
         ts = burgers_set(5)
         grids = pipeline_grids(ts)
@@ -913,7 +928,7 @@ class TestThreadedPass:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
-        assert len(started) == 1 + 4
+        assert len(started) == 1 + 5
         assert_same_systems(out[0], inline)
 
     def test_a_helpers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
@@ -921,8 +936,9 @@ class TestThreadedPass:
 
         class Failing(FieldPass):
             def __call__(self, traj, u_hat=None):
-                if threading.current_thread() is not threading.main_thread():
-                    raise RuntimeError(f"no fields for trajectory {ts.trajectories.index(traj)}")
+                m = ts.trajectories.index(traj)
+                if m >= 1:
+                    raise RuntimeError(f"no fields for trajectory {m}")
                 yield from super().__call__(traj, u_hat)
 
         monkeypatch.setattr(weakform, "FieldPass", Failing)
@@ -930,10 +946,62 @@ class TestThreadedPass:
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
         before = threading.active_count()
-        # helpers 1 and 2 both fail: the first in worker order is raised
+        # helpers 1 and 2 both fail, helper 0 does not: the first in worker order is raised
         with pytest.raises(RuntimeError, match=r"^no fields for trajectory 1$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
         assert threading.active_count() == before
+
+    def test_the_calling_thread_is_never_pinned(self, burgers_set, monkeypatch):
+        ts = burgers_set(3)
+        grids = pipeline_grids(ts)
+        inline = assemble(ts, standard_library(), *grids)
+        pinned = []
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: pinned.append((threading.current_thread(), list(cpus))))
+        assert_same_systems(assemble(ts, standard_library(), *grids), inline)
+        # each helper pins itself to its own CPU, and nothing else is pinned
+        assert sorted(cpus for _, cpus in pinned) == [[0], [1], [2]]
+        assert all(thread is not threading.current_thread() for thread, _ in pinned)
+
+    def test_no_helper_sets_to_work_before_every_helper_has_started(self, burgers_set, monkeypatch):
+        ts = burgers_set(3)
+        events, start, run = [], threading.Thread.start, weakform._Worker.run
+
+        def started(thread):
+            start(thread)
+            events.append("start")
+
+        def working(worker, tasks):
+            events.append("run")
+            run(worker, tasks)
+
+        monkeypatch.setattr(threading.Thread, "start", started)
+        monkeypatch.setattr(weakform._Worker, "run", working)
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        assemble(ts, standard_library(), *pipeline_grids(ts))
+        assert events == ["start"] * 3 + ["run"] * 3
+
+    def test_a_failed_start_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
+        ts = burgers_set(3)
+        start, tried = threading.Thread.start, []
+
+        def second_fails(thread):
+            tried.append(thread)
+            if len(tried) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^can't start new thread$"):
+            assemble(ts, standard_library(), *pipeline_grids(ts))
+        assert len(tried) == 2 and threading.active_count() == before
 
     def test_a_small_set_runs_inline(self, burgers_set, monkeypatch):
         # grid-quick's 128 x 128 sets run inline, large-grid's 1024 x 512 ones on workers

@@ -32,6 +32,11 @@ identical. It exits with status 1 unless every case is bitwise on all
 four counts, so a run of a tree against itself, or of a change that
 keeps every answer, checks that the answers are reproduced.
 
+It does not measure peak RSS. A change whose helper threads allocated
+their own full-size spectra read neutral here and in a bare loop of
+``run_eqod``, yet raised perfbench's large-grid ``peak_rss_mb`` from 115.8
+to 123.6 MB: perfbench's ``peak_rss_mb`` is the memory check.
+
 Run from anywhere, with the standard library and numpy:
 ``python tools/ab_layers.py TREE_A TREE_B [--reps N] [--cases heat-128-0.1,ks-1024x512-0]``
 where a tree is a directory holding ``src/eqod`` (a checkout of the repo).
