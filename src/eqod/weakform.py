@@ -45,8 +45,9 @@ fields and every grid's contraction into that trajectory's own rows.
 A task reads shared plans and writes rows no other task writes, over
 buffers that belong to one worker (``_Worker``), so tasks can run at
 once and each system stays bitwise that of the inline pass. A set of at
-least ``_THREADED_CELLS`` grid cells runs its tasks on helper threads
-(``_run``); a smaller set runs them inline.
+least ``_THREADED_CELLS`` grid cells runs its tasks on the helper
+threads of a ``ThreadPoolExecutor``, one per worker (``_run``); a
+smaller set runs them inline and loads no pool.
 """
 
 from __future__ import annotations
@@ -373,16 +374,20 @@ class _Worker:
         self.passes = [_Contraction(*system) for system in systems]
 
     def run(self, tasks):
-        """Assemble the rows of each (m, trajectory) of ``tasks`` on every grid."""
-        for m, traj in tasks:
-            u_hat = np.fft.rfft(traj.values, out=self.u_hat)
-            for p in self.passes:
-                p.data(traj.values, u_hat, self.scaled)
-            for term, field in self.fields(traj, u_hat):
+        """Assemble the rows of each (m, trajectory) of ``tasks`` on every
+        grid. An overflowing product warns nowhere: ``assemble`` rejects
+        the system it leaves non-finite. The error state is per thread, so
+        each worker sets its own."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, traj in tasks:
+                u_hat = np.fft.rfft(traj.values, out=self.u_hat)
                 for p in self.passes:
-                    p.field(term, field)
-            for p in self.passes:
-                p.write(m)
+                    p.data(traj.values, u_hat, self.scaled)
+                for term, field in self.fields(traj, u_hat):
+                    for p in self.passes:
+                        p.field(term, field)
+                for p in self.passes:
+                    p.write(m)
 
 
 # A set's tasks run on helper threads (``_run``) from this many grid cells
@@ -411,37 +416,42 @@ def _pin(cpus):
 
 
 def _run(workers, tasks, cpus):
-    """Run worker k of the n on tasks k, k + n, ... in a helper thread
-    pinned to cpus[k] alone (left to the scheduler, the threads' hand-offs
-    of the interpreter lock kept them on one CPU). The calling thread is
-    never pinned: it starts every helper, releases them together, joins
-    each one it started, in a ``finally`` so that none outlives the call
-    even when a start fails, and re-raises the first failure in worker
-    order. Helpers wait to be released because one that set to work at
-    once held the interpreter lock while the caller waited to start the
-    next: at 256 x 256 the second helper began 3.5-4.7 ms into a 10 ms
-    call."""
-    n, failures, go = len(workers), {}, threading.Event()  # failures: worker -> its exception
+    """Run worker k of the n on tasks k, k + n, ... in a pool thread that
+    pins itself to cpus[k] alone (left to the scheduler, the threads'
+    hand-offs of the interpreter lock kept them on one CPU). The calling
+    thread is never pinned: it submits every helper and then releases
+    them together, in a ``finally``. Leaving the pool's ``with`` block
+    joins every thread it started; then the results, read in worker
+    order, re-raise the first failure. Helpers wait to be released
+    because one that set to work at once held the interpreter lock while
+    the caller waited to start the next: at 256 x 256 the second helper
+    began 3.5-4.7 ms into a 10 ms call. Waiting, no helper is idle while
+    the caller submits, so the pool starts one thread per worker.
+
+    If a thread fails to start, the pool has already queued its worker's
+    task; the caller cancels every queued task before the release, so no
+    helper runs another's share, and raises the start error once every
+    started thread has ended."""
+    # Imported here: at module top it adds about 7 ms to every ``import eqod``
+    from concurrent.futures import ThreadPoolExecutor
+
+    n, go = len(workers), threading.Event()
 
     def helper(k):
-        try:
-            _pin(cpus[k : k + 1])
-            go.wait()
-            workers[k].run(tasks[k::n])
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            failures[k] = exc
+        _pin(cpus[k : k + 1])
+        go.wait()
+        workers[k].run(tasks[k::n])
 
-    threads = [threading.Thread(target=helper, args=(k,), name=f"eqod-assemble-{k}") for k in range(n)]
-    try:
-        for thread in threads:
-            thread.start()
-    finally:
-        go.set()
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    if failures:
-        raise failures[min(failures)]
+    with ThreadPoolExecutor(n, thread_name_prefix="eqod-assemble") as pool:
+        try:
+            futures = [pool.submit(helper, k) for k in range(n)]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        finally:
+            go.set()
+    for future in futures:
+        future.result()
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:

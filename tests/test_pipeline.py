@@ -8,9 +8,11 @@ import pytest
 import eqod.pipeline as pipeline
 import eqod.stability as stability
 import eqod.symmetry as symmetry
+import eqod.weakform as weakform
 from eqod.core import Grid1D, Trajectory, TrajectorySet, term_from_tag
 from eqod.oplib import LibrarySpec, expanded_library, standard_library
 from eqod.pipeline import run_eqod, run_wf_lasso_baseline
+from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
 from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, DetectorResult
 from eqod.weakform import IDENTIFY_GRID, BoostedGrid, assemble
@@ -52,12 +54,20 @@ class TestRunEqod:
         assert res.coeffs.value(term_from_tag("u_xx")) == pytest.approx(0.1, abs=1e-3)
         assert res.coeffs.value(term_from_tag("u*u_x")) == pytest.approx(-1.0, abs=1e-2)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
-    def test_an_overflowing_product_raises_from_the_assembly(self, heat_clean):
-        # the standard library's u^2 and u^3 overflow on heat scaled by 1e200
+    def test_an_overflowing_product_raises_from_the_assembly(self, heat_clean, monkeypatch):
+        # the standard library's u^2 and u^3 overflow on heat scaled by 1e200:
+        # the assembly's error is all a caller sees, inline and on helper threads
         big = TrajectorySet(tuple(Trajectory(t.grid, t.values * 1e200) for t in heat_clean))
-        with pytest.raises(ValueError, match=r"^the weak-form system is not finite: a library product of the data overflows \(largest \|u\| is 2\.\d+e\+200\)$"):
-            run_eqod(big, 42)
+        for threaded in (False, True):
+            if threaded:
+                monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+                monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+                monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match=r"^the weak-form system is not finite: a library product of the data overflows \(largest \|u\| is 2\.\d+e\+200\)$"):
+                    run_eqod(big, 42)
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_all_zero_set(self):
         # every residual is zero, so the guard's ratio is 1 and nothing reverts
@@ -162,12 +172,18 @@ def odd_report(detect):
 
 
 class TestFallback:
-    def test_reduced_path_value_error_falls_back(self, heat_clean, monkeypatch):
+    @pytest.mark.parametrize("law", sorted(PDES))
+    def test_reduced_path_value_error_falls_back(self, law, monkeypatch):
+        # the fallback is the full-library baseline itself, in either mode,
+        # so the reduced path can never leave an answer below it
+        pde = PDES[law]
+        ts = generate_set(pde, pde.default_grid(), 3, 0.1, 0)
         monkeypatch.setattr(pipeline, "stability_gate", _raise(ValueError("gate failed")))
+        monkeypatch.setattr(pipeline, "galilean_reduced", _raise(ValueError("no library")))
         with pytest.warns(UserWarning, match="reduced path failed"):
-            res = run_eqod(heat_clean, 42)
-        full = run_wf_lasso_baseline(heat_clean, 42)
-        assert res.mode == "stability"
+            res = run_eqod(ts, 0)
+        full = run_wf_lasso_baseline(ts, 0)
+        assert res.mode == ("symmetry" if res.symmetry_report.galilean.detected else "stability")
         assert res.fallback_triggered
         assert res.library_used == standard_library()
         assert np.array_equal(res.coeffs.values, full.coeffs.values)

@@ -399,7 +399,9 @@ class TestSolve:
             solve(pde, u0, g)
 
     def test_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency, on every solver path
+        # numpy is the only runtime dependency, on every solver path; and a
+        # 128 x 128 run_eqod, whose field pass runs inline, loads no thread
+        # pool (weakform._run imports it only for a threaded pass)
         src = os.path.dirname(os.path.dirname(eqod.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
@@ -407,7 +409,9 @@ class TestSolve:
             "import sys, eqod\n"
             "for pde in eqod.PDES.values():\n"
             "    eqod.generate_set(pde, pde.default_grid(64, 64), 2, 0.05, 0)\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "pde = eqod.PDES['heat']\n"
+            "eqod.run_eqod(eqod.generate_set(pde, pde.default_grid(128, 128), 3, 0.1, 0), 0)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures')\n"
             "assert not loaded, loaded\n"
         )
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

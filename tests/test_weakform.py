@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -409,19 +410,27 @@ class TestAssemble:
         with pytest.raises(ValueError, match="radius"):
             assemble(ts, UXX_ONLY, bad)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
-    def test_an_overflowing_product_raises(self, heat_clean):
+    def test_an_overflowing_product_raises(self, heat_clean, monkeypatch):
         # u^2 of heat scaled by 1e200 overflows, and its infinite contraction,
-        # times the expansion's zeros, would poison the u and u_xx columns too
+        # times the expansion's zeros, would poison the u and u_xx columns too;
+        # the error is reported once, with no warning, inline and on helper threads
         big = TrajectorySet(tuple(Trajectory(t.grid, t.values * 1e200) for t in heat_clean))
         tg = make_test_grid(big.grid, *IDENTIFY_GRID)
         peak = max(np.abs(t.values).max() for t in big)
         message = f"the weak-form system is not finite: a library product of the data overflows (largest |u| is {peak:.3g})"
         spec = LibrarySpec(tuple(term_from_tag(t) for t in ("u", "u_xx", "u^2")))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            assemble(big, spec, tg)
-        (ws,) = assemble(big, SINGLE_DERIVATIVES, tg)
-        assert np.isfinite(ws.theta).all() and np.isfinite(ws.b).all()
+        for threaded in (False, True):
+            if threaded:
+                monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
+                monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
+                monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    assemble(big, spec, tg)
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            (ws,) = assemble(big, SINGLE_DERIVATIVES, tg)
+            assert np.isfinite(ws.theta).all() and np.isfinite(ws.b).all()
 
     def test_systems_compare_by_identity(self, heat_clean):
         # == between distinct systems used to raise on their arrays
@@ -986,7 +995,7 @@ class TestThreadedPass:
 
     def test_a_failed_start_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
-        start, tried = threading.Thread.start, []
+        start, tried, ran, run = threading.Thread.start, [], [], weakform._Worker.run
 
         def second_fails(thread):
             tried.append(thread)
@@ -994,14 +1003,20 @@ class TestThreadedPass:
                 raise RuntimeError("can't start new thread")
             start(thread)
 
+        def recorded(worker, tasks):
+            ran.append(worker)
+            run(worker, tasks)
+
         monkeypatch.setattr(threading.Thread, "start", second_fails)
+        monkeypatch.setattr(weakform._Worker, "run", recorded)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=r"^can't start new thread$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
-        assert len(tried) == 2 and threading.active_count() == before
+        # the failed start's task is cancelled: the started helper runs its own at most
+        assert len(tried) == 2 and len(ran) <= 1 and threading.active_count() == before
 
     def test_a_small_set_runs_inline(self, burgers_set, monkeypatch):
         # grid-quick's 128 x 128 sets run inline, large-grid's 1024 x 512 ones on workers
