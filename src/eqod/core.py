@@ -25,6 +25,7 @@ __all__ = [
     "NOISE_SEED_OFFSET",
     "CV_STREAM",
     "STABILITY_STREAM",
+    "NUMERICAL_FAILURES",
 ]
 
 # Support threshold for turning coefficients into a term set.
@@ -34,6 +35,11 @@ SUPPORT_THRESHOLD = 1e-3
 NOISE_SEED_OFFSET = 1000
 CV_STREAM = 11
 STABILITY_STREAM = 23
+
+# The errors a numerical stage may raise on bad data and that a pipeline
+# stage survives (a detector downgrades, the reduced path falls back);
+# any other exception is a programming error and propagates.
+NUMERICAL_FAILURES = (ValueError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def as_index(name: str, v) -> int:
@@ -132,10 +138,8 @@ class Trajectory:
     """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i), real and
     finite (a complex dtype is rejected, not cast).
 
-    A writeable or non-float64 input is copied, so a later write by the
-    caller cannot reach the checked values. A read-only float64 array is
-    kept as given, without a copy: the solvers hand their own output over
-    this way, and whoever holds a writeable view of it must not write.
+    The values are kept as a read-only float64 copy, so no write, to the
+    input or to ``values``, can change a trajectory once it is checked.
     Trajectories compare and hash by identity.
     """
 
@@ -146,8 +150,7 @@ class Trajectory:
         v = np.asarray(self.values)
         if np.iscomplexobj(v):
             raise ValueError(f"trajectory values must be real, got dtype {v.dtype}")
-        if v.dtype != np.float64 or v.flags.writeable:
-            v = np.array(v, dtype=np.float64)
+        v = v.astype(np.float64)  # a copy, which the caller cannot write
         if v.shape != (self.grid.nt, self.grid.nx):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "
@@ -155,6 +158,7 @@ class Trajectory:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("trajectory contains non-finite values")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUPPORT_THRESHOLD, CoefficientVector, RngStream, TrajectorySet, support_from_coeffs
+from .core import NUMERICAL_FAILURES, SUPPORT_THRESHOLD, CoefficientVector, RngStream, TrajectorySet, support_from_coeffs
 from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard_library
 from .sparse import identify_on_system
 from .stability import STABILITY_GRID, stability_gate
@@ -141,10 +141,9 @@ def run_eqod(
             spec, _ = stability_gate(ws_stab.restricted(pruned), seed)
         ws_red = ws_lib.restricted(spec)
         coeffs_red, _ = identify_on_system(ws_red, seed)
-    except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except NUMERICAL_FAILURES as exc:
         # Numerical failures of the reduced path (library reduction,
-        # lstsq, LASSO, coefficient checks) fall back to the full fit; any
-        # other error is a programming error and propagates.
+        # lstsq, LASSO, coefficient checks) fall back to the full fit.
         warnings.warn(f"reduced path failed ({exc}); using full-library result")
         return IdentificationResult(coeffs_full, mode, True, base, len(base), report)
 

@@ -335,9 +335,7 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.nx,):
         raise ValueError("u0 length must equal grid.nx")
-    values = _propagate(pde, u0[None], grid)[0]
-    values.flags.writeable = False  # handed over without a copy
-    return Trajectory(grid, values)
+    return Trajectory(grid, _propagate(pde, u0[None], grid)[0])
 
 
 def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
@@ -349,8 +347,9 @@ def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Traje
     if sigma == 0:
         return traj
     scale = sigma * float(np.std(traj.values))
-    noisy = traj.values + scale * rng.standard_normal(traj.values.shape)
-    noisy.flags.writeable = False  # handed over without a copy
+    noisy = rng.standard_normal(traj.values.shape)
+    noisy *= scale
+    noisy += traj.values  # bitwise traj.values + scale * r: IEEE + and * commute
     return Trajectory(traj.grid, noisy)
 
 
@@ -368,11 +367,9 @@ def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) ->
     ic_stream = RngStream(seed)
     noise_stream = RngStream(seed + NOISE_SEED_OFFSET)
     u0 = np.stack([initial_condition(pde, grid, ic_stream.generator(i)) for i in range(m)])
-    values = _propagate(pde, u0, grid)
-    values.flags.writeable = False  # each row is handed over without a copy
     return TrajectorySet(
         tuple(
             add_noise(Trajectory(grid, v), sigma, noise_stream.generator(i))
-            for i, v in enumerate(values)
+            for i, v in enumerate(_propagate(pde, u0, grid))
         )
     )

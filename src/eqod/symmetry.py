@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Trajectory, TrajectorySet, term_from_tag
+from .core import NUMERICAL_FAILURES, Trajectory, TrajectorySet, term_from_tag
 from .oplib import LibrarySpec
 from .sparse import _normalize
 from .weakform import WeakSystem
@@ -148,12 +148,12 @@ def detect_all(trajset: TrajectorySet, ws: WeakSystem, ws_boost: WeakSystem) -> 
     try:
         results = [detect_reflection(tr) for tr in trajset]
         odd = DetectorResult(all(r.detected for r in results), max(r.score for r in results))
-    except (ValueError, FloatingPointError):
+    except NUMERICAL_FAILURES:
         odd = failed
     try:
         g_detected, g_f, g_c1, g_rank = detect_galilean(ws, ws_boost)
         galilean = DetectorResult(g_detected, g_f)
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+    except NUMERICAL_FAILURES:
         galilean, g_c1, g_rank = failed, float("nan"), False
     return SymmetryReport(
         galilean=galilean,

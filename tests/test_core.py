@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import eqod.solvers as solvers
 from eqod.core import (
     CoefficientVector,
     Grid1D,
@@ -260,19 +261,34 @@ class TestInputBoundary:
         tr = Trajectory(g, np.ones((16, 16), dtype=np.int64))
         assert tr.values.dtype == np.float64 and np.all(tr.values == 1.0)
 
-    def test_trajectory_is_not_reached_by_a_later_write(self):
-        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
-        a = np.ones((16, 16))
-        tr = Trajectory(g, a)
-        a[0, 0] = np.nan
-        assert not np.shares_memory(tr.values, a)
-        assert np.all(tr.values == 1.0)
+    @pytest.mark.parametrize(
+        "kind", ["float64", "read-only float64", "read-only view", "int64", "generate_set row"]
+    )
+    def test_trajectory_values_are_a_read_only_copy(self, kind, monkeypatch):
+        if kind == "generate_set row":
+            made, propagate = [], solvers._propagate
 
-    def test_trajectory_keeps_a_read_only_array_without_a_copy(self):
-        g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
-        a = np.ones((16, 16))
-        a.flags.writeable = False
-        assert Trajectory(g, a).values is a
+            def recorded(*args):  # keeps the stack whose rows generate_set passes on
+                made.append(propagate(*args))
+                return made[-1]
+
+            monkeypatch.setattr(solvers, "_propagate", recorded)
+            heat = solvers.PDES["heat"]
+            tr = solvers.generate_set(heat, heat.default_grid(16, 16), 2, 0.0, 42).trajectories[1]
+            base = made[0]
+        else:
+            base = np.ones((16, 16), dtype=np.int64 if kind == "int64" else np.float64)
+            a = base.view() if kind == "read-only view" else base
+            a.flags.writeable = not kind.startswith("read-only")
+            tr = Trajectory(Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16), a)
+        before = tr.values.copy()
+        assert tr.values.dtype == np.float64 and not tr.values.flags.writeable
+        assert not np.shares_memory(tr.values, base)
+        base.flags.writeable = True
+        base[...] = -1
+        assert np.array_equal(tr.values, before)
+        with pytest.raises(ValueError, match="read-only"):
+            tr.values[0, 0] = np.nan
 
     @pytest.mark.parametrize("power", [1.5, 2.0, np.float64(1.0), "1"])
     def test_term_rejects_a_non_integer_power(self, power):

@@ -165,4 +165,4 @@ class TestFieldPass:
             with pytest.raises(ValueError):
                 field[0, 0] = 1.0
         assert np.array_equal(tr.values, before)
-        assert tr.values.flags.writeable
+        assert not tr.values.flags.writeable

@@ -502,6 +502,15 @@ class TestNoise:
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             add_noise(heat_clean.trajectories[0], -0.1, RngStream(1).generator(0))
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.2])
+    def test_noise_is_the_scaled_draw_added_to_the_values(self, heat_clean, sigma):
+        # add_noise builds the draw in place; IEEE + and * commute, so it is bitwise this
+        tr = heat_clean.trajectories[1]
+        noisy = add_noise(tr, sigma, RngStream(7).generator(2))
+        r = RngStream(7).generator(2).standard_normal(tr.values.shape)
+        assert np.array_equal(noisy.values, tr.values + sigma * np.std(tr.values) * r)
+        assert not noisy.values.flags.writeable
+
     def test_same_seed_same_noise(self, heat_clean):
         tr = heat_clean.trajectories[0]
         a = add_noise(tr, 0.1, RngStream(7).generator(2))
@@ -515,6 +524,7 @@ class TestGenerateSet:
         v = [tr.values for tr in heat_clean]
         assert not np.array_equal(v[0], v[1])
         assert not np.array_equal(v[1], v[2])
+        assert not any(a.flags.writeable for a in v)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_rejects_empty_set(self, m):
@@ -535,6 +545,7 @@ class TestGenerateSet:
         b = generate_set(pde, g, 2, 0.05, 42)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.values, tb.values)
+            assert not ta.values.flags.writeable
 
     def test_seed_changes_data(self, heat_clean):
         pde = PDES["heat"]
@@ -549,7 +560,8 @@ class TestGenerateSet:
         ts = generate_set(pde, g, 3, 0.0, 42)
         for i, tr in enumerate(ts):
             u0 = initial_condition(pde, g, RngStream(42).generator(i))
-            assert np.array_equal(tr.values, solve(pde, u0, g).values)
+            single = solve(pde, u0, g).values
+            assert np.array_equal(tr.values, single) and not single.flags.writeable
 
     def test_rejects_non_finite_ic(self, monkeypatch):
         import eqod.solvers as solvers
