@@ -236,9 +236,9 @@ def term_from_tag(tag: str) -> LibraryTerm:
     powers = [0, 0, 0, 0, 0]
     for part in tag.split("*"):
         name, _, exp = part.partition("^")
-        if name not in _FACTOR_NAMES:
+        if name not in _FACTOR_NAMES or not (exp or "1").isdecimal():
             raise ValueError(f"unknown term tag {tag!r}")
-        powers[_FACTOR_NAMES.index(name)] += int(exp) if exp else 1
+        powers[_FACTOR_NAMES.index(name)] += int(exp or 1)
     return LibraryTerm(tuple(powers))
 
 
@@ -275,10 +275,12 @@ class CoefficientVector:
 
     @classmethod
     def from_dict(cls, entries: dict, terms: tuple[LibraryTerm, ...] = STANDARD_TERMS):
-        """Build a vector over ``terms`` from a {term-or-tag: value} mapping."""
-        keyed = {
-            (term_from_tag(k) if isinstance(k, str) else k): v for k, v in entries.items()
-        }
+        """Build a vector over ``terms`` from a {term-or-tag: value} mapping;
+        a term named twice, as a tag and as a term, is an error."""
+        keys = [term_from_tag(k) if isinstance(k, str) else k for k in entries]
+        keyed = dict(zip(keys, entries.values()))
+        if len(keyed) != len(keys):
+            raise ValueError(f"terms named twice: {sorted({t.tag for t in keys if keys.count(t) > 1})}")
         unknown = set(keyed) - set(terms)
         if unknown:
             raise ValueError(f"terms not in target ordering: {sorted(t.tag for t in unknown)}")
@@ -294,8 +296,8 @@ class CoefficientVector:
 
 def support_from_coeffs(coeffs: CoefficientVector, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
     """Terms whose coefficient magnitude strictly exceeds ``threshold``."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:  # a NaN threshold is rejected too
+        raise ValueError(f"threshold must be positive, got {threshold!r}")
     return frozenset(t for t, v in zip(coeffs.terms, coeffs.values) if abs(v) > threshold)
 
 

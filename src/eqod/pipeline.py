@@ -17,7 +17,8 @@ other terms share its assembly: a library product that overflows would
 break this, and ``assemble`` rejects it.
 
 Stage 1 runs the two symmetry tests that steer the run: the weak-form
-Galilean test and the odd-reflection test. Stage 2 reduces the
+Galilean test and the odd-reflection test. Each returns its own record,
+and the result's SymmetryReport holds the two. Stage 2 reduces the
 candidate library: the Galilean-reduced set when a boost is detected,
 otherwise stability selection; an odd field also drops the
 parity-incompatible terms on either path. Stage 3 identifies
@@ -25,7 +26,8 @@ coefficients by weak-form LASSO on the reduced library. Stage 4
 reverts to the full-library fit when the reduced-library residual is
 more than GAMMA_SYMMETRY or GAMMA_STABILITY times worse and the dense
 full-library fit carries at least MATERIAL_FRACTION of its largest
-coefficient on a term the reduced library left out.
+coefficient on a term the reduced library left out; both conditions are
+read off the two fits' arrays.
 """
 
 from __future__ import annotations
@@ -155,19 +157,10 @@ def run_eqod(
     # to carry a material coefficient outside the reduced support.
     r_red = _residual_sq(ws_red, coeffs_red)
     r_full = _residual_sq(ws_full, dense_full)
-    if r_full > 0:
-        ratio = r_red / r_full
-    else:
-        ratio = 1.0 if r_red == 0 else np.inf
-    dense_max = float(np.abs(dense_full.values).max(initial=0.0))
-    outside = [
-        abs(v)
-        for t, v in zip(dense_full.terms, dense_full.values)
-        if t not in spec.terms
-    ]
-    missing_material = bool(
-        outside and dense_max > 0 and max(outside) >= MATERIAL_FRACTION * dense_max
-    )
+    ratio = r_red / r_full if r_full > 0 else (1.0 if r_red == 0 else np.inf)
+    mag = np.abs(dense_full.values)
+    outside = mag[[t not in spec for t in dense_full.terms]]
+    missing_material = bool(np.any((outside > 0) & (outside >= MATERIAL_FRACTION * mag.max(initial=0.0))))
     fallback = ratio > gamma and missing_material  # strict: equality does not trigger
     return IdentificationResult(
         coeffs=(

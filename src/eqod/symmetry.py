@@ -3,6 +3,10 @@
 A weak-form structural test for Galilean invariance decides between the
 Galilean-reduced library and stability selection, and a space-time
 parity test decides whether the parity-incompatible terms are pruned.
+Each test returns its own frozen record: a ``DetectorResult`` for the
+parity test, and a ``GalileanResult``, which adds the convective
+coefficient c1 and whether the fit had full rank, for the Galilean test.
+A ``SymmetryReport`` holds the two records.
 The Galilean test reads two systems that one ``assemble`` call makes
 from one field pass: the data's, and the data's boost by
 GALILEAN_BOOST_C (a ``weakform.BoostedGrid``), so this module assembles
@@ -12,7 +16,7 @@ nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .weakform import WeakSystem
 
 __all__ = [
     "DetectorResult",
+    "GalileanResult",
     "SymmetryReport",
     "GALILEAN_BASIS",
     "GALILEAN_BOOST_C",
@@ -51,24 +56,29 @@ class DetectorResult:
 
 
 @dataclass(frozen=True)
+class GalileanResult(DetectorResult):
+    """The Galilean test's decision, with its convective coefficient c1
+    and whether the six-column fit had full rank."""
+
+    c1: float
+    rank_ok: bool
+
+
+def _entry(r: DetectorResult) -> dict:
+    """A record's fields in declaration order, with NaN as None."""
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(r).items()}
+
+
+@dataclass(frozen=True)
 class SymmetryReport:
     """Outcomes of the Galilean test and the odd-reflection test on a
     trajectory set: the two outcomes the pipeline reads."""
 
-    galilean: DetectorResult
+    galilean: GalileanResult
     reflection_odd: DetectorResult
-    galilean_c1: float
-    galilean_rank_ok: bool = True
 
     def to_json_dict(self) -> dict:
-        def entry(r: DetectorResult):
-            score = None if math.isnan(r.score) else r.score
-            return {"detected": bool(r.detected), "score": score}
-
-        out = {name: entry(getattr(self, name)) for name in ("galilean", "reflection_odd")}
-        out["galilean"]["c1"] = None if math.isnan(self.galilean_c1) else self.galilean_c1
-        out["galilean"]["rank_ok"] = self.galilean_rank_ok
-        return out
+        return {"galilean": _entry(self.galilean), "reflection_odd": _entry(self.reflection_odd)}
 
 
 def detect_reflection(traj: Trajectory) -> DetectorResult:
@@ -101,7 +111,7 @@ def _convective_fit(ws: WeakSystem):
     return f, float(chat[0]), bool(rank == ws.theta.shape[1])
 
 
-def detect_galilean(ws: WeakSystem, ws_boost: WeakSystem):
+def detect_galilean(ws: WeakSystem, ws_boost: WeakSystem) -> GalileanResult:
     """Weak-form structural test for Galilean invariance.
 
     ``ws`` is a weak system of the data whose library contains every
@@ -121,15 +131,14 @@ def detect_galilean(ws: WeakSystem, ws_boost: WeakSystem):
     Detection requires both the discounted fraction and the physical
     convective coefficient to exceed GALILEAN_TAU.
 
-    Returns (detected, energy_fraction, c1, rank_ok).
+    The result's score is the discounted energy fraction.
     """
     f, c1, rank_ok = _convective_fit(ws)
     if f != 0.0:
         _, c1_boost, _ = _convective_fit(ws_boost)
         gap = abs(c1_boost - c1) / max(1.0, abs(c1))
         f = f / (1.0 + (gap / BOOST_GAP_SCALE) ** 2)
-    detected = (f > GALILEAN_TAU) and (abs(c1) > GALILEAN_TAU)
-    return detected, f, c1, rank_ok
+    return GalileanResult((f > GALILEAN_TAU) and (abs(c1) > GALILEAN_TAU), f, c1, rank_ok)
 
 
 def detect_all(trajset: TrajectorySet, ws: WeakSystem, ws_boost: WeakSystem) -> SymmetryReport:
@@ -141,23 +150,17 @@ def detect_all(trajset: TrajectorySet, ws: WeakSystem, ws_boost: WeakSystem) -> 
     ``detect_galilean``); it assembles nothing. Odd reflection runs per
     trajectory and reports the most conservative outcome: detected only
     if every trajectory is odd, with the largest score. A detector error
-    downgrades that test to not-detected with a NaN score, so this
-    function raises none of the numerical errors it catches.
+    downgrades that test to not-detected with a NaN score (and, for the
+    Galilean test, a NaN c1 and rank_ok False), so this function raises
+    none of the numerical errors it catches.
     """
-    failed = DetectorResult(False, float("nan"))
     try:
         results = [detect_reflection(tr) for tr in trajset]
         odd = DetectorResult(all(r.detected for r in results), max(r.score for r in results))
     except NUMERICAL_FAILURES:
-        odd = failed
+        odd = DetectorResult(False, math.nan)
     try:
-        g_detected, g_f, g_c1, g_rank = detect_galilean(ws, ws_boost)
-        galilean = DetectorResult(g_detected, g_f)
+        galilean = detect_galilean(ws, ws_boost)
     except NUMERICAL_FAILURES:
-        galilean, g_c1, g_rank = failed, float("nan"), False
-    return SymmetryReport(
-        galilean=galilean,
-        reflection_odd=odd,
-        galilean_c1=g_c1,
-        galilean_rank_ok=g_rank,
-    )
+        galilean = GalileanResult(False, math.nan, math.nan, False)
+    return SymmetryReport(galilean, odd)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,9 +99,9 @@ class TestTerms:
         assert term_from_tag("u*u_x*u_xx") == LibraryTerm((1, 1, 1, 0, 0))
         assert term_from_tag("u_x*u_x") == term_from_tag("u_x^2")
 
-    @pytest.mark.parametrize("tag", ["v", "u_y", "u*v_x", "", "u**2"])
+    @pytest.mark.parametrize("tag", ["v", "u_y", "u*v_x", "", "u**2", "u^x", "u^-1"])
     def test_unknown_tag(self, tag):
-        with pytest.raises(ValueError, match="unknown term tag"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown term tag {tag!r}")):
             term_from_tag(tag)
 
     @pytest.mark.parametrize(
@@ -144,6 +146,11 @@ class TestCoefficientVector:
         with pytest.raises(ValueError, match="must be finite"):
             CoefficientVector(STANDARD_TERMS, values)
 
+    @pytest.mark.parametrize("entries", [{"u_x": 1.0, term_from_tag("u_x"): 2.0}, {"u_x^1": 1.0, "u_x": 2.0}])
+    def test_from_dict_rejects_a_term_named_twice(self, entries):
+        with pytest.raises(ValueError, match=r"^terms named twice: \['u_x'\]$"):
+            vec(entries)
+
     def test_from_dict_rejects_terms_outside_the_ordering(self):
         with pytest.raises(ValueError, match=r"not in target ordering: \['u\^4'\]"):
             vec({"u_xx": 0.1, "u^4": 1.0})
@@ -187,10 +194,13 @@ class TestSupport:
         c = vec({"u*u_x": -1.0001, "u_xx": 0.1000})
         assert support_from_coeffs(c) == {UUX, U_XX}
 
-    @pytest.mark.parametrize("threshold", [0.0, -1e-3])
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, np.nan])
     def test_threshold_must_be_positive(self, threshold):
         with pytest.raises(ValueError, match="threshold must be positive"):
             support_from_coeffs(vec({"u_xx": 0.1}), threshold)
+
+    def test_infinite_threshold_gives_an_empty_support(self):
+        assert support_from_coeffs(vec({"u_xx": 0.1}), np.inf) == frozenset()
 
     def test_boundary_not_included(self):
         c = vec({"u_xx": 1e-3})

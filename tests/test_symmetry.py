@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import galilean_boost
@@ -10,6 +12,9 @@ from eqod.stability import STABILITY_GRID
 from eqod.symmetry import (
     GALILEAN_BASIS,
     GALILEAN_BOOST_C,
+    DetectorResult,
+    GalileanResult,
+    SymmetryReport,
     detect_all,
     detect_galilean,
     detect_reflection,
@@ -87,21 +92,22 @@ class TestReflection:
 
 class TestGalilean:
     def test_burgers_detected(self, burgers_clean):
-        detected, f, c1, rank_ok = detect_galilean(*standard_systems(burgers_clean))
-        assert detected
-        assert f >= 0.08
-        assert c1 == pytest.approx(-1.0, abs=0.05)
-        assert rank_ok
+        res = detect_galilean(*standard_systems(burgers_clean))
+        assert isinstance(res, GalileanResult)
+        assert res.detected
+        assert res.score >= 0.08
+        assert res.c1 == pytest.approx(-1.0, abs=0.05)
+        assert res.rank_ok
 
     def test_heat_not_detected(self, heat_clean):
-        detected, f, c1, _ = detect_galilean(*standard_systems(heat_clean))
-        assert not detected
-        assert f <= 0.03
+        res = detect_galilean(*standard_systems(heat_clean))
+        assert not res.detected
+        assert res.score <= 0.03
 
     def test_kdv_detected(self, kdv_clean):
-        detected, f, c1, _ = detect_galilean(*standard_systems(kdv_clean))
-        assert detected
-        assert c1 == pytest.approx(-1.0, abs=0.05)
+        res = detect_galilean(*standard_systems(kdv_clean))
+        assert res.detected
+        assert res.c1 == pytest.approx(-1.0, abs=0.05)
 
     def test_boost_maps_grid_consistently(self, burgers_clean):
         boosted = galilean_boost(burgers_clean, 0.3)
@@ -143,16 +149,16 @@ class TestGalilean:
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))
         a = detect_galilean(*standard_systems(burgers_clean))
         b = detect_galilean(*standard_systems(flipped))
-        assert a[1] == pytest.approx(b[1], rel=1e-9)
+        assert a.score == pytest.approx(b.score, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["burgers_clean", "heat_clean", "kdv_clean"])
     def test_full_library_system_matches_own_assembly(self, name, request):
         ts = request.getfixturevalue(name)
-        detected, f, c1, rank_ok = detect_galilean(*standard_systems(ts))
+        res = detect_galilean(*standard_systems(ts))
         own = detect_galilean(*basis_systems(ts))
-        assert (detected, rank_ok) == (own[0], own[3])
-        assert f == pytest.approx(own[1], rel=1e-9)
-        assert c1 == pytest.approx(own[2], rel=1e-9)
+        assert (res.detected, res.rank_ok) == (own.detected, own.rank_ok)
+        assert res.score == pytest.approx(own.score, rel=1e-9)
+        assert res.c1 == pytest.approx(own.c1, rel=1e-9)
 
     def test_boosted_refit_uses_the_system_test_grid(self, burgers_clean):
         # on the stability grid, the test equals the refit of the gathered
@@ -163,8 +169,8 @@ class TestGalilean:
         (oracle,) = assemble(galilean_boost(burgers_clean, GALILEAN_BOOST_C), GALILEAN_BASIS, tg)
         got = detect_galilean(ws, ws_boost)
         ref = detect_galilean(ws, oracle)
-        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
-        assert got[1] == pytest.approx(ref[1], rel=1e-11)
+        assert (got.detected, got.c1, got.rank_ok) == (ref.detected, ref.c1, ref.rank_ok)
+        assert got.score == pytest.approx(ref.score, rel=1e-11)
         assert not hasattr(symmetry, "assemble")
 
 
@@ -203,8 +209,26 @@ class TestDetectAll:
         monkeypatch.setattr(symmetry.np.linalg, "lstsq", singular)
         rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
         assert not rep.galilean.detected
-        assert np.isnan(rep.galilean.score) and np.isnan(rep.galilean_c1)
-        assert rep.galilean_rank_ok is False
+        assert isinstance(rep.galilean, GalileanResult)
+        assert np.isnan(rep.galilean.score) and np.isnan(rep.galilean.c1)
+        assert rep.galilean.rank_ok is False
         assert rep.reflection_odd.detected
         d = rep.to_json_dict()["galilean"]
         assert d["score"] is None and d["c1"] is None and d["rank_ok"] is False
+
+    def test_report_holds_the_two_records(self, burgers_clean):
+        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        assert [f.name for f in dataclasses.fields(SymmetryReport)] == ["galilean", "reflection_odd"]
+        assert isinstance(rep.galilean, GalileanResult) and isinstance(rep.galilean, DetectorResult)
+        assert type(rep.reflection_odd) is DetectorResult
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.galilean.c1 = 0.0
+
+    def test_json_carries_each_records_fields(self, burgers_clean):
+        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        g, odd = rep.galilean, rep.reflection_odd
+        assert rep.to_json_dict() == {
+            "galilean": {"detected": g.detected, "score": g.score, "c1": g.c1, "rank_ok": g.rank_ok},
+            "reflection_odd": {"detected": odd.detected, "score": odd.score},
+        }
+        assert list(rep.to_json_dict()["galilean"]) == ["detected", "score", "c1", "rank_ok"]

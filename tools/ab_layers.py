@@ -27,8 +27,10 @@ per tree, B's median against A's, whether the two trees' data are
 bitwise equal, whether their systems are (the identification and
 stability systems), how far apart the boosted system is (largest
 distance over each column's, and b's, largest entry), and whether the
-two ``run_eqod`` answers (mode, fallback, library and coefficients) are
-identical. It exits with status 1 unless every case is bitwise on all
+two ``run_eqod`` answers are identical: their ``to_json()`` text, so the
+mode, fallback, library, library size, coefficients, residual ratio and
+every detector field (scores, c1, rank_ok) are compared, each to the
+last digit. It exits with status 1 unless every case is bitwise on all
 four counts, so a run of a tree against itself, or of a change that
 keeps every answer, checks that the answers are reproduced.
 
@@ -116,11 +118,6 @@ def calls(tree, case, trajset):
     }
 
 
-def answer(res) -> tuple:
-    """A run_eqod result as plain values: mode, fallback, library tags, coefficient tags and values."""
-    return res.mode, res.fallback_triggered, res.library_used.tags, tuple(t.tag for t in res.coeffs.terms), res.coeffs.values.tobytes()
-
-
 def compare(data_a, data_b, outputs_a, outputs_b) -> tuple[bool, str]:
     """Whether every comparison is bitwise, and the report: the data, the
     plain systems, the boosted system's distance and the pipeline answers."""
@@ -132,7 +129,7 @@ def compare(data_a, data_b, outputs_a, outputs_b) -> tuple[bool, str]:
     a, b = systems_a[2], systems_b[2]
     theta = float((np.abs(a.theta - b.theta) / np.abs(a.theta).max(axis=0)).max())
     resp = float(np.abs(a.b - b.b).max() / np.abs(a.b).max())
-    same = answer(res_a) == answer(res_b)
+    same = res_a.to_json() == res_b.to_json()
     report = (
         f"data bitwise: {data}; plain systems bitwise: {plain}; "
         f"boosted system apart by {theta:.1e} (theta), {resp:.1e} (b); run_eqod answers identical: {same}"
