@@ -20,25 +20,17 @@ from .core import (
     support_from_coeffs,
     term_from_tag,
 )
-from .oplib import (
-    LibrarySpec,
-    evaluate_term,
-    expanded_library,
-    galilean_reduced,
-    odd_reflection_prune,
-    standard_library,
-)
+from .oplib import LibrarySpec, expanded_library, galilean_reduced, odd_reflection_prune, standard_library
 from .pipeline import IdentificationResult, run_eqod, run_wf_lasso_baseline
-from .solvers import PDES, PdeSpec, add_noise, generate_set, initial_condition, solve
+from .solvers import PDES, PdeSpec, generate_set, initial_condition
 from .sparse import lasso, lasso_cv
 from .stability import stability_gate, stability_select
-from .symmetry import SymmetryReport, detect_all, detect_galilean
-from .weakform import BoostedGrid, TestGrid, WeakSystem, assemble, bump, make_test_grid
+from .symmetry import SymmetryReport, detect_all
+from .weakform import WeakSystem, assemble, make_test_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostedGrid",
     "CoefficientVector",
     "Grid1D",
     "IdentificationResult",
@@ -49,17 +41,12 @@ __all__ = [
     "RngStream",
     "STANDARD_TERMS",
     "SymmetryReport",
-    "TestGrid",
     "Trajectory",
     "TrajectorySet",
     "WeakSystem",
-    "add_noise",
     "assemble",
-    "bump",
     "coefficient_error",
     "detect_all",
-    "detect_galilean",
-    "evaluate_term",
     "expanded_library",
     "f1_score",
     "galilean_reduced",
@@ -71,7 +58,6 @@ __all__ = [
     "odd_reflection_prune",
     "run_eqod",
     "run_wf_lasso_baseline",
-    "solve",
     "stability_gate",
     "stability_select",
     "standard_library",

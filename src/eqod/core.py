@@ -232,11 +232,12 @@ class LibraryTerm:
 
 
 def term_from_tag(tag: str) -> LibraryTerm:
-    """Parse a term's ASCII tag, e.g. "u_xx", "u*u_x" or "u^2*u_x"."""
+    """Parse a term's ASCII tag, e.g. "u_xx", "u*u_x" or "u^2*u_x". An
+    exponent, when given, is a positive number in ASCII digits."""
     powers = [0, 0, 0, 0, 0]
     for part in tag.split("*"):
-        name, _, exp = part.partition("^")
-        if name not in _FACTOR_NAMES or not (exp or "1").isdecimal():
+        name, caret, exp = part.partition("^")
+        if name not in _FACTOR_NAMES or caret and not (exp.isascii() and exp.isdecimal() and int(exp) > 0):
             raise ValueError(f"unknown term tag {tag!r}")
         powers[_FACTOR_NAMES.index(name)] += int(exp or 1)
     return LibraryTerm(tuple(powers))
@@ -276,7 +277,11 @@ class CoefficientVector:
     @classmethod
     def from_dict(cls, entries: dict, terms: tuple[LibraryTerm, ...] = STANDARD_TERMS):
         """Build a vector over ``terms`` from a {term-or-tag: value} mapping;
-        a term named twice, as a tag and as a term, is an error."""
+        a term named twice, as a tag and as a term, or a key that is
+        neither, is an error."""
+        bad = [k for k in entries if not isinstance(k, (str, LibraryTerm))]
+        if bad:
+            raise ValueError(f"keys that are neither a term tag nor a LibraryTerm: {bad!r}")
         keys = [term_from_tag(k) if isinstance(k, str) else k for k in entries]
         keyed = dict(zip(keys, entries.values()))
         if len(keyed) != len(keys):

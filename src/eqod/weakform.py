@@ -45,17 +45,18 @@ fields and every grid's contraction into that trajectory's own rows.
 A task reads shared plans and writes rows no other task writes, over
 buffers that belong to one worker (``_Worker``), so tasks can run at
 once and each system stays bitwise that of the inline pass. A set of at
-least ``_THREADED_CELLS`` grid cells runs its tasks on the helper
-threads of a ``ThreadPoolExecutor``, one per worker (``_run``); a
-smaller set runs them inline and loads no pool.
+least ``_THREADED_CELLS`` grid cells runs its first worker's tasks on
+the calling thread and each other worker's on a helper thread of a
+``ThreadPoolExecutor``, each pinned to its own CPU (``_run``); a smaller
+set runs them inline and loads no pool.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -179,7 +180,9 @@ class BoostedGrid:
     that serves every grid (see ``assemble``); a TestGrid is the boost at
     c = 0. c is stored as a float, with -0.0 folded into 0.0, so a boost
     compares and hashes by value: equal boosts, c = 1 and c = 1.0 among
-    them, are one key of the plan memo.
+    them, are one key of the plan memo. A test_grid that is not a
+    TestGrid, a spec that is not a LibrarySpec, or a c that is not a
+    finite real number raises ValueError naming the field.
     """
 
     test_grid: TestGrid
@@ -187,6 +190,9 @@ class BoostedGrid:
     spec: LibrarySpec
 
     def __post_init__(self):
+        for name, kind, what in (("test_grid", TestGrid, "a TestGrid"), ("spec", LibrarySpec, "a LibrarySpec"), ("c", numbers.Real, "a real number")):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         c = float(self.c) + 0.0  # -0.0 + 0.0 is 0.0: one value, and one key, for c = 0
         if not math.isfinite(c):
             raise ValueError(f"boost must be finite, got {c}")
@@ -215,6 +221,9 @@ class WeakSystem:
 
     def restricted(self, spec: LibrarySpec) -> "WeakSystem":
         """Column subset for a sub-library, preserving rows."""
+        missing = [t.tag for t in spec.terms if t not in self.spec]
+        if missing:
+            raise ValueError(f"the system's library lacks {missing}")
         cols = [self.spec.index(t) for t in spec.terms]
         return WeakSystem(self.theta[:, cols], self.b, spec, self.test_grid)
 
@@ -390,10 +399,11 @@ class _Worker:
                     p.write(m)
 
 
-# A set's tasks run on helper threads (``_run``) from this many grid cells
-# (nt * nx) on, and inline below. On a 2-vCPU x86-64 host with one BLAS
-# thread, the pipeline's three grids and M = 3, the threaded pass took this
-# share of the inline one's time (medians of 30 alternating calls, three
+# A set's tasks run on the caller and helper threads (``_run``) from this
+# many grid cells (nt * nx) on, and inline below. On a 2-vCPU x86-64 host
+# with one BLAS thread, the pipeline's three grids and M = 3, the threaded
+# pass (then one helper per worker, the caller idle) took this share of
+# the inline one's time (medians of 30 alternating calls, three
 # runs each of heat at sigma 0.1 and ks at sigma 0; nx x nt): 1.17-1.51 at
 # 128 x 128, 0.98-1.25 at 256 x 128, 0.91-0.98 at 256 x 256, 0.72-0.81 at
 # 512 x 512 and 0.73-0.77 at 1024 x 512. So 256 x 256 is the smallest grid
@@ -416,40 +426,46 @@ def _pin(cpus):
 
 
 def _run(workers, tasks, cpus):
-    """Run worker k of the n on tasks k, k + n, ... in a pool thread that
-    pins itself to cpus[k] alone (left to the scheduler, the threads'
-    hand-offs of the interpreter lock kept them on one CPU). The calling
-    thread is never pinned: it submits every helper and then releases
-    them together, in a ``finally``. Leaving the pool's ``with`` block
-    joins every thread it started; then the results, read in worker
-    order, re-raise the first failure. Helpers wait to be released
-    because one that set to work at once held the interpreter lock while
-    the caller waited to start the next: at 256 x 256 the second helper
-    began 3.5-4.7 ms into a 10 ms call. Waiting, no helper is idle while
-    the caller submits, so the pool starts one thread per worker.
+    """Run worker k of the n on tasks k, k + n, ... pinned to cpus[k]
+    alone: worker 0 on the calling thread, each other worker in a pool
+    thread. Left to the scheduler, the threads' hand-offs of the
+    interpreter lock keep them on one CPU: an unpinned caller stayed on
+    its pinned helper's CPU while the other one idled, and three-grid
+    ``assemble`` at 1024 x 512 took 20-60 % longer. So the caller pins
+    itself for its share and then, whatever happens, gets back its own
+    affinity, ``cpus``.
+
+    The caller submits the n - 1 helpers and then runs its share inside
+    the pool's ``with`` block, whose exit joins every thread it started.
+    A failure of the caller's share leaves the block first; otherwise the
+    helpers' results, read in worker order, re-raise the first failure.
+    A helper that has finished before the caller submits the next one is
+    handed that share too, as the pool reuses an idle thread, so a call
+    starts at most n - 1 threads: n - 1 whenever the shares overlap.
 
     If a thread fails to start, the pool has already queued its worker's
-    task; the caller cancels every queued task before the release, so no
-    helper runs another's share, and raises the start error once every
-    started thread has ended."""
+    task. The caller cancels every queued task, as it does when its own
+    share fails, so no helper runs another's share, and raises the start
+    error before its own share runs, once every started thread has
+    ended."""
     # Imported here: at module top it adds about 7 ms to every ``import eqod``
     from concurrent.futures import ThreadPoolExecutor
 
-    n, go = len(workers), threading.Event()
+    n = len(workers)
 
-    def helper(k):
+    def share(k):
         _pin(cpus[k : k + 1])
-        go.wait()
         workers[k].run(tasks[k::n])
 
-    with ThreadPoolExecutor(n, thread_name_prefix="eqod-assemble") as pool:
+    with ThreadPoolExecutor(n - 1, thread_name_prefix="eqod-assemble") as pool:
         try:
-            futures = [pool.submit(helper, k) for k in range(n)]
+            futures = [pool.submit(share, k) for k in range(1, n)]
+            share(0)
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         finally:
-            go.set()
+            _pin(cpus)
     for future in futures:
         future.result()
 
@@ -536,11 +552,13 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     every grid's contraction into that trajectory's rows of each system,
     over one worker's buffers (``_Worker``). A set of at least
     ``_THREADED_CELLS`` grid cells runs its tasks on n = min(M, usable
-    CPUs) helper threads (``_run``); a smaller set, or one worker, runs
-    them inline. The caller makes the plans, the systems and every worker
-    before any thread starts, so a plan error raises exactly as inline.
+    CPUs) workers, the calling thread and n - 1 helper threads, each
+    pinned to its own CPU (``_run``); the caller gets its own affinity
+    back. A smaller set, or one worker, runs them inline. The caller
+    makes the plans, the systems and every worker before any thread
+    starts, so a plan error raises exactly as inline.
     Each trajectory's arithmetic is the inline pass's and no two tasks
-    write one row, so every system is bitwise the inline one. A helper's
+    write one row, so every system is bitwise the inline one. A worker's
     failure is re-raised from ``assemble``, the first in worker order,
     once every helper has ended.
 

@@ -99,7 +99,7 @@ class TestTerms:
         assert term_from_tag("u*u_x*u_xx") == LibraryTerm((1, 1, 1, 0, 0))
         assert term_from_tag("u_x*u_x") == term_from_tag("u_x^2")
 
-    @pytest.mark.parametrize("tag", ["v", "u_y", "u*v_x", "", "u**2", "u^x", "u^-1"])
+    @pytest.mark.parametrize("tag", ["v", "u_y", "u*v_x", "", "u**2", "u^x", "u^-1", "u^", "u^0*u_x", "u^\u0663", "u^00"])
     def test_unknown_tag(self, tag):
         with pytest.raises(ValueError, match=re.escape(f"unknown term tag {tag!r}")):
             term_from_tag(tag)
@@ -150,6 +150,11 @@ class TestCoefficientVector:
     def test_from_dict_rejects_a_term_named_twice(self, entries):
         with pytest.raises(ValueError, match=r"^terms named twice: \['u_x'\]$"):
             vec(entries)
+
+    @pytest.mark.parametrize("key", [3, None, (1, 0, 0, 0, 0)])
+    def test_from_dict_rejects_a_key_that_is_neither_tag_nor_term(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"neither a term tag nor a LibraryTerm: [{key!r}]")):
+            vec({"u_xx": 0.1, key: 1.0})
 
     def test_from_dict_rejects_terms_outside_the_ordering(self):
         with pytest.raises(ValueError, match=r"not in target ordering: \['u\^4'\]"):

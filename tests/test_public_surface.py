@@ -55,6 +55,28 @@ def test_all_names_resolve(modname):
     assert missing == []
 
 
+def eqod_imports(path):
+    """The (module, name) pairs a source file imports from eqod: each
+    ``from eqod[.sub] import name`` and each ``eqod.name`` read after an
+    ``import eqod``."""
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "eqod":
+            pairs.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "eqod":
+            pairs.add(("eqod", node.attr))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["selftest.py", "run.py"])
+def test_perfbench_imports_resolve(name):
+    # perfbench reads these names from the package: a trimmed __all__ must keep them
+    pairs = eqod_imports(SPANS_PATH.parent / name)
+    assert pairs, f"perfbench/{name} imports nothing from eqod"
+    missing = sorted(f"{m}.{n}" for m, n in pairs if not hasattr(importlib.import_module(m), n))
+    assert missing == []
+
+
 def imported_modules(path):
     """The eqod modules a source file imports, as "solvers", "core", ..."""
     names = set()

@@ -343,6 +343,18 @@ class TestAssemble:
             assert np.array_equal(red.b, direct.b)
             assert red.test_grid is tg
 
+    def test_restriction_names_the_terms_the_library_lacks(self, burgers_clean):
+        tg = make_test_grid(burgers_clean.grid, 5, 7)
+        three = LibrarySpec(tuple(term_from_tag(t) for t in ("u_x", "u_xx", "u*u_x")))
+        (ws,) = assemble(burgers_clean, three, tg)
+        with pytest.raises(ValueError, match=re.escape("the system's library lacks ['u^2', 'u_xxx']")):
+            ws.restricted(LibrarySpec(tuple(term_from_tag(t) for t in ("u^2", "u_x", "u_xxx"))))
+
+    def test_rejects_a_grid_that_is_not_a_test_grid(self, burgers_clean):
+        # used to fail deep inside, with "'str' object has no attribute 'n_centers'"
+        with pytest.raises(ValueError, match="^test_grid must be a TestGrid, got 'grid'$"):
+            assemble(burgers_clean, standard_library(), "grid")
+
     def test_response_linear_in_data(self, heat_clean):
         g = heat_clean.grid
         tg = make_test_grid(g, 5, 7)
@@ -610,6 +622,15 @@ class TestBoostedGrid:
         terms = LibrarySpec((term_from_tag("u_xx"), term_from_tag(boosted)))
         with pytest.raises(ValueError, match=f"^boosted term {re.escape(boosted)} needs"):
             assemble(burgers_clean, spec, tg, BoostedGrid(tg, GALILEAN_BOOST_C, terms))
+
+    @pytest.mark.parametrize(
+        "field, value", [("test_grid", "grid"), ("spec", GALILEAN_BASIS.tags), ("c", "0.3"), ("c", 1j), ("c", None)]
+    )
+    def test_rejects_a_field_of_the_wrong_kind(self, burgers_clean, field, value):
+        # a c of '0.3' used to be read as 0.3
+        good = {"test_grid": make_test_grid(burgers_clean.grid, *IDENTIFY_GRID), "c": 0.5, "spec": GALILEAN_BASIS}
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            BoostedGrid(**{**good, field: value})
 
     def test_rejects_a_non_finite_boost(self, burgers_clean):
         tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
@@ -903,6 +924,28 @@ class TestThreadedPass:
         monkeypatch.setattr(threading.Thread, "start", counted)
         return started
 
+    @staticmethod
+    def runs(monkeypatch, together=1):
+        """The workers made from here on, in order, and the (worker, thread)
+        of each ``run`` call. With ``together`` = n, each run first waits
+        until n runs have begun, so no helper can finish its share, go idle
+        and be handed the next one before every worker is running."""
+        made, ran, init, run = [], [], weakform._Worker.__init__, weakform._Worker.run
+        barrier = threading.Barrier(together, timeout=30)
+
+        def making(worker, *args):
+            init(worker, *args)
+            made.append(worker)
+
+        def running(worker, tasks):
+            ran.append((worker, threading.current_thread()))
+            barrier.wait()
+            run(worker, tasks)
+
+        monkeypatch.setattr(weakform._Worker, "__init__", making)
+        monkeypatch.setattr(weakform._Worker, "run", running)
+        return made, ran
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_systems_are_the_inline_ones_bitwise(self, burgers_set, monkeypatch, m):
         # the pipeline's three grids, on min(m, usable CPUs) workers
@@ -911,23 +954,25 @@ class TestThreadedPass:
         inline = assemble(ts, standard_library(), *grids)
         affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
-        started = self.starts(monkeypatch)
-        assert_same_systems(assemble(ts, standard_library(), *grids), inline)
         n = min(m, len(weakform._usable_cpus()))
-        assert len(started) == (n if n > 1 else 0)
+        started, _ = self.starts(monkeypatch), self.runs(monkeypatch, together=n)
+        assert_same_systems(assemble(ts, standard_library(), *grids), inline)
+        # the calling thread is worker 0: n workers start n - 1 threads
+        assert len(started) == n - 1
         if affinity is not None:
             assert os.sched_getaffinity(0) == affinity
 
     def test_more_workers_than_cpus_under_frequent_switches(self, burgers_set, monkeypatch):
-        # one unpinned helper per trajectory, with the interpreter switching
-        # threads every microsecond: a lost or misplaced row would show
+        # the caller and one unpinned helper per other trajectory, with the
+        # interpreter switching threads every microsecond: a lost or
+        # misplaced row would show
         ts = burgers_set(5)
         grids = pipeline_grids(ts)
         inline = assemble(ts, standard_library(), *grids)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: list(range(5)))
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
-        started, out = self.starts(monkeypatch), []
+        started, out, _ = self.starts(monkeypatch), [], self.runs(monkeypatch, together=5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -937,30 +982,48 @@ class TestThreadedPass:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
-        assert len(started) == 1 + 5
+        assert len(started) == 1 + 4
         assert_same_systems(out[0], inline)
 
-    def test_a_helpers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
-        ts = burgers_set(3)
+    @staticmethod
+    def failing(burgers_set, monkeypatch, failing):
+        """Three trajectories on three workers, of which those in
+        ``failing`` raise, and the (thread, cpus) of each pin, recorded
+        in place of being made."""
+        ts, pinned = burgers_set(3), []
 
         class Failing(FieldPass):
             def __call__(self, traj, u_hat=None):
                 m = ts.trajectories.index(traj)
-                if m >= 1:
+                if m in failing:
                     raise RuntimeError(f"no fields for trajectory {m}")
                 yield from super().__call__(traj, u_hat)
 
         monkeypatch.setattr(weakform, "FieldPass", Failing)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
-        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: pinned.append((threading.current_thread(), list(cpus))))
+        return ts, pinned
+
+    def test_a_helpers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
+        ts, _ = self.failing(burgers_set, monkeypatch, {1, 2})
         before = threading.active_count()
-        # helpers 1 and 2 both fail, helper 0 does not: the first in worker order is raised
+        # helpers 1 and 2 both fail, the caller does not: the first in worker order is raised
         with pytest.raises(RuntimeError, match=r"^no fields for trajectory 1$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
         assert threading.active_count() == before
 
-    def test_the_calling_thread_is_never_pinned(self, burgers_set, monkeypatch):
+    def test_the_callers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
+        ts, pinned = self.failing(burgers_set, monkeypatch, {0, 2})
+        before = threading.active_count()
+        # the caller's own share fails, and so does helper 2's: the caller's is raised
+        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 0$"):
+            assemble(ts, standard_library(), *pipeline_grids(ts))
+        assert threading.active_count() == before
+        # and the caller has its own affinity back
+        assert [cpus for thread, cpus in pinned if thread is threading.current_thread()] == [[0], [0, 1, 2]]
+
+    def test_each_worker_is_pinned_and_the_caller_keeps_its_affinity(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
         grids = pipeline_grids(ts)
         inline = assemble(ts, standard_library(), *grids)
@@ -969,33 +1032,30 @@ class TestThreadedPass:
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: pinned.append((threading.current_thread(), list(cpus))))
         assert_same_systems(assemble(ts, standard_library(), *grids), inline)
-        # each helper pins itself to its own CPU, and nothing else is pinned
-        assert sorted(cpus for _, cpus in pinned) == [[0], [1], [2]]
-        assert all(thread is not threading.current_thread() for thread, _ in pinned)
+        # worker k is pinned to CPU k; the caller, worker 0, then gets its own CPUs back
+        caller = [cpus for thread, cpus in pinned if thread is threading.current_thread()]
+        assert caller == [[0], [0, 1, 2]]
+        assert sorted(cpus for thread, cpus in pinned if thread is not threading.current_thread()) == [[1], [2]]
 
-    def test_no_helper_sets_to_work_before_every_helper_has_started(self, burgers_set, monkeypatch):
+    def test_worker_0_runs_on_the_calling_thread(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
-        events, start, run = [], threading.Thread.start, weakform._Worker.run
-
-        def started(thread):
-            start(thread)
-            events.append("start")
-
-        def working(worker, tasks):
-            events.append("run")
-            run(worker, tasks)
-
-        monkeypatch.setattr(threading.Thread, "start", started)
-        monkeypatch.setattr(weakform._Worker, "run", working)
+        grids = pipeline_grids(ts)
+        inline = assemble(ts, standard_library(), *grids)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
-        assemble(ts, standard_library(), *pipeline_grids(ts))
-        assert events == ["start"] * 3 + ["run"] * 3
+        made, ran = self.runs(monkeypatch, together=3)
+        assert_same_systems(assemble(ts, standard_library(), *grids), inline)
+        # each worker runs once: worker 0 on this thread, each other on its own helper
+        thread = dict(ran)
+        assert len(made) == len(ran) == len(thread) == 3 and set(thread) == set(made)
+        assert thread[made[0]] is threading.current_thread()
+        helpers = [thread[worker] for worker in made[1:]]
+        assert len(set(helpers)) == 2 and threading.current_thread() not in helpers
 
     def test_a_failed_start_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
-        start, tried, ran, run = threading.Thread.start, [], [], weakform._Worker.run
+        start, tried = threading.Thread.start, []
 
         def second_fails(thread):
             tried.append(thread)
@@ -1003,20 +1063,18 @@ class TestThreadedPass:
                 raise RuntimeError("can't start new thread")
             start(thread)
 
-        def recorded(worker, tasks):
-            ran.append(worker)
-            run(worker, tasks)
-
         monkeypatch.setattr(threading.Thread, "start", second_fails)
-        monkeypatch.setattr(weakform._Worker, "run", recorded)
+        made, ran = self.runs(monkeypatch)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=r"^can't start new thread$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
-        # the failed start's task is cancelled: the started helper runs its own at most
+        # the failed start's task is cancelled: the started helper runs its
+        # own at most, and the caller raises before its own share runs
         assert len(tried) == 2 and len(ran) <= 1 and threading.active_count() == before
+        assert made[0] not in [worker for worker, _ in ran]
 
     def test_a_small_set_runs_inline(self, burgers_set, monkeypatch):
         # grid-quick's 128 x 128 sets run inline, large-grid's 1024 x 512 ones on workers
