@@ -4,6 +4,7 @@ and the seeded random streams every module draws from."""
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -42,12 +43,49 @@ STABILITY_STREAM = 23
 NUMERICAL_FAILURES = (ValueError, np.linalg.LinAlgError, FloatingPointError)
 
 
+# The number policy of every public entry: an index is as_index's, a
+# scalar as_real's and an array as_reals' (or frozen_reals' when it is
+# kept). Each raises ValueError naming the argument; none casts a bool,
+# a complex number, an object or text into a number.
+
+
 def as_index(name: str, v) -> int:
-    """``operator.index(v)``: an integer, or a ValueError naming the argument."""
+    """``operator.index(v)``: an integer that is not a bool, or a
+    ValueError naming the argument."""
     try:
-        return operator.index(v)
+        return operator.index(None if isinstance(v, bool) else v)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
+def as_real(name: str, v) -> float:
+    """``float(v)`` of a finite real number that is not a bool, or a
+    ValueError naming the argument; a 0-d array is not a number here."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real number, got {v!r}")
+    return float(v)
+
+
+def as_reals(name: str, v) -> np.ndarray:
+    """``v`` as a float64 array of finite values, or a ValueError naming
+    the argument. Integer and float dtypes are cast, and a float64 array
+    comes back as itself; a bool, complex, object or text dtype is
+    rejected, not cast."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def frozen_reals(name: str, v) -> np.ndarray:
+    """A read-only copy of ``as_reals(name, v)``: no write, to ``v`` or
+    to the copy, can change it."""
+    a = as_reals(name, v).copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -89,8 +127,8 @@ class Grid1D:
 
     The spatial domain is [x0, x0 + length) with nx points; the point
     x0 + length is identified with x0 and not stored. Time runs from
-    t_start to t_end inclusive with nt samples. nx and nt must be
-    integers (numpy integers are stored as int).
+    t_start to t_end inclusive with nt samples. The ends are stored as
+    floats (``as_real``), and nx and nt as ints (``as_index``).
     """
 
     x0: float
@@ -101,10 +139,8 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
-        ends = {"x0": self.x0, "length": self.length, "t_start": self.t_start, "t_end": self.t_end}
-        for name, v in ends.items():
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        for name in ("x0", "length", "t_start", "t_end"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         for name in ("nx", "nt"):
             object.__setattr__(self, name, as_index(name, getattr(self, name)))
         if self.length <= 0:
@@ -136,35 +172,31 @@ class Grid1D:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One field sampled on a Grid1D; values[i, j] = u(x_j, t_i), real and
-    finite (a complex dtype is rejected, not cast).
+    finite (``as_reals``: a complex dtype is rejected, not cast).
 
-    The values are kept as a read-only float64 copy, so no write, to the
-    input or to ``values``, can change a trajectory once it is checked.
-    Trajectories compare and hash by identity.
+    The values are kept as a read-only float64 copy (``frozen_reals``), so
+    no write, to the input or to ``values``, can change a trajectory once
+    it is checked. Trajectories compare and hash by identity.
     """
 
     grid: Grid1D
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if np.iscomplexobj(v):
-            raise ValueError(f"trajectory values must be real, got dtype {v.dtype}")
-        v = v.astype(np.float64)  # a copy, which the caller cannot write
+        if not isinstance(self.grid, Grid1D):
+            raise ValueError(f"grid must be a Grid1D, got {self.grid!r}")
+        v = frozen_reals("trajectory values", self.values)
         if v.shape != (self.grid.nt, self.grid.nx):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "
                 f"({self.grid.nt}, {self.grid.nx})"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trajectory contains non-finite values")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """M >= 1 trajectories sharing a single grid, compared and hashed by identity."""
+    """M >= 1 Trajectory objects sharing a single grid, compared and hashed by identity."""
 
     trajectories: tuple[Trajectory, ...]
 
@@ -172,6 +204,9 @@ class TrajectorySet:
         trajs = tuple(self.trajectories)
         if not trajs:
             raise ValueError("need at least one trajectory")
+        bad = [type(t).__name__ for t in trajs if not isinstance(t, Trajectory)]
+        if bad:
+            raise ValueError(f"trajectories must be Trajectory objects, got {bad}")
         g = trajs[0].grid
         if any(t.grid != g for t in trajs[1:]):
             raise ValueError("all trajectories must share one grid")
@@ -253,8 +288,9 @@ STANDARD_TERMS: tuple[LibraryTerm, ...] = tuple(
 class CoefficientVector:
     """Ordered (term, value) pairs over a term list, as a value.
 
-    The values are kept as a read-only float64 copy, so no write can
-    change a vector once it is made. Two vectors are equal, and hash
+    The terms must be distinct LibraryTerms. The values are kept as a
+    read-only float64 copy (``frozen_reals``), so no write can change a
+    vector once it is made. Two vectors are equal, and hash
     alike, when their terms are equal and their values have the same
     bytes, so a PdeSpec that holds one hashes too.
     """
@@ -264,13 +300,16 @@ class CoefficientVector:
     _values: bytes = field(init=False, repr=False)  # the values' bytes, which equality reads
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        v = np.array(self.values, dtype=np.float64)  # a copy, which the caller cannot write
-        if v.shape != (len(self.terms),):
+        terms = tuple(self.terms)
+        bad = [t for t in terms if not isinstance(t, LibraryTerm)]
+        if bad:
+            raise ValueError(f"terms must be LibraryTerms, got {bad!r}")
+        if len(set(terms)) != len(terms):
+            raise ValueError(f"terms named twice: {sorted({t.tag for t in terms if terms.count(t) > 1})}")
+        object.__setattr__(self, "terms", terms)
+        v = frozen_reals("coefficient values", self.values)
+        if v.shape != (len(terms),):
             raise ValueError("one value per term required")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coefficients must be finite")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_values", v.tobytes())
 
@@ -289,7 +328,7 @@ class CoefficientVector:
         unknown = set(keyed) - set(terms)
         if unknown:
             raise ValueError(f"terms not in target ordering: {sorted(t.tag for t in unknown)}")
-        return cls(terms, np.array([keyed.get(t, 0.0) for t in terms]))
+        return cls(terms, [as_real(f"coefficient of {t.tag}", keyed.get(t, 0.0)) for t in terms])
 
     def as_dict(self) -> dict[LibraryTerm, float]:
         return dict(zip(self.terms, self.values))
@@ -301,6 +340,7 @@ class CoefficientVector:
 
 def support_from_coeffs(coeffs: CoefficientVector, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
     """Terms whose coefficient magnitude strictly exceeds ``threshold``."""
+    # Not as_real: +inf is a valid threshold, and gives the empty support.
     if not threshold > 0:  # a NaN threshold is rejected too
         raise ValueError(f"threshold must be positive, got {threshold!r}")
     return frozenset(t for t, v in zip(coeffs.terms, coeffs.values) if abs(v) > threshold)

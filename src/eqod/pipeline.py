@@ -97,6 +97,13 @@ def _residual_sq(ws, coeffs: CoefficientVector) -> float:
     return float(np.sum((ws.b - ws.theta @ coeffs.values) ** 2))
 
 
+def _checked(trajset, seed, base_library):
+    """(seed, base library) of a run; bad input fails here, before any work."""
+    if not isinstance(trajset, TrajectorySet):
+        raise ValueError(f"trajset must be a TrajectorySet, got {type(trajset).__name__}")
+    return RngStream(seed).seed, base_library or standard_library()
+
+
 def run_eqod(
     trajset: TrajectorySet,
     seed: int,
@@ -114,8 +121,7 @@ def run_eqod(
     ``symmetry`` thresholds; and this module's GAMMA_SYMMETRY,
     GAMMA_STABILITY and MATERIAL_FRACTION.
     """
-    seed = RngStream(seed).seed  # a bad seed fails here, before any work
-    base = base_library or standard_library()
+    seed, base = _checked(trajset, seed, base_library)
     lib = LibrarySpec(tuple(dict.fromkeys(base.terms + GALILEAN_BASIS.terms)))
     # Both test grids share their radii and margins, so the second grid
     # adds no failure path to the first, and the boosted grid adds none:
@@ -183,8 +189,7 @@ def run_wf_lasso_baseline(
     base_library: LibrarySpec | None = None,
 ) -> IdentificationResult:
     """Identification stage alone, on the base library's IDENTIFY_GRID system."""
-    seed = RngStream(seed).seed
-    base = base_library or standard_library()
+    seed, base = _checked(trajset, seed, base_library)
     (ws,) = assemble(trajset, base, make_test_grid(trajset.grid, *IDENTIFY_GRID))
     coeffs, _ = identify_on_system(ws, seed)
     return IdentificationResult(

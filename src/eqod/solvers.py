@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, RngStream, Trajectory, TrajectorySet, as_index
+    NOISE_SEED_OFFSET, CoefficientVector, Grid1D, RngStream, Trajectory, TrajectorySet, as_index, as_real, as_reals
 )
 from .spectral import wavenumbers
 
@@ -66,7 +66,9 @@ class PdeSpec:
     A nonlinear term of ``true_coeffs`` must be u^p with p >= 2 or u^p·u_x
     with p >= 1: ETDRK4 evaluates them in flux form (see ``_operators``,
     the one walk over a law's terms), and ``solve`` rejects any other
-    monomial.
+    monomial. ``domain_length``, ``t_end`` and ``transient`` are stored as
+    floats (``core.as_real``) and ``steps_per_sample`` as an int
+    (``core.as_index``).
     """
 
     name: str
@@ -75,6 +77,12 @@ class PdeSpec:
     t_end: float
     steps_per_sample: int | None = None
     transient: float = 0.0  # integrated then discarded before the first sample
+
+    def __post_init__(self):
+        for name in ("domain_length", "t_end", "transient"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
+        if self.steps_per_sample is not None:
+            object.__setattr__(self, "steps_per_sample", as_index("steps_per_sample", self.steps_per_sample))
 
     @property
     def true_support(self) -> frozenset:
@@ -304,6 +312,7 @@ def _solve_etdrk4(pde, v0, grid, sym, nl):
 
 def _propagate(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Values (rows, nt, nx) of the law from each row of u0 (rows, nx)."""
+    # solve's u0 has passed as_reals; generate_set's initial conditions come here unchecked.
     if not np.all(np.isfinite(u0)):
         raise ValueError("u0 must be finite")
     if pde.transient + grid.t_start < 0:
@@ -329,19 +338,21 @@ def solve(pde: PdeSpec, u0: np.ndarray, grid: Grid1D) -> Trajectory:
     steps between samples, to the accuracy stated on ``PdeSpec``; a
     nonlinear monomial other than u^p or u^p·u_x raises ValueError before
     any step. Any configured transient is propagated and discarded before
-    the first sample. u0 must be finite, and u0 is the state at t = 0, so
-    the first sample, at transient + t_start, may not lie before it.
+    the first sample. u0 must be finite real numbers (``core.as_reals``),
+    and u0 is the state at t = 0, so the first sample, at transient +
+    t_start, may not lie before it.
     """
-    u0 = np.asarray(u0, dtype=float)
+    u0 = as_reals("u0", u0)
     if u0.shape != (grid.nx,):
         raise ValueError("u0 length must equal grid.nx")
     return Trajectory(grid, _propagate(pde, u0[None], grid)[0])
 
 
 def add_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
-    """Additive Gaussian noise scaled by sigma times the field's standard deviation."""
-    if not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    """Additive Gaussian noise scaled by sigma times the field's standard
+    deviation; sigma must be a finite real number (``core.as_real``) and
+    nonnegative."""
+    sigma = as_real("sigma", sigma)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
@@ -361,7 +372,7 @@ def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) ->
     (see ``core.RngStream``). The M initial conditions are propagated
     together, in one call to the solver.
     """
-    m = as_index("m", m)
+    m, sigma = as_index("m", m), as_real("sigma", sigma)  # before any solve
     if m < 1:
         raise ValueError("need m >= 1")
     ic_stream = RngStream(seed)

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .core import CV_STREAM, CoefficientVector, RngStream
+from .core import CV_STREAM, CoefficientVector, RngStream, as_real, as_reals
 from .weakform import WeakSystem
 
 __all__ = ["lasso", "lasso_cv", "identify_on_system"]
@@ -51,18 +51,18 @@ DEBIAS_ROUNDS = 2
 def _scales(theta, b):
     """The validated system and its scales: (theta, b, col_norms, b_norm).
 
-    theta and b come back as float arrays, as given otherwise; col_norms
-    are the zero-guarded column norms and b_norm the response's own norm
-    (0 for b = 0). theta must be (n, p) with p >= 1 and b (n,); another
-    shape, or a non-finite entry, raises ValueError.
+    theta and b are checked by ``core.as_reals`` and come back as float64
+    arrays, as themselves when they already are; col_norms are the
+    zero-guarded column norms and b_norm the response's own norm (0 for
+    b = 0). theta must be (n, p) with p >= 1 and b (n,); another shape
+    raises ValueError. Every entry of this module but ``lasso`` checks
+    its system here.
     """
-    theta = np.asarray(theta, dtype=float)
-    b = np.asarray(b, dtype=float)
+    theta, b = as_reals("theta", theta), as_reals("b", b)
     if theta.ndim != 2 or not theta.shape[1] or b.shape != theta.shape[:1]:
         raise ValueError(
             f"theta of shape {theta.shape} and b of shape {b.shape} are not one system, (n, p) with p >= 1 and (n,)"
         )
-    _check_finite(theta, b)
     col_norms = np.linalg.norm(theta, axis=0)
     return theta, b, np.where(col_norms > 0, col_norms, 1.0), float(np.linalg.norm(b))
 
@@ -76,11 +76,6 @@ def _normalize(theta, b):
     """
     theta, b, col_norms, b_norm = _scales(theta, b)
     return np.ascontiguousarray(theta / col_norms), b / (b_norm if b_norm > 0 else 1.0), col_norms, b_norm
-
-
-def _check_finite(theta, b):
-    if not (np.isfinite(theta).all() and np.isfinite(b).all()):
-        raise ValueError("theta and b must be finite")
 
 
 def _kkt_residual(gram, corr, lam, xi):
@@ -272,25 +267,24 @@ def lasso(theta_norm, b_norm, lam: float) -> np.ndarray:
     followed from lambda_max down to lambda, and carries a KKT
     certificate: if its residual exceeds KKT_TOL, a RuntimeWarning says
     "lasso did not converge" and the solution is still returned.
-    lambda = 0 is least squares. A negative or non-finite lambda, a
-    system with no columns, or a non-finite entry of the system, raises
-    ValueError.
+    lambda = 0 is least squares. theta_norm and b_norm must be finite real
+    numbers (``core.as_reals``) and lam a finite real number
+    (``core.as_real``); these, a negative lambda or a system with no
+    columns raise ValueError.
 
     theta_norm (n, p) with b_norm (n,) returns xi (p,). A stack,
     theta_norm (D, n, p) with b_norm (D, n), is solved in one lock-step
     homotopy at the shared lambda and returns (D, p), row d bitwise the
     solution of system d alone; each uncertified system warns once.
     """
-    theta_norm = np.asarray(theta_norm, dtype=float)
-    b_norm = np.asarray(b_norm, dtype=float)
+    theta_norm, b_norm, lam = as_reals("theta_norm", theta_norm), as_reals("b_norm", b_norm), as_real("lam", lam)
     if theta_norm.ndim not in (2, 3) or not theta_norm.shape[-1] or b_norm.shape != theta_norm.shape[:-1]:
         raise ValueError(
             f"theta of shape {theta_norm.shape} and b of shape {b_norm.shape} are neither"
             " one system, (n, p) and (n,), nor a stack, (D, n, p) and (D, n), with p >= 1"
         )
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    _check_finite(theta_norm, b_norm)
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
     xi, kkt = _lasso_path(theta_norm, b_norm, [lam])
     for r in kkt.ravel().tolist():
         if not r <= KKT_TOL:
@@ -371,8 +365,7 @@ def identify_on_system(ws: WeakSystem, seed: int):
     debiased values between rounds. An empty support gives the all-zero
     coeffs.
     """
-    theta, b = ws.theta, ws.b
-    _, _, col_norms, b_norm = _scales(theta, b)  # lasso_cv normalizes the raw system itself
+    theta, b, col_norms, b_norm = _scales(ws.theta, ws.b)  # lasso_cv normalizes the raw system itself
     _, xi_n, _ = lasso_cv(theta, b, seed)
     xi = xi_n / col_norms * b_norm
     dense = CoefficientVector(ws.spec.terms, xi)

@@ -3,12 +3,13 @@
 A real field has a Hermitian spectrum, so one real FFT (``rfft``) of the
 nx // 2 + 1 non-negative modes serves every derivative order; each order
 is one multiplication and one inverse real FFT. ``spectral_derivative``
-is the checked one-order entry: it rejects a bad order or non-finite
-input before any transform. ``spectrum_derivatives`` is the unchecked
-many-order step on rows of ``rfft`` modes, which a caller holding a
-spectrum, or a linear contraction of one, uses without a further
-forward transform; it makes each order's multiplier (ik)^d once per grid
-and keeps it, read-only, for later calls.
+is the checked one-order entry: it rejects a bad row, length or order
+(``core.as_reals``, ``as_real``, ``as_index``) before any transform.
+``spectrum_derivatives`` is the unchecked many-order step on rows of
+``rfft`` modes, which a caller holding a spectrum, or a linear
+contraction of one, uses without a further forward transform; it makes
+each order's multiplier (ik)^d once per grid and keeps it, read-only,
+for later calls.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ import functools
 
 import numpy as np
 
+from .core import as_index, as_real, as_reals
+
 __all__ = ["wavenumbers", "spectrum_derivatives", "spectral_derivative"]
 
 
 def wavenumbers(nx: int, length: float) -> np.ndarray:
     """Angular wavenumbers 2*pi*n/L, n = 0 .. nx/2, of the ``rfft`` modes
-    of an even nx-point grid; the last is the Nyquist mode."""
+    of an even nx-point grid; the last is the Nyquist mode. nx is an
+    index (``core.as_index``) and length a real number (``core.as_real``)."""
+    nx, length = as_index("nx", nx), as_real("length", length)
     if nx % 2 != 0:
         raise ValueError("nx must be even")
     if length <= 0:
@@ -75,13 +80,12 @@ def _multiplier(nx: int, length: float, order: int) -> np.ndarray:
 def spectral_derivative(row, order: int, length: float) -> np.ndarray:
     """d^order/dx^order of a periodic field along its last axis.
 
-    The order (1..4) and the finiteness of ``row`` are checked before any
-    transform; then one ``rfft`` feeds ``spectrum_derivatives``.
+    ``row`` (``core.as_reals``), ``length`` (``core.as_real``) and the
+    order (an index, 1..4) are checked before any transform; then one
+    ``rfft`` feeds ``spectrum_derivatives``.
     """
-    u = np.asarray(row, dtype=float)
+    u, length, order = as_reals("row", row), as_real("length", length), as_index("order", order)
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("input must be finite")
     (d,) = spectrum_derivatives(np.fft.rfft(u, axis=-1), (order,), u.shape[-1], length)
     return d

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -63,7 +62,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import Grid1D, LibraryTerm, TrajectorySet, as_index
+from .core import Grid1D, LibraryTerm, TrajectorySet, as_index, as_real, frozen_reals
 from .oplib import FieldPass, LibrarySpec
 from .spectral import spectrum_derivatives
 
@@ -84,6 +83,8 @@ RADIUS_CELLS = 8  # floor of each bump radius, in grid cells
 IDENTIFY_GRID = (5, 7)  # test-function density of the identification stage
 
 
+# bump and bump_dt are profiles, not entries: their r comes from checked
+# grids, so they cast it and check nothing.
 def bump(r) -> np.ndarray:
     """C-infinity bump profile exp(-1/(1-r^2)) on |r| < 1, zero outside."""
     r = np.asarray(r, dtype=float)
@@ -110,11 +111,12 @@ class TestGrid:
     Each axis's centers must be a nonempty 1-D array of finite real
     numbers, and each radius finite and positive (stored as a float);
     anything else raises ValueError naming the field. The centers are kept
-    as read-only float64 copies, so no write, by the caller or through
-    the grid, can change a grid once it is made. Two test grids are equal,
-    and hash alike, when their centers have the same bytes (1-D float64,
-    so the bytes fix the shape) and their radii are equal: an equal grid
-    built apart is the same key of the plan memo (see ``assemble``).
+    as read-only float64 copies (``frozen_reals``), so no write, by the
+    caller or through the grid, can change a grid once it is made. Two
+    test grids are equal, and hash alike, when their centers have the same
+    bytes (1-D float64, so the bytes fix the shape) and their radii are
+    equal: an equal grid built apart is the same key of the plan memo (see
+    ``assemble``).
     """
 
     t_centers: np.ndarray = field(compare=False)
@@ -125,15 +127,13 @@ class TestGrid:
 
     def __post_init__(self):
         for name in ("t_centers", "x_centers"):
-            a = np.asarray(getattr(self, name))
-            if a.ndim != 1 or not a.size or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            a = frozen_reals(name, getattr(self, name))
+            if a.ndim != 1 or not a.size:
                 raise ValueError(f"{name} must be a nonempty 1-D array of finite real numbers, got {a!r}")
-            a = a.astype(np.float64)  # a copy, which the caller cannot write
-            a.flags.writeable = False
             object.__setattr__(self, name, a)
         for name in ("r_t", "r_x"):
-            r = float(getattr(self, name))
-            if not 0 < r < math.inf:
+            r = as_real(name, getattr(self, name))
+            if not r > 0:
                 raise ValueError(f"{name} must be finite and positive, got {r}")
             object.__setattr__(self, name, r)
         object.__setattr__(self, "_centers", (self.t_centers.tobytes(), self.x_centers.tobytes()))
@@ -182,7 +182,7 @@ class BoostedGrid:
     compares and hashes by value: equal boosts, c = 1 and c = 1.0 among
     them, are one key of the plan memo. A test_grid that is not a
     TestGrid, a spec that is not a LibrarySpec, or a c that is not a
-    finite real number raises ValueError naming the field.
+    finite real number (``as_real``) raises ValueError naming the field.
     """
 
     test_grid: TestGrid
@@ -190,13 +190,11 @@ class BoostedGrid:
     spec: LibrarySpec
 
     def __post_init__(self):
-        for name, kind, what in (("test_grid", TestGrid, "a TestGrid"), ("spec", LibrarySpec, "a LibrarySpec"), ("c", numbers.Real, "a real number")):
+        for name, kind in (("test_grid", TestGrid), ("spec", LibrarySpec)):
             if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        c = float(self.c) + 0.0  # -0.0 + 0.0 is 0.0: one value, and one key, for c = 0
-        if not math.isfinite(c):
-            raise ValueError(f"boost must be finite, got {c}")
-        object.__setattr__(self, "c", c)
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        # -0.0 + 0.0 is 0.0: one value, and one key, for c = 0
+        object.__setattr__(self, "c", as_real("c", self.c) + 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,6 +580,7 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
         workers[0].run(tasks)
     else:
         _run(workers, tasks, cpus)
+    # Not an input check (the data are finite): a product of them may overflow.
     if not all(np.isfinite(theta).all() and np.isfinite(b).all() for _, theta, b in systems):
         peak = max(np.abs(traj.values).max() for traj in trajset)
         raise ValueError(f"the weak-form system is not finite: a library product of the data overflows (largest |u| is {peak:.3g})")

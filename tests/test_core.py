@@ -60,7 +60,7 @@ class TestGrid:
     )
     def test_rejects_non_finite_ends(self, name, value):
         args = {"x0": 0.0, "length": 2 * np.pi, "nx": 16, "t_start": 0.0, "t_end": 1.0, "nt": 8}
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got "):
             Grid1D(**{**args, name: value})
 
     def test_trajectory_validation(self):
@@ -155,6 +155,22 @@ class TestCoefficientVector:
     def test_from_dict_rejects_a_key_that_is_neither_tag_nor_term(self, key):
         with pytest.raises(ValueError, match=re.escape(f"neither a term tag nor a LibraryTerm: [{key!r}]")):
             vec({"u_xx": 0.1, key: 1.0})
+
+    @pytest.mark.parametrize("terms", [("u_xx",), (U_XX, "u_x"), (U_XX, (0, 1, 0, 0, 0))])
+    def test_terms_must_be_library_terms(self, terms):
+        # ("u_xx",) used to be accepted, with a string as its term
+        with pytest.raises(ValueError, match=r"^terms must be LibraryTerms, got \["):
+            CoefficientVector(terms, np.ones(len(terms)))
+
+    def test_a_term_given_twice_is_rejected(self):
+        # as_dict used to keep the last value, 2.0, silently
+        with pytest.raises(ValueError, match=r"^terms named twice: \['u_xx'\]$"):
+            CoefficientVector((U_XX, U_X, U_XX), [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("value", ["0.1", True, 0.1 + 0j, np.array(0.1)])
+    def test_from_dict_values_are_real_numbers(self, value):
+        with pytest.raises(ValueError, match=r"^coefficient of u_xx must be a finite real number, got "):
+            vec({"u_xx": value})
 
     def test_from_dict_rejects_terms_outside_the_ordering(self):
         with pytest.raises(ValueError, match=r"not in target ordering: \['u\^4'\]"):
@@ -270,6 +286,27 @@ class TestInputBoundary:
         g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)
         with pytest.raises(ValueError, match="must be real, got dtype complex128"):
             Trajectory(g, np.ones((16, 16)) + 1e-3j)
+
+    @pytest.mark.parametrize("grid", ["grid", None, (0.0, 2 * np.pi, 16, 0.0, 1.0, 16)])
+    def test_trajectory_rejects_a_grid_that_is_not_a_grid1d(self, grid):
+        # a str grid used to fail with "'str' object has no attribute 'nt'"
+        with pytest.raises(ValueError, match="^grid must be a Grid1D, got "):
+            Trajectory(grid, np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("entry", [np.zeros((16, 16)), None, "trajectory"])
+    def test_trajectory_set_rejects_an_entry_that_is_not_a_trajectory(self, entry):
+        # an array entry used to fail with "'numpy.ndarray' object has no attribute 'grid'"
+        good = Trajectory(Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16), np.zeros((16, 16)))
+        with pytest.raises(ValueError, match=rf"^trajectories must be Trajectory objects, got \['{type(entry).__name__}'\]$"):
+            TrajectorySet((good, entry))
+
+    def test_grid_ends_are_floats(self):
+        # a 0-d x0 used to be kept, and then failed in the plan memo as unhashable
+        g = Grid1D(0, np.float64(2 * np.pi), 16, np.int64(0), 1, 16)
+        assert all(type(v) is float for v in (g.x0, g.length, g.t_start, g.t_end))
+        assert g == Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16) and hash(g) == hash(Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16))
+        with pytest.raises(ValueError, match=r"^x0 must be a finite real number, got array\(0\.\)$"):
+            Grid1D(np.array(0.0), 2 * np.pi, 16, 0.0, 1.0, 16)
 
     def test_trajectory_keeps_real_integer_values(self):
         g = Grid1D(0.0, 2 * np.pi, 16, 0.0, 1.0, 16)

@@ -104,6 +104,19 @@ class TestRunEqod:
         with pytest.raises(ValueError, match="^seed must be"):
             run(heat_clean, seed)
 
+    @pytest.mark.parametrize("run", [run_eqod, run_wf_lasso_baseline])
+    @pytest.mark.parametrize("trajset", [[1, 2], None, "heat"])
+    def test_a_trajset_that_is_not_a_trajectory_set_fails_before_the_assembly(self, monkeypatch, run, trajset):
+        # run_eqod([1, 2], 0) used to raise AttributeError
+        monkeypatch.setattr(pipeline, "assemble", _raise(AssertionError("assembled")))
+        with pytest.raises(ValueError, match=rf"^trajset must be a TrajectorySet, got {type(trajset).__name__}$"):
+            run(trajset, 0)
+
+    def test_a_tuple_of_trajectories_is_not_a_set(self, heat_clean, monkeypatch):
+        monkeypatch.setattr(pipeline, "assemble", _raise(AssertionError("assembled")))
+        with pytest.raises(ValueError, match="^trajset must be a TrajectorySet, got tuple$"):
+            run_eqod(heat_clean.trajectories, 0)
+
     def test_to_json_parses(self, heat_result):
         res = heat_result
         doc = json.loads(res.to_json())

@@ -182,6 +182,25 @@ class TestInitialConditions:
             initial_condition(fake, PDES["heat"].default_grid(), RngStream(1).generator(0))
 
 
+class TestPdeSpec:
+    def test_a_nan_transient_is_rejected_when_the_spec_is_made(self):
+        # it used to fail deep inside round() when the solve began
+        with pytest.raises(ValueError, match="^transient must be a finite real number, got nan$"):
+            dataclasses.replace(PDES["ks"], transient=np.nan)
+
+    @pytest.mark.parametrize("steps", [1.0, 2.5, "6", True])
+    def test_steps_per_sample_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="^steps_per_sample must be an integer, got "):
+            dataclasses.replace(PDES["burgers"], steps_per_sample=steps)
+
+    def test_numbers_are_stored_as_float_and_int(self):
+        pde = solvers.PdeSpec("burgers", PDES["burgers"].true_coeffs, np.float64(2 * np.pi), 1, np.int64(1), np.int32(0))
+        assert type(pde.domain_length) is float and type(pde.t_end) is float and type(pde.transient) is float
+        assert type(pde.steps_per_sample) is int
+        assert pde == PDES["burgers"] and hash(pde) == hash(PDES["burgers"])
+        assert PDES["heat"].steps_per_sample is None
+
+
 class TestSolve:
     def test_heat_analytic(self):
         pde = PDES["heat"]
@@ -495,7 +514,7 @@ class TestNoise:
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_sigma(self, heat_clean, sigma):
         tr = heat_clean.trajectories[0]
-        with pytest.raises(ValueError, match="sigma must be finite"):
+        with pytest.raises(ValueError, match="^sigma must be a finite real number, got "):
             add_noise(tr, sigma, RngStream(1).generator(0))
 
     def test_rejects_negative_sigma(self, heat_clean):

@@ -235,30 +235,30 @@ class TestTestGrid:
             tg.t_centers = t
 
     @pytest.mark.parametrize(
-        "name, value",
+        "name, value, must",
+        # each case keeps the id it had with two parameters
         [
-            ("t_centers", np.full((5, 1), 0.5)),
-            ("t_centers", np.array([])),
-            ("t_centers", 0.5),
-            ("x_centers", np.array([2.0 + 0.5j, 3.0])),
-            ("x_centers", np.array([None, 3.0])),
-            ("t_centers", np.array([0.3, np.nan, 0.6])),
-            ("x_centers", np.array([2.0, np.inf])),
-            ("r_t", np.nan),
-            ("r_t", np.inf),
-            ("r_t", 0.0),
-            ("r_x", np.nan),
-            ("r_x", -1.2),
+            pytest.param("t_centers", np.full((5, 1), 0.5), "be a nonempty 1-D array of finite real numbers, got ", id="t_centers-value0"),
+            pytest.param("t_centers", np.array([]), "be a nonempty 1-D array of finite real numbers, got ", id="t_centers-value1"),
+            pytest.param("t_centers", 0.5, "be a nonempty 1-D array of finite real numbers, got ", id="t_centers-0.5"),
+            pytest.param("x_centers", np.array([2.0 + 0.5j, 3.0]), "be real, got dtype complex128$", id="x_centers-value3"),
+            pytest.param("x_centers", np.array([None, 3.0]), "be real, got dtype object$", id="x_centers-value4"),
+            pytest.param("t_centers", np.array([0.3, np.nan, 0.6]), "be finite$", id="t_centers-value5"),
+            pytest.param("x_centers", np.array([2.0, np.inf]), "be finite$", id="x_centers-value6"),
+            pytest.param("r_t", np.nan, "be a finite real number, got ", id="r_t-nan"),
+            pytest.param("r_t", np.inf, "be a finite real number, got ", id="r_t-inf"),
+            pytest.param("r_t", 0.0, "be finite and positive, got ", id="r_t-0.0"),
+            pytest.param("r_x", np.nan, "be a finite real number, got ", id="r_x-nan"),
+            pytest.param("r_x", -1.2, "be finite and positive, got ", id="r_x--1.2"),
         ],
     )
-    def test_rejects_a_malformed_field_before_any_transform(self, heat_clean, monkeypatch, name, value):
+    def test_rejects_a_malformed_field_before_any_transform(self, heat_clean, monkeypatch, name, value, must):
         def no_transform(*args, **kwargs):
             raise AssertionError("transform ran")
 
         monkeypatch.setattr(np.fft, "rfft", no_transform)
         tg = make_test_grid(heat_clean.grid, *IDENTIFY_GRID)
-        must = "be a nonempty 1-D array of finite real numbers" if name.endswith("centers") else "be finite and positive"
-        with pytest.raises(ValueError, match=f"^{name} must {must}, got "):
+        with pytest.raises(ValueError, match=f"^{name} must {must}"):
             assemble(heat_clean, UXX_ONLY, dataclasses.replace(tg, **{name: value}))
 
     @pytest.mark.parametrize("where", ["first center at t_start", "last center at t_end", "radius past t_start"])
@@ -634,7 +634,7 @@ class TestBoostedGrid:
 
     def test_rejects_a_non_finite_boost(self, burgers_clean):
         tg = make_test_grid(burgers_clean.grid, *IDENTIFY_GRID)
-        with pytest.raises(ValueError, match="boost must be finite"):
+        with pytest.raises(ValueError, match="^c must be a finite real number, got "):
             BoostedGrid(tg, np.nan, GALILEAN_BASIS)
 
     @pytest.mark.filterwarnings("error")
@@ -1065,9 +1065,20 @@ class TestThreadedPass:
 
         monkeypatch.setattr(threading.Thread, "start", second_fails)
         made, ran = self.runs(monkeypatch)
+        recorded, restored = weakform._Worker.run, threading.Event()
+
+        def after_the_caller_restores(worker, tasks):
+            # the started helper idled before the second submit 1 time in 25
+            # under load, and the pool then reused it, starting no second
+            # thread; held until the caller has cancelled the queue and
+            # restored its affinity, it cannot
+            restored.wait(30)
+            recorded(worker, tasks)
+
+        monkeypatch.setattr(weakform._Worker, "run", after_the_caller_restores)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
-        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: restored.set() if len(cpus) == 3 else None)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=r"^can't start new thread$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
