@@ -70,11 +70,17 @@ def as_reals(name: str, v) -> np.ndarray:
     """``v`` as a float64 array of finite values, or a ValueError naming
     the argument. Integer and float dtypes are cast, and a float64 array
     comes back as itself; a bool, complex, object or text dtype is
-    rejected, not cast."""
-    a = np.asarray(v)
+    rejected, not cast. A ragged sequence is rejected naming the
+    argument, and so is a value beyond the float64 range, before numpy
+    warns of the overflow."""
+    try:
+        a = np.asarray(v)
+    except ValueError as err:
+        raise ValueError(f"{name} must be a rectangular array of real numbers: {err}") from None
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # a long double beyond float64 becomes inf, rejected below
+        a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a

@@ -130,37 +130,43 @@ class FieldPass:
     take that buffer. So the pass keeps as many derivative buffers as
     orders are ever needed at once, made once: one for the standard
     library, whose chains need u_x (u^2*u_x, u*u_x) and u_xx (u*u_xx)
-    one after the other. ``scaled``, if given, is the complex (nt,
-    nx // 2 + 1) buffer that ``spectrum_derivatives`` multiplies each
-    spectrum into; left None, each call makes its own. The walk and the
-    buffers' turns are planned once per tuple of terms (``_walk``).
+    one after the other. The buffers hold ``n_rows`` rows, nt when left
+    None. ``scaled``, if given, is the complex (n_rows, nx // 2 + 1)
+    buffer that ``spectrum_derivatives`` multiplies each spectrum into;
+    left None, each call makes its own. The walk and the buffers' turns
+    are planned once per tuple of terms (``_walk``).
 
     Calling the pass on a trajectory yields (term, field) pairs in chain
-    order. The fields are read-only. A single-factor term's field is the
-    derivative itself, and the field of u is a view of ``traj.values``. A
-    product's or derivative's buffer is overwritten by a later term or
-    trajectory: use each field before drawing the next.
+    order, over the rows ``rows`` of it (all of them by default, at most
+    ``n_rows``; ``u_hat``, if given, is their spectrum). The fields are
+    read-only. A single-factor term's field is the derivative itself, and
+    the field of u is a view of ``traj.values``. A product's or
+    derivative's buffer is overwritten by a later term or call: use each
+    field before drawing the next.
     """
 
-    def __init__(self, terms, grid, scaled=None):
+    def __init__(self, terms, grid, scaled=None, n_rows=None):
         self.grid, self.scaled = grid, scaled
+        shape = (grid.nt if n_rows is None else n_rows, grid.nx)
         steps, n_buffers, n_derivs = _walk(tuple(terms))
-        self._buffers = [np.empty((grid.nt, grid.nx)) for _ in range(n_buffers)]
-        derivs = [np.empty((grid.nt, grid.nx)) for _ in range(n_derivs)]
+        self._buffers = [np.empty(shape) for _ in range(n_buffers)]
+        derivs = [np.empty(shape) for _ in range(n_derivs)]
         self._plan = [
             (term, chain, start, orders, tuple(derivs[k] for k in slots)) for term, chain, start, orders, slots in steps
         ]
 
-    def __call__(self, traj: Trajectory, u_hat=None):
-        """Yield (term, field) for each term of the pass on ``traj``, in chain order."""
-        u = traj.values
-        g = self.grid
+    def __call__(self, traj: Trajectory, u_hat=None, rows=slice(None)):
+        """Yield (term, field) for each term of the pass on ``traj``'s ``rows``, in chain order."""
+        u = traj.values[rows]
+        g, n = self.grid, len(u)
         derivs = {0: u}
-        bufs = self._buffers
+        bufs = [buf[:n] for buf in self._buffers]
+        scaled = None if self.scaled is None else self.scaled[:n]
         for term, chain, start, orders, into in self._plan:
             if orders:
                 u_hat = np.fft.rfft(u) if u_hat is None else u_hat
-                spectrum_derivatives(u_hat, orders, g.nx, g.length, out=into, scaled=self.scaled)
+                into = [buf[:n] for buf in into]
+                spectrum_derivatives(u_hat, orders, g.nx, g.length, out=into, scaled=scaled)
                 derivs.update(zip(orders, into))
             for k in range(start, len(chain) - 1):
                 np.multiply(bufs[k - 1] if k else derivs[chain[0]], derivs[chain[k + 1]], out=bufs[k])

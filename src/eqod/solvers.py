@@ -149,7 +149,14 @@ def initial_condition(pde: PdeSpec, grid: Grid1D, rng: np.random.Generator) -> n
       periodic wrap (u0[0] = 3.5e-6, u0[-1] = 1.0).
     - kdv_burgers starts from -sin x plus 3 % noise, so the k = 1 mode
       dominates, and at k = 1, u_xxx = -u_x.
+
+    A pde that is not a PdeSpec or a grid that is not a Grid1D raises
+    ValueError naming it, before any draw (and so before ``generate_set``
+    solves anything).
     """
+    for arg, value, kind in (("pde", pde, PdeSpec), ("grid", grid, Grid1D)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{arg} must be a {kind.__name__}, got {type(value).__name__}")
     if not np.isclose(grid.length, pde.domain_length):
         raise ValueError(f"grid length {grid.length} does not match {pde.name} domain")
     x = grid.x
@@ -370,7 +377,8 @@ def generate_set(pde: PdeSpec, grid: Grid1D, m: int, sigma: float, seed: int) ->
     Trajectory i uses substream (seed, i) for its initial condition and
     substream (seed + NOISE_SEED_OFFSET, i) for its noise realization
     (see ``core.RngStream``). The M initial conditions are propagated
-    together, in one call to the solver.
+    together, in one call to the solver. A pde or grid of the wrong kind
+    raises ValueError naming it (``initial_condition``) before any solve.
     """
     m, sigma = as_index("m", m), as_real("sigma", sigma)  # before any solve
     if m < 1:

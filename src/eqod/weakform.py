@@ -33,22 +33,29 @@ any transform.
 
 Everything a grid's contraction reads besides the data (bump matrices,
 shift windows and phases, expansion, constant column) is its plan,
-which depends only on the Grid1D, the boost (test grid, c and library)
-and the assembled library. Test grids and boosts are immutable values,
-checked when made, so these arguments are themselves the key of a memo
-of the last 16 plans used. Plans are read-only, so repeated calls on one
+which depends only on the Grid1D (and the parts of a trajectory's rows
+that it sets), the boost (test grid, c and library) and the assembled
+library. Test grids and boosts are immutable values, checked when made,
+so these arguments are themselves the key of a memo of the last 16
+plans used. Plans are read-only, so repeated calls on one
 grid, as in an evaluation over seeds and noise levels, build each plan
 once.
 
-One trajectory's field pass is one task: its ``rfft``, its product
-fields and every grid's contraction into that trajectory's own rows.
-A task reads shared plans and writes rows no other task writes, over
-buffers that belong to one worker (``_Worker``), so tasks can run at
-once and each system stays bitwise that of the inline pass. A set of at
-least ``_THREADED_CELLS`` grid cells runs its first worker's tasks on
-the calling thread and each other worker's on a helper thread of a
-``ThreadPoolExecutor``, each pinned to its own CPU (``_run``); a smaller
-set runs them inline and loads no pool.
+A trajectory of at least ``_THREADED_CELLS`` grid cells is two tasks,
+one per half of its time rows; a smaller one is one task of all its
+rows. A task's field pass is its rows' ``rfft``, their product fields
+and every grid's contraction of them, Phi_t[:, rows] F W, into small
+partial sums of its own, over buffers as tall as a half that belong to
+one worker (``_Worker``, about 10 MiB at 1024 x 512). A task reads
+shared plans and writes only its own partial sums, so tasks can run at
+once; after the join the caller adds each trajectory's halves in order
+and writes its rows. The halves run on min(2 M, usable CPUs) workers,
+the first on the calling thread and each other on a helper thread of a
+``ThreadPoolExecutor``, each pinned to its own CPU (``_run``); one part
+per trajectory runs inline and loads no pool. The parts depend on the
+grid alone, so every system is bitwise the one-worker system on every
+host, and below the size rule, where a trajectory is one part, bitwise
+the unsplit pass's.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +158,11 @@ def make_test_grid(grid: Grid1D, n_t: int, n_x: int) -> TestGrid:
     max(0.20 * X_range, RADIUS_CELLS dx). Centers are inclusive
     linspaces over the margin-shrunk intervals, which are nonempty iff
     an axis spans more than 2 * MARGIN * RADIUS_CELLS = 16.8 cells:
-    nt >= 18 and nx >= 17, so nx >= 18 for a Grid1D.
+    nt >= 18 and nx >= 17, so nx >= 18 for a Grid1D. A grid that is not a
+    Grid1D raises ValueError naming it.
     """
+    if not isinstance(grid, Grid1D):
+        raise ValueError(f"grid must be a Grid1D, got {type(grid).__name__}")
     n_t, n_x = as_index("n_t", n_t), as_index("n_x", n_x)
     if n_t < 1 or n_x < 1:
         raise ValueError(f"need at least one test-function center per axis, got {n_t} x {n_x}")
@@ -239,14 +250,27 @@ def _bump_matrices(grid: Grid1D, tg: TestGrid):
     return bump(rt), bump_dt(rt) / tg.r_t, phi_x
 
 
+class _Part(NamedTuple):
+    """One part's share of a plan: its columns of Phi_t and dPhi_t, its
+    runs of rows with one shift (rows counted from the part's first) with
+    their windows of Phi_x^T, and the index of each of its rows' phases
+    (None when no row moves)."""
+
+    phi_t: np.ndarray
+    dphi_t: np.ndarray
+    windows: tuple
+    which: np.ndarray | None
+
+
 class _Plan:
     """What one grid's contraction needs besides the data: the test
-    functions of ``bg`` on ``grid``, moved with its boost, and the
-    expansion of its terms over the columns an assembly of ``spec``
-    forms. Its arrays are read-only, so every call shares it (see
+    functions of ``bg`` on ``grid``, moved with its boost, cut into the
+    parts of a trajectory's rows that ``bounds`` gives (see ``_bounds``),
+    and the expansion of its terms over the columns an assembly of
+    ``spec`` forms. Its arrays are read-only, so every call shares it (see
     ``assemble``); a TestGrid is the boost at c = 0."""
 
-    def __init__(self, grid: Grid1D, bg: BoostedGrid, spec: LibrarySpec):
+    def __init__(self, grid: Grid1D, bg: BoostedGrid, spec: LibrarySpec, bounds: tuple[int, ...]):
         # Each row's shift rint(c t / dx) must fit an int64, and (1 + |c|)^p,
         # which bounds the binomial coefficients of a term with u-power p, a float64
         reach = abs(bg.c) * max(abs(grid.t_start), abs(grid.t_end)) / grid.dx
@@ -279,26 +303,51 @@ class _Plan:
         nx = grid.nx
         phi_t, dphi_t, phi_x = _bump_matrices(grid, bg.test_grid)
         shift = np.rint(bg.c * grid.t / grid.dx).astype(np.int64) % nx
-        # Per run of rows with one shift, its window of Phi_x: Phi_x itself
-        # when no row moves, else a view of [Phi_x Phi_x]
-        self.windows, self.phases, self.which = ((slice(None), phi_x.T),), None, None
+        self.phases, which = None, None
         if shift.any():
             # The phases e^(-2 pi i k s / nx) of each distinct shift s, gathered
             # per row by s_t for each trajectory: a full (nt, nx/2+1) table would
             # stay live through the whole pass (4 MB at 1024 x 512).
             roots = np.exp(-2j * np.pi * np.arange(nx) / nx)
-            distinct, self.which = np.unique(shift, return_inverse=True)
+            distinct, which = np.unique(shift, return_inverse=True)
             self.phases = roots[np.outer(distinct, np.arange(nx // 2 + 1)) % nx]
             phi_xx = np.hstack((phi_x, phi_x))
-            starts = np.flatnonzero(np.diff(shift, prepend=-1))
-            self.windows = tuple((slice(a, z), phi_xx[:, shift[a] : shift[a] + nx].T) for a, z in zip(starts, [*starts[1:], None]))
-        self.phi_t, self.dphi_t, self.phi_x = phi_t, dphi_t, phi_x
+        parts = []
+        for a, z in zip(bounds, bounds[1:]):
+            # Per run of the part's rows with one shift, its window of Phi_x:
+            # Phi_x itself when no row moves, else a view of [Phi_x Phi_x]
+            windows = ((slice(None), phi_x.T),)
+            if which is not None:
+                s = shift[a:z]
+                starts = np.flatnonzero(np.diff(s, prepend=-1))
+                windows = tuple((slice(i, j), phi_xx[:, s[i] : s[i] + nx].T) for i, j in zip(starts, [*starts[1:], None]))
+            # one part's columns are Phi_t itself; a half's are a copy
+            part_t, part_dt = np.ascontiguousarray(phi_t[:, a:z]), np.ascontiguousarray(dphi_t[:, a:z])
+            parts.append(_Part(part_t, part_dt, windows, None if which is None else which[a:z]))
+        self.parts, self.phi_x = tuple(parts), phi_x
         self.b_offset = bg.c * np.outer(dphi_t.sum(axis=1), phi_x.sum(axis=1))
         self.const = np.outer(phi_t.sum(axis=1), phi_x.sum(axis=1)) if None in self.at else None
-        shared = (self.expansion, phi_t, dphi_t, phi_x, self.b_offset, self.const, self.phases, self.which)
-        for a in (*shared, *(window for _, window in self.windows)):
+        shared = (self.expansion, phi_t, dphi_t, phi_x, self.b_offset, self.const, self.phases, which)
+        pieces = [a for part in parts for a in (part.phi_t, part.dphi_t, part.which, *(w for _, w in part.windows))]
+        for a in (*shared, *pieces):
             if a is not None:
                 a.flags.writeable = False
+
+    def write(self, theta, b, m: int, partials):
+        """Trajectory m's rows of ``theta`` and ``b`` from its parts'
+        partial sums, each (columns, b before its offset, contracted
+        spectrum): the parts are added in order, part 0 + part 1, and one
+        part is used as it is. Then the single-derivative columns are
+        differentiated from the summed spectrum, and the constant column
+        and b's offset are added once."""
+        mats, b_u, c_hat = (sum(terms[1:], start=terms[0]) for terms in zip(*partials))
+        for d, f in zip(self.orders, spectrum_derivatives(c_hat, self.orders, self.grid.nx, self.grid.length)):
+            mats[self.at[d]] = f @ self.phi_x.T
+        if self.const is not None:
+            mats[self.at[None]] = self.const
+        rows = slice(m * self.n_rows, (m + 1) * self.n_rows)
+        np.matmul(mats.reshape(len(mats), -1).T, self.expansion, out=theta[rows])
+        b[rows] = -self.dxdt * (b_u + self.b_offset).ravel()
 
 
 # The plan memo, keyed by the arguments themselves: 16 plans are the three
@@ -309,105 +358,115 @@ _plan = functools.lru_cache(maxsize=16)(_Plan)
 
 class _Contraction:
     """One grid's share of one worker: the scratch in which it contracts
-    a trajectory's u, spectrum and product fields by the grid's plan, and
-    the system whose rows it writes, which every worker shares (see
-    ``assemble``)."""
+    one part of a trajectory's u, spectrum and product fields by the
+    grid's plan, into that task's partial sums (see ``assemble``)."""
 
-    def __init__(self, plan: _Plan, theta, b):
-        self.plan, self.theta, self.b = plan, theta, b
-        self.mats = np.zeros((len(plan.at), len(plan.phi_t), len(plan.phi_x)))
-        if plan.const is not None:
-            self.mats[plan.at[None]] = plan.const
-        if len(plan.windows) > 1:
-            self.moved = np.empty((plan.grid.nt, len(plan.phi_x)))  # F Phi_x^T, run by run
+    def __init__(self, plan: _Plan, n_rows: int):
+        self.plan = plan
+        if any(len(part.windows) > 1 for part in plan.parts):
+            self.moved = np.empty((n_rows, len(plan.phi_x)))  # F Phi_x^T, run by run
 
-    def contract(self, field, *phis):
-        """phi F Phi_x^T for each phi, with Phi_x read from each row's shift:
-        t first when there is one window, per run of rows otherwise."""
-        if len(self.plan.windows) == 1:
-            ((_, window),) = self.plan.windows
+    def contract(self, part: _Part, field, *phis):
+        """phi F Phi_x^T for each phi, over the part's rows, with Phi_x read
+        from each row's shift: t first when there is one window, per run of
+        rows otherwise."""
+        if len(part.windows) == 1:
+            ((_, window),) = part.windows
             return [phi @ field @ window for phi in phis]
-        for rows, window in self.plan.windows:
-            np.matmul(field[rows], window, out=self.moved[rows])
-        return [phi @ self.moved for phi in phis]
+        moved = self.moved[: len(field)]
+        for rows, window in part.windows:
+            np.matmul(field[rows], window, out=moved[rows])
+        return [phi @ moved for phi in phis]
 
-    def data(self, u, u_hat, phased):
-        """Contract one trajectory's u and spectrum: u's own column, the
-        response (before its offset) and the single-derivative columns.
-        ``phased`` is a complex buffer of u_hat's shape, written when some
-        row moves."""
+    def data(self, part: _Part, u, u_hat, phased):
+        """Start a part's partial sums from its rows of u and their
+        spectrum: u's own column, the response before its offset and the
+        contracted spectrum. ``phased`` is a complex buffer of u_hat's
+        shape, written when some row moves."""
         p = self.plan
-        self.mats[p.at[0]], self.b_u = self.contract(u, p.phi_t, p.dphi_t)
+        mats = np.zeros((len(p.at), len(part.phi_t), len(p.phi_x)))
+        mats[p.at[0]], b_u = self.contract(part, u, part.phi_t, part.dphi_t)
         if p.phases is not None:
             # which is always in range; mode "raise" would gather through a full-size temporary
-            np.take(p.phases, p.which, axis=0, out=phased, mode="clip")
+            np.take(p.phases, part.which, axis=0, out=phased, mode="clip")
             u_hat = np.multiply(phased, u_hat, out=phased)
         # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
-        c_hat = (p.phi_t @ u_hat.view(float)).view(complex)
-        for d, f in zip(p.orders, spectrum_derivatives(c_hat, p.orders, p.grid.nx, p.grid.length)):
-            self.mats[p.at[d]] = f @ p.phi_x.T
+        self.partial = (mats, b_u, (part.phi_t @ u_hat.view(float)).view(complex))
 
-    def field(self, term: LibraryTerm, field):
-        """Contract one product field, if an expansion uses it."""
+    def field(self, part: _Part, term: LibraryTerm, field):
+        """Contract one product field over the part's rows, if an expansion uses it."""
         if term in self.plan.at:
-            (self.mats[self.plan.at[term]],) = self.contract(field, self.plan.phi_t)
-
-    def write(self, m: int):
-        """Trajectory m's rows of the system."""
-        p = self.plan
-        rows = slice(m * p.n_rows, (m + 1) * p.n_rows)
-        np.matmul(self.mats.reshape(len(self.mats), -1).T, p.expansion, out=self.theta[rows])
-        self.b[rows] = -p.dxdt * (self.b_u + p.b_offset).ravel()
+            (self.partial[0][self.plan.at[term]],) = self.contract(part, field, part.phi_t)
 
 
 class _Worker:
-    """What one worker reuses across its trajectories: the spectrum
-    u_hat, one complex scratch (a moved grid's phased spectrum, then each
-    derivative order's (ik)^d u_hat), a ``FieldPass`` with its product
-    buffers and its derivative buffers (one per order needed at once),
-    and one contraction per grid. For the standard library at 1024 x 512
-    that is two complex (512, 513) and three real (512, 1024) arrays, 20
-    MiB per worker, reused by each of its trajectories.
+    """What one worker reuses across its tasks: the spectrum u_hat of a
+    part's rows, one complex scratch of its shape (a moved grid's phased
+    spectrum, then each derivative order's (ik)^d u_hat), a ``FieldPass``
+    with its product buffers and its derivative buffers (one per order
+    needed at once), all as tall as the largest part, and one contraction
+    per grid. For the standard library at 1024 x 512, whose parts are
+    half-trajectories, that is two complex (256, 513) and three real (256,
+    1024) arrays, about 10 MiB per worker, reused by each of its tasks.
 
     The caller makes every worker before any thread starts, so a helper
     thread allocates nothing full-size: helpers that made their own
     spectrum and scratch raised large-grid's peak RSS from 115.8 to 123.6
     MB."""
 
-    def __init__(self, grid: Grid1D, products, systems):
-        shape = (grid.nt, grid.nx // 2 + 1)
+    def __init__(self, grid: Grid1D, bounds, products, plans, partials):
+        self.rows = [slice(a, z) for a, z in zip(bounds, bounds[1:])]
+        n_rows = max(z - a for a, z in zip(bounds, bounds[1:]))
+        shape = (n_rows, grid.nx // 2 + 1)
         self.u_hat, self.scaled = np.empty(shape, complex), np.empty(shape, complex)
-        self.fields = FieldPass(products, grid, scaled=self.scaled)
-        self.passes = [_Contraction(*system) for system in systems]
+        self.fields = FieldPass(products, grid, scaled=self.scaled, n_rows=n_rows)
+        self.passes = [_Contraction(plan, n_rows) for plan in plans]
+        self.partials = partials
 
     def run(self, tasks):
-        """Assemble the rows of each (m, trajectory) of ``tasks`` on every
-        grid. An overflowing product warns nowhere: ``assemble`` rejects
-        the system it leaves non-finite. The error state is per thread, so
-        each worker sets its own."""
+        """Contract each (m, h, trajectory) of ``tasks``, part h of
+        trajectory m, on every grid, keeping its partial sums in
+        ``partials[m, h]``, one per grid. An overflowing product warns
+        nowhere: ``assemble`` rejects the system it leaves non-finite. The
+        error state is per thread, so each worker sets its own."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for m, traj in tasks:
-                u_hat = np.fft.rfft(traj.values, out=self.u_hat)
-                for p in self.passes:
-                    p.data(traj.values, u_hat, self.scaled)
-                for term, field in self.fields(traj, u_hat):
-                    for p in self.passes:
-                        p.field(term, field)
-                for p in self.passes:
-                    p.write(m)
+            for m, h, traj in tasks:
+                rows = self.rows[h]
+                u = traj.values[rows]
+                u_hat = np.fft.rfft(u, out=self.u_hat[: len(u)])
+                parts = [(c, c.plan.parts[h]) for c in self.passes]
+                for c, part in parts:
+                    c.data(part, u, u_hat, self.scaled[: len(u)])
+                for term, field in self.fields(traj, u_hat, rows):
+                    for c, part in parts:
+                        c.field(part, term, field)
+                self.partials[m, h] = [c.partial for c in self.passes]
 
 
-# A set's tasks run on the caller and helper threads (``_run``) from this
-# many grid cells (nt * nx) on, and inline below. On a 2-vCPU x86-64 host
-# with one BLAS thread, the pipeline's three grids and M = 3, the threaded
-# pass (then one helper per worker, the caller idle) took this share of
-# the inline one's time (medians of 30 alternating calls, three
-# runs each of heat at sigma 0.1 and ks at sigma 0; nx x nt): 1.17-1.51 at
-# 128 x 128, 0.98-1.25 at 256 x 128, 0.91-0.98 at 256 x 256, 0.72-0.81 at
-# 512 x 512 and 0.73-0.77 at 1024 x 512. So 256 x 256 is the smallest grid
-# that runs threaded. The work is FFT, BLAS and ufunc calls on full-size
-# arrays, which release the interpreter lock.
+# A trajectory of at least this many grid cells (nt * nx) is two tasks,
+# one per half of its time rows, which run on the caller and helper
+# threads (``_run``); a smaller one is one task, run inline. On a 2-vCPU
+# x86-64 host with one BLAS thread, the pipeline's three grids and M = 3,
+# the threaded pass of whole trajectories (then one helper per worker,
+# the caller idle) took this share of the inline one's time (medians of
+# 30 alternating calls, three runs each of heat at sigma 0.1 and ks at
+# sigma 0; nx x nt): 1.17-1.51 at 128 x 128, 0.98-1.25 at 256 x 128,
+# 0.91-0.98 at 256 x 256, 0.72-0.81 at 512 x 512 and 0.73-0.77 at 1024 x
+# 512. So 256 x 256 is the smallest grid that runs threaded. The work is
+# FFT, BLAS and ufunc calls on full-size arrays, which release the
+# interpreter lock. Halves let M = 1, 2, 3 and 5 all split evenly on two
+# CPUs, where whole trajectories split M = 3 as 2 + 1 and ran M = 1 on
+# one; each worker's buffers are then about 10 MiB, not 20.
 _THREADED_CELLS = 2**16
+
+
+def _bounds(grid: Grid1D) -> tuple[int, ...]:
+    """The first row of each part of a trajectory's rows, then nt: its two
+    halves from ``_THREADED_CELLS`` grid cells on, else all its rows as one
+    part. The parts depend on the grid alone, never on the CPUs."""
+    if grid.nt * grid.nx >= _THREADED_CELLS:
+        return (0, grid.nt // 2, grid.nt)
+    return (0, grid.nt)
 
 
 def _usable_cpus() -> list[int]:
@@ -426,12 +485,14 @@ def _pin(cpus):
 def _run(workers, tasks, cpus):
     """Run worker k of the n on tasks k, k + n, ... pinned to cpus[k]
     alone: worker 0 on the calling thread, each other worker in a pool
-    thread. Left to the scheduler, the threads' hand-offs of the
-    interpreter lock keep them on one CPU: an unpinned caller stayed on
-    its pinned helper's CPU while the other one idled, and three-grid
-    ``assemble`` at 1024 x 512 took 20-60 % longer. So the caller pins
-    itself for its share and then, whatever happens, gets back its own
-    affinity, ``cpus``.
+    thread. The tasks are half-trajectories in trajectory order, (0, 0),
+    (0, 1), (1, 0), ..., so on two workers each runs one half of every
+    trajectory, whatever M is. Left to the scheduler, the threads'
+    hand-offs of the interpreter lock keep them on one CPU: an unpinned
+    caller stayed on its pinned helper's CPU while the other one idled,
+    and three-grid ``assemble`` at 1024 x 512 took 20-60 % longer. So the
+    caller pins itself for its share and then, whatever happens, gets
+    back its own affinity, ``cpus``.
 
     The caller submits the n - 1 helpers and then runs its share inside
     the pool's ``with`` block, whose exit joins every thread it started.
@@ -484,7 +545,8 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     expansion and the constant column. Plans are memoized across calls
     and shared read-only, so a call on a grid seen before builds none of
     it. The key is the plan's own arguments: the Grid1D, the BoostedGrid
-    (a TestGrid being the boost at c = 0) and ``spec``. Each is an
+    (a TestGrid being the boost at c = 0), ``spec`` and the parts of a
+    trajectory's rows, which follow from the Grid1D. Each is an
     immutable value that compares and hashes by value, so an equal test
     grid built apart shares a plan, a changed constant never reads a
     stale one, and no write can change a grid under its kept plan. The
@@ -546,40 +608,67 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     give rows bitwise equal to the separate products in BLAS. So every
     system is bitwise the one a one-grid call gives.
 
-    Each trajectory is one task: its ``rfft``, its product fields and
-    every grid's contraction into that trajectory's rows of each system,
-    over one worker's buffers (``_Worker``). A set of at least
-    ``_THREADED_CELLS`` grid cells runs its tasks on n = min(M, usable
-    CPUs) workers, the calling thread and n - 1 helper threads, each
-    pinned to its own CPU (``_run``); the caller gets its own affinity
-    back. A smaller set, or one worker, runs them inline. The caller
-    makes the plans, the systems and every worker before any thread
-    starts, so a plan error raises exactly as inline.
-    Each trajectory's arithmetic is the inline pass's and no two tasks
-    write one row, so every system is bitwise the inline one. A worker's
-    failure is re-raised from ``assemble``, the first in worker order,
-    once every helper has ended.
+    A trajectory of at least ``_THREADED_CELLS`` grid cells is two tasks,
+    one per half of its time rows (``_bounds``); a smaller one is one task
+    of all its rows. A task runs its rows' ``rfft``, their product fields
+    and, on every grid, its share of each contraction: Phi_t[:, rows] F W
+    for u, b and each product field, and Phi_t[:, rows] u_hat for the
+    spectrum, phased for a boost, whose runs of rows with one shift are
+    cut at the half boundary. Each plan holds these pieces per part. The
+    task keeps its small partial sums, over one worker's buffers
+    (``_Worker``), as tall as a half: about 10 MiB per worker at 1024 x
+    512. After every task has run, the caller adds each trajectory's
+    partial sums in part order, part 0 + part 1, differentiates the
+    summed spectrum, adds b's offset and the constant column once, and
+    writes the trajectory's rows (``_Plan.write``).
 
-    The data are finite, but a library product of them may overflow: an
-    infinite field, multiplied by the expansion's zeros, would make every
-    column of its system non-finite. So a finished system that is not
-    finite raises ValueError, giving the largest |u|.
+    Two parts per trajectory run on n = min(2 M, usable CPUs) workers,
+    the calling thread and n - 1 helper threads, each pinned to its own
+    CPU (``_run``); the caller gets its own affinity back. One part per
+    trajectory, or one worker, runs inline. On two CPUs M = 1, 2, 3 and 5
+    all split evenly. The caller makes the plans, the systems and every
+    worker before any thread starts, so a plan error raises exactly as
+    inline. The parts depend on the grid alone, never on the worker or
+    CPU count, and a task's arithmetic does not depend on its worker, so
+    every system is bitwise the one-worker system on every host. Below
+    the size rule a trajectory is one part, with no sum of parts, so the
+    arithmetic is that of the unsplit pass: t-first Phi_t F W and c_hat =
+    Phi_t u_hat. Above it the halves' sums round apart from the unsplit
+    pass (by at most 8e-16 of each column's largest entry on heat and ks
+    at 1024 x 512). A
+    worker's failure is re-raised from ``assemble``, the first in worker
+    order, once every helper has ended.
+
+    A trajset that is not a TrajectorySet raises ValueError naming it,
+    before any plan is made. The data are finite, but a library product
+    of them may overflow: an infinite field, multiplied by the
+    expansion's zeros, would make every column of its system non-finite.
+    So a finished system that is not finite raises ValueError, giving the
+    largest |u|.
 
     Returns one WeakSystem per grid, in the order given, each carrying
     its grid.
     """
+    if not isinstance(trajset, TrajectorySet):
+        raise ValueError(f"trajset must be a TrajectorySet, got {type(trajset).__name__}")
     grid, n_traj = trajset.grid, len(trajset)
+    bounds = _bounds(grid)
     boosts = [g if isinstance(g, BoostedGrid) else BoostedGrid(g, 0.0, spec) for g in grids]
-    plans = [_plan(grid, bg, spec) for bg in boosts]
+    plans = [_plan(grid, bg, spec, bounds) for bg in boosts]
     systems = [(p, np.empty((n_traj * p.n_rows, len(bg.spec))), np.empty(n_traj * p.n_rows)) for p, bg in zip(plans, boosts)]
     products = [t for t in spec.terms if t.power > 1]
-    tasks, cpus = list(enumerate(trajset)), _usable_cpus()
-    n_workers = min(n_traj, len(cpus)) if grid.nt * grid.nx >= _THREADED_CELLS else 1
-    workers = [_Worker(grid, products, systems) for _ in range(n_workers)]
+    n_parts, cpus, partials = len(bounds) - 1, _usable_cpus(), {}
+    tasks = [(m, h, traj) for m, traj in enumerate(trajset) for h in range(n_parts)]
+    n_workers = min(len(tasks), len(cpus)) if n_parts > 1 else 1
+    workers = [_Worker(grid, bounds, products, plans, partials) for _ in range(n_workers)]
     if n_workers == 1:
         workers[0].run(tasks)
     else:
         _run(workers, tasks, cpus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (plan, theta, b) in enumerate(systems):
+            for m in range(n_traj):
+                plan.write(theta, b, m, [partials[m, h][i] for h in range(n_parts)])
     # Not an input check (the data are finite): a product of them may overflow.
     if not all(np.isfinite(theta).all() and np.isfinite(b).all() for _, theta, b in systems):
         peak = max(np.abs(traj.values).max() for traj in trajset)

@@ -1,11 +1,16 @@
 """Reference implementations that the package no longer carries, kept as
 test oracles: the discrete Galilean boost of a trajectory set, gathered
-copy by copy, and the weak-form assembly as it was before the boosted
-grid and the field buffers (one grid kind, fresh fields per trajectory)."""
+copy by copy, the weak-form assembly as it was before the boosted grid
+and the field buffers (one grid kind, fresh fields per trajectory), and
+the assembly as it was before a large trajectory was split into halves
+(each trajectory one task of all its rows)."""
+
+from unittest import mock
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from eqod import weakform
 from eqod.core import Trajectory, TrajectorySet
 from eqod.spectral import spectrum_derivatives
 from eqod.weakform import WeakSystem, _bump_matrices
@@ -76,3 +81,12 @@ def plain_assemble(trajset, spec, *grids):
             for (phi_t, _, phi_x), theta, r in zip(bumps, thetas, rows):
                 theta[r, k] = dxdt * (phi_t @ field @ phi_x.T).ravel()
     return tuple(WeakSystem(theta, b, spec, tg) for tg, theta, b in zip(grids, thetas, bs))
+
+
+def unsplit_assemble(trajset, spec, *grids):
+    """``assemble`` with every trajectory one task of all its rows, at any
+    size: the pass below the size rule, whose arithmetic (t-first
+    contractions over the whole record, no sums of parts) the package
+    used at every size before it split large trajectories into halves."""
+    with mock.patch.object(weakform, "_THREADED_CELLS", float("inf")):
+        return weakform.assemble(trajset, spec, *grids)

@@ -4,20 +4,22 @@ Each entry takes an index (``core.as_index``), a real number
 (``core.as_real``) or an array of real numbers (``core.as_reals`` or
 ``core.frozen_reals``). A value of any other kind, or a non-finite one,
 raises ValueError naming the argument before any FFT, solve or LASSO
-path runs.
+path runs. A grid, trajectory set or law of the wrong kind raises
+ValueError naming the argument too (``TestKinds``).
 """
 
 import dataclasses
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from eqod import sparse, stability, symmetry
+from eqod import solvers, sparse, stability, symmetry
 from eqod.core import STANDARD_TERMS, CoefficientVector, RngStream, Trajectory, as_real, as_reals, frozen_reals
 from eqod.oplib import standard_library
-from eqod.solvers import PDES, add_noise, solve
+from eqod.solvers import PDES, add_noise, generate_set, initial_condition, solve
 from eqod.spectral import spectral_derivative, wavenumbers
 from eqod.symmetry import GALILEAN_BASIS
 from eqod.weakform import IDENTIFY_GRID, BoostedGrid, WeakSystem, assemble, make_test_grid
@@ -178,3 +180,59 @@ class TestPolicy:
         out = frozen_reals("a", v)
         assert out.dtype == np.float64 and not out.flags.writeable
         assert not isinstance(v, np.ndarray) or not np.shares_memory(out, v)
+
+    def test_as_reals_names_a_ragged_sequence(self):
+        # numpy's own "inhomogeneous shape" error used to escape without the name
+        with pytest.raises(ValueError, match="^theta must be a rectangular array of real numbers: "):
+            as_reals("theta", [[1.0, 2.0], [3.0]])
+
+    def test_as_reals_names_a_long_double_beyond_float64_before_numpy_warns(self):
+        # the cast to float64 used to warn of its overflow first, an error under -W error
+        if np.finfo(np.longdouble).max <= np.finfo(np.float64).max:
+            pytest.skip("long double is float64 on this platform")
+        big = np.array([np.finfo(np.longdouble).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^b must be finite$"):
+                as_reals("b", big)
+
+
+WRONG_KINDS = ["grid", [1, 2], None]
+
+
+class TestKinds:
+    """A grid, trajectory set or law of the wrong kind is named, not met
+    as an AttributeError deep in the code."""
+
+    @pytest.mark.parametrize("grid", WRONG_KINDS)
+    def test_make_test_grid_rejects_a_grid_that_is_not_a_grid1d(self, grid):
+        with pytest.raises(ValueError, match=f"^grid must be a Grid1D, got {type(grid).__name__}$"):
+            make_test_grid(grid, *IDENTIFY_GRID)
+
+    @pytest.mark.parametrize("trajset", [*WRONG_KINDS, ()])
+    def test_assemble_rejects_a_trajset_that_is_not_a_trajectory_set(self, trajset, monkeypatch):
+        tg = make_test_grid(PDES["heat"].default_grid(), *IDENTIFY_GRID)
+        monkeypatch.setattr(np.fft, "rfft", _raises)
+        with pytest.raises(ValueError, match=f"^trajset must be a TrajectorySet, got {type(trajset).__name__}$"):
+            assemble(trajset, standard_library(), tg)
+
+    @pytest.mark.parametrize("arg", ["pde", "grid"])
+    @pytest.mark.parametrize("value", WRONG_KINDS)
+    def test_generate_set_rejects_a_law_or_grid_of_the_wrong_kind_before_any_solve(self, arg, value, monkeypatch):
+        monkeypatch.setattr(solvers, "_propagate", _raises)
+        given = {"pde": PDES["heat"], "grid": GRID, arg: value}
+        kind = {"pde": "PdeSpec", "grid": "Grid1D"}[arg]
+        with pytest.raises(ValueError, match=f"^{arg} must be a {kind}, got {type(value).__name__}$"):
+            generate_set(given["pde"], given["grid"], 3, 0.0, 0)
+
+    @pytest.mark.parametrize("arg", ["pde", "grid"])
+    @pytest.mark.parametrize("value", WRONG_KINDS)
+    def test_initial_condition_rejects_a_law_or_grid_of_the_wrong_kind(self, arg, value):
+        given = {"pde": PDES["heat"], "grid": GRID, arg: value}
+        kind = {"pde": "PdeSpec", "grid": "Grid1D"}[arg]
+        with pytest.raises(ValueError, match=f"^{arg} must be a {kind}, got {type(value).__name__}$"):
+            initial_condition(given["pde"], given["grid"], RngStream(0).generator(0))
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("ran past the argument check")

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import galilean_boost, plain_assemble, plain_fields
+from oracles import galilean_boost, plain_assemble, plain_fields, unsplit_assemble
 from scipy.interpolate import RectBivariateSpline
 
 import eqod.oplib as oplib
@@ -883,11 +883,16 @@ class TestPlanMemo:
     def test_plan_arrays_reject_writes(self, burgers_clean):
         ts = burgers_clean
         tg = make_test_grid(ts.grid, *IDENTIFY_GRID)
-        plan = weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library())
-        assert plan is weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library())
-        assert len(plan.windows) > 1 and plan.phases is not None and plan.const is not None
-        arrays = [plan.expansion, plan.phi_t, plan.dphi_t, plan.phi_x, plan.b_offset, plan.const, plan.phases, plan.which]
-        for a in [*arrays, *(window for _, window in plan.windows)]:
+        # a plan cut into two halves, each with its own pieces
+        halves = (0, ts.grid.nt // 2, ts.grid.nt)
+        plan = weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library(), halves)
+        assert plan is weakform._plan(ts.grid, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS), standard_library(), halves)
+        assert len(plan.parts) == 2 and all(len(part.windows) > 1 for part in plan.parts)
+        assert plan.phases is not None and plan.const is not None
+        arrays = [plan.expansion, plan.phi_x, plan.b_offset, plan.const, plan.phases]
+        for part in plan.parts:
+            arrays += [part.phi_t, part.dphi_t, part.which, *(window for _, window in part.windows)]
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
         with pytest.raises(TypeError):
@@ -908,9 +913,37 @@ def burgers_set():
     return get
 
 
+@pytest.fixture(scope="module")
+def burgers_256():
+    """burgers at sigma 0.1 on a 256 x 256 grid, at the size rule, by number of trajectories."""
+    cache = {}
+
+    def get(m):
+        if m not in cache:
+            pde = PDES["burgers"]
+            cache[m] = generate_set(pde, pde.default_grid(256, 256), m, 0.1, 42)
+        return cache[m]
+
+    return get
+
+
 class TestThreadedPass:
-    """A large set's trajectories are assembled on parallel workers. With
-    the size rule lowered, a 128 x 128 set takes that path too."""
+    """A large set's trajectories are assembled in halves on parallel
+    workers. With the size rule lowered, a 128 x 128 set takes that path
+    too. The reference of each threaded system is the one-worker system
+    on the same partition (``one_worker``): the halves' sums round apart
+    from the unsplit pass's."""
+
+    @staticmethod
+    def one_worker(monkeypatch, ts, grids, threaded=True):
+        """The systems of ts on grids with one usable CPU: every task of the
+        partition, halves when ``threaded`` lowers the size rule, runs
+        inline on the calling thread."""
+        with monkeypatch.context() as patch:
+            if threaded:
+                patch.setattr(weakform, "_THREADED_CELLS", 0)
+            patch.setattr(weakform, "_usable_cpus", lambda: [0])
+            return assemble(ts, standard_library(), *grids)
 
     @staticmethod
     def starts(monkeypatch):
@@ -948,13 +981,13 @@ class TestThreadedPass:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_systems_are_the_inline_ones_bitwise(self, burgers_set, monkeypatch, m):
-        # the pipeline's three grids, on min(m, usable CPUs) workers
+        # the pipeline's three grids, on min(2 m, usable CPUs) workers
         ts = burgers_set(m)
         grids = pipeline_grids(ts)
-        inline = assemble(ts, standard_library(), *grids)
+        inline = self.one_worker(monkeypatch, ts, grids)
         affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
-        n = min(m, len(weakform._usable_cpus()))
+        n = min(2 * m, len(weakform._usable_cpus()))
         started, _ = self.starts(monkeypatch), self.runs(monkeypatch, together=n)
         assert_same_systems(assemble(ts, standard_library(), *grids), inline)
         # the calling thread is worker 0: n workers start n - 1 threads
@@ -963,12 +996,12 @@ class TestThreadedPass:
             assert os.sched_getaffinity(0) == affinity
 
     def test_more_workers_than_cpus_under_frequent_switches(self, burgers_set, monkeypatch):
-        # the caller and one unpinned helper per other trajectory, with the
+        # ten halves on the caller and four unpinned helpers, with the
         # interpreter switching threads every microsecond: a lost or
-        # misplaced row would show
+        # misplaced partial sum would show
         ts = burgers_set(5)
         grids = pipeline_grids(ts)
-        inline = assemble(ts, standard_library(), *grids)
+        inline = self.one_worker(monkeypatch, ts, grids)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: list(range(5)))
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
@@ -987,17 +1020,19 @@ class TestThreadedPass:
 
     @staticmethod
     def failing(burgers_set, monkeypatch, failing):
-        """Three trajectories on three workers, of which those in
-        ``failing`` raise, and the (thread, cpus) of each pin, recorded
-        in place of being made."""
+        """Three trajectories, six half-trajectory tasks, on three workers:
+        worker 0 runs (trajectory, part) (0, 0) and (1, 1), worker 1 (0, 1)
+        and (2, 0), worker 2 (1, 0) and (2, 1). The tasks in ``failing``
+        raise, and the (thread, cpus) of each pin is recorded in place of
+        being made."""
         ts, pinned = burgers_set(3), []
 
         class Failing(FieldPass):
-            def __call__(self, traj, u_hat=None):
-                m = ts.trajectories.index(traj)
-                if m in failing:
-                    raise RuntimeError(f"no fields for trajectory {m}")
-                yield from super().__call__(traj, u_hat)
+            def __call__(self, traj, u_hat=None, rows=slice(None)):
+                m, h = ts.trajectories.index(traj), int(bool(rows.start))
+                if (m, h) in failing:
+                    raise RuntimeError(f"no fields for trajectory {m}, part {h}")
+                yield from super().__call__(traj, u_hat, rows)
 
         monkeypatch.setattr(weakform, "FieldPass", Failing)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
@@ -1006,18 +1041,18 @@ class TestThreadedPass:
         return ts, pinned
 
     def test_a_helpers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
-        ts, _ = self.failing(burgers_set, monkeypatch, {1, 2})
+        ts, _ = self.failing(burgers_set, monkeypatch, {(0, 1), (1, 0)})
         before = threading.active_count()
         # helpers 1 and 2 both fail, the caller does not: the first in worker order is raised
-        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 1$"):
+        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 0, part 1$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
         assert threading.active_count() == before
 
     def test_the_callers_failure_re_raises_and_no_thread_outlives_the_call(self, burgers_set, monkeypatch):
-        ts, pinned = self.failing(burgers_set, monkeypatch, {0, 2})
+        ts, pinned = self.failing(burgers_set, monkeypatch, {(0, 0), (2, 1)})
         before = threading.active_count()
         # the caller's own share fails, and so does helper 2's: the caller's is raised
-        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 0$"):
+        with pytest.raises(RuntimeError, match=r"^no fields for trajectory 0, part 0$"):
             assemble(ts, standard_library(), *pipeline_grids(ts))
         assert threading.active_count() == before
         # and the caller has its own affinity back
@@ -1026,7 +1061,7 @@ class TestThreadedPass:
     def test_each_worker_is_pinned_and_the_caller_keeps_its_affinity(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
         grids = pipeline_grids(ts)
-        inline = assemble(ts, standard_library(), *grids)
+        inline = self.one_worker(monkeypatch, ts, grids)
         pinned = []
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
@@ -1040,7 +1075,7 @@ class TestThreadedPass:
     def test_worker_0_runs_on_the_calling_thread(self, burgers_set, monkeypatch):
         ts = burgers_set(3)
         grids = pipeline_grids(ts)
-        inline = assemble(ts, standard_library(), *grids)
+        inline = self.one_worker(monkeypatch, ts, grids)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
         monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1, 2])
         monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
@@ -1095,3 +1130,48 @@ class TestThreadedPass:
         monkeypatch.setattr(weakform, "_pin", pinned.append)
         assemble(ts, standard_library(), *pipeline_grids(ts))
         assert started == [] and pinned == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_a_threaded_size_gives_the_one_worker_systems_on_any_cpus(self, burgers_256, monkeypatch, m, cpus):
+        # 256 x 256 is at the size rule: each trajectory is two halves, on
+        # min(2 m, cpus) workers, and the partition does not depend on the CPUs
+        ts = burgers_256(m)
+        assert ts.grid.nt * ts.grid.nx >= weakform._THREADED_CELLS
+        grids = pipeline_grids(ts)
+        alone = self.one_worker(monkeypatch, ts, grids, threaded=False)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: list(range(cpus)))
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        n = min(2 * m, cpus)
+        started, _ = self.starts(monkeypatch), self.runs(monkeypatch, together=n)
+        got = assemble(ts, standard_library(), *grids)
+        assert len(started) == n - 1
+        for ws, ref in zip(got, alone):
+            assert ws.theta.tobytes() == ref.theta.tobytes() and ws.b.tobytes() == ref.b.tobytes()
+
+    def test_a_threaded_system_is_the_unsplit_one_to_rounding(self):
+        # large-grid's heat at sigma 0.1: the halves' partial sums, added
+        # after the join, against each trajectory contracted whole; the
+        # boosted grid's runs of one shift are cut at the half boundary
+        pde = PDES["heat"]
+        ts = generate_set(pde, pde.default_grid(1024, 512), 3, 0.1, 42)
+        grids = pipeline_grids(ts)
+        halves = assemble(ts, standard_library(), *grids)
+        whole = unsplit_assemble(ts, standard_library(), *grids)
+        # the unsplit pass is the plain assembly on plain grids
+        assert_same_systems(whole[:2], plain_assemble(ts, standard_library(), *grids[:2]))
+        for ws, ref in zip(halves, whole):
+            assert (np.abs(ws.theta - ref.theta).max(axis=0) <= 1e-13 * np.abs(ref.theta).max(axis=0)).all()
+            assert np.abs(ws.b - ref.b).max() <= 1e-13 * np.abs(ref.b).max()
+
+    def test_one_trajectory_at_a_threaded_size_starts_one_helper(self, burgers_256, monkeypatch):
+        # its two halves run on the caller and one helper, where a whole
+        # trajectory ran on the caller alone
+        ts = burgers_256(1)
+        grids = pipeline_grids(ts)
+        alone = self.one_worker(monkeypatch, ts, grids, threaded=False)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        started, (made, ran) = self.starts(monkeypatch), self.runs(monkeypatch, together=2)
+        assert_same_systems(assemble(ts, standard_library(), *grids), alone)
+        assert len(started) == 1 and len(made) == len(ran) == 2

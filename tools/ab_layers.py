@@ -25,12 +25,15 @@ so a change of a few percent in one layer shows only when both trees run
 in one process. The script prints the median milliseconds of each call
 per tree, B's median against A's, whether the two trees' data are
 bitwise equal, whether their systems are (the identification and
-stability systems), how far apart the boosted system is (largest
-distance over each column's, and b's, largest entry), and whether the
+stability systems), how far apart each of the three systems is (largest
+distance over each column's, and b's, largest entry, so a change at the
+rounding level is measured as well as flagged), and whether the
 two ``run_eqod`` answers are identical: their ``to_json()`` text, so the
 mode, fallback, library, library size, coefficients, residual ratio and
 every detector field (scores, c1, rank_ok) are compared, each to the
-last digit. It exits with status 1 unless every case is bitwise on all
+last digit; answers that differ are described (the fields that differ,
+whether the support is kept, the largest coefficient distance). It
+exits with status 1 unless every case is bitwise on all
 four counts, so a run of a tree against itself, or of a change that
 keeps every answer, checks that the answers are reproduced.
 
@@ -118,23 +121,41 @@ def calls(tree, case, trajset):
     }
 
 
+def distance(a, b) -> tuple[float, float]:
+    """How far apart two systems are: the largest distance over each
+    column's largest entry (theta), and over max|b| (b)."""
+    theta = float((np.abs(a.theta - b.theta) / np.abs(a.theta).max(axis=0)).max())
+    return theta, float(np.abs(a.b - b.b).max() / np.abs(a.b).max())
+
+
 def compare(data_a, data_b, outputs_a, outputs_b) -> tuple[bool, str]:
     """Whether every comparison is bitwise, and the report: the data, the
-    plain systems, the boosted system's distance and the pipeline answers."""
+    plain systems, each system's distance and the pipeline answers."""
     (systems_a, res_a), (systems_b, res_b) = outputs_a, outputs_b
     data = all(np.array_equal(a.values, b.values) for a, b in zip(data_a, data_b))
     plain = all(
         np.array_equal(a.theta, b.theta) and np.array_equal(a.b, b.b) for a, b in zip(systems_a[:2], systems_b[:2])
     )
-    a, b = systems_a[2], systems_b[2]
-    theta = float((np.abs(a.theta - b.theta) / np.abs(a.theta).max(axis=0)).max())
-    resp = float(np.abs(a.b - b.b).max() / np.abs(a.b).max())
+    apart = [distance(a, b) for a, b in zip(systems_a, systems_b)]
     same = res_a.to_json() == res_b.to_json()
-    report = (
-        f"data bitwise: {data}; plain systems bitwise: {plain}; "
-        f"boosted system apart by {theta:.1e} (theta), {resp:.1e} (b); run_eqod answers identical: {same}"
+    distances = "; ".join(
+        f"{name} system apart by {theta:.1e} (theta), {resp:.1e} (b)"
+        for name, (theta, resp) in zip(("identification", "stability", "boosted"), apart)
     )
-    return data and plain and theta == 0 and resp == 0 and same, report
+    report = f"data bitwise: {data}; plain systems bitwise: {plain}; {distances}; run_eqod answers identical: {same}"
+    if not same:
+        report += f" ({answers_apart(res_a.to_json_dict(), res_b.to_json_dict())})"
+    return data and plain and apart[2] == (0, 0) and same, report
+
+
+def answers_apart(a: dict, b: dict) -> str:
+    """How two ``run_eqod`` answers differ: the fields whose values do, whether
+    the support is kept, and the largest coefficient distance over max|coef|."""
+    terms = list(dict.fromkeys([*a["coefficients"], *b["coefficients"]]))
+    ca, cb = (np.array([c["coefficients"].get(t, 0.0) for t in terms]) for c in (a, b))
+    support = "kept" if np.array_equal(ca != 0, cb != 0) else "changed"
+    coef = float(np.abs(ca - cb).max() / max(np.abs(ca).max(), np.abs(cb).max(), np.finfo(float).tiny))
+    return f"differ in {', '.join(k for k in a if a[k] != b[k])}; support {support}; coefficients apart by {coef:.1e}"
 
 
 def time_case(fns_a, fns_b, reps: int) -> dict:
