@@ -130,24 +130,24 @@ class FieldPass:
     take that buffer. So the pass keeps as many derivative buffers as
     orders are ever needed at once, made once: one for the standard
     library, whose chains need u_x (u^2*u_x, u*u_x) and u_xx (u*u_xx)
-    one after the other. The buffers hold ``n_rows`` rows, nt when left
-    None. ``scaled``, if given, is the complex (n_rows, nx // 2 + 1)
-    buffer that ``spectrum_derivatives`` multiplies each spectrum into;
-    left None, each call makes its own. The walk and the buffers' turns
-    are planned once per tuple of terms (``_walk``).
+    one after the other. ``scaled``, if given, is a complex (rows, nx //
+    2 + 1) buffer that ``spectrum_derivatives`` multiplies each spectrum
+    into, and the buffers hold as many rows as it does; left None, each
+    call makes its own and the buffers hold nt rows. The walk and the
+    buffers' turns are planned once per tuple of terms (``_walk``).
 
     Calling the pass on a trajectory yields (term, field) pairs in chain
     order, over the rows ``rows`` of it (all of them by default, at most
-    ``n_rows``; ``u_hat``, if given, is their spectrum). The fields are
+    the buffers' rows; ``u_hat``, if given, is their spectrum). The fields are
     read-only. A single-factor term's field is the derivative itself, and
     the field of u is a view of ``traj.values``. A product's or
     derivative's buffer is overwritten by a later term or call: use each
     field before drawing the next.
     """
 
-    def __init__(self, terms, grid, scaled=None, n_rows=None):
+    def __init__(self, terms, grid, scaled=None):
         self.grid, self.scaled = grid, scaled
-        shape = (grid.nt if n_rows is None else n_rows, grid.nx)
+        shape = (grid.nt if scaled is None else len(scaled), grid.nx)
         steps, n_buffers, n_derivs = _walk(tuple(terms))
         self._buffers = [np.empty(shape) for _ in range(n_buffers)]
         derivs = [np.empty(shape) for _ in range(n_derivs)]

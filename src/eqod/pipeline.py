@@ -101,7 +101,9 @@ def _checked(trajset, seed, base_library):
     """(seed, base library) of a run; bad input fails here, before any work."""
     if not isinstance(trajset, TrajectorySet):
         raise ValueError(f"trajset must be a TrajectorySet, got {type(trajset).__name__}")
-    return RngStream(seed).seed, base_library or standard_library()
+    if not isinstance(base_library, (LibrarySpec, type(None))):
+        raise ValueError(f"base_library must be a LibrarySpec or None, got {type(base_library).__name__}")
+    return RngStream(seed).seed, standard_library() if base_library is None else base_library
 
 
 def run_eqod(
@@ -112,8 +114,9 @@ def run_eqod(
     """Run the full four-stage pipeline on a trajectory set.
 
     The one seed drives both the stability-selection subsampling and the
-    CV fold permutation. ``base_library`` defaults to the standard
-    10-term set and also serves as the fallback comparator library. The
+    CV fold permutation. ``base_library``, a LibrarySpec, defaults (None)
+    to the standard 10-term set and also serves as the fallback comparator
+    library; anything else raises ValueError naming it. The
     calibration is the module constants: ``sparse.LAMBDA_GRID``,
     ``CV_FOLDS``, ``THRESHOLD_FLOOR``, ``THRESHOLD_FRAC``, ``DEBIAS_ROUNDS``
     and ``KKT_TOL``; ``stability.N_SUBSAMPLES``, ``WEIGHT_LOW``/``HIGH``,

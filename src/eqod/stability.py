@@ -74,6 +74,7 @@ def stability_select(theta, b, seed: int = 0):
     Returns (pi, stable) with stable = indices where pi > PI_THRESHOLD
     (strict).
     """
+    rng = RngStream(seed).generator(STABILITY_STREAM)
     theta_n, b_n, _, _ = _normalize(theta, b)
     n, p = theta_n.shape
     if n < 4:
@@ -81,7 +82,6 @@ def stability_select(theta, b, seed: int = 0):
     ols, *_ = np.linalg.lstsq(theta_n, b_n, rcond=None)
     s2 = float(np.sum((b_n - theta_n @ ols) ** 2)) / n
     alpha = min(PENALTY_SCALE * max(s2, RESIDUAL_FLOOR) ** PENALTY_EXPONENT, PENALTY_CAP)
-    rng = RngStream(seed).generator(STABILITY_STREAM)
     half = n // 2
     lam_objective = 2.0 * half * alpha
     rows = rng.permuted(np.tile(np.arange(n), (N_SUBSAMPLES, 1)), axis=1)[:, :half]

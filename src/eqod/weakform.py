@@ -41,21 +41,14 @@ plans used. Plans are read-only, so repeated calls on one
 grid, as in an evaluation over seeds and noise levels, build each plan
 once.
 
-A trajectory of at least ``_THREADED_CELLS`` grid cells is two tasks,
-one per half of its time rows; a smaller one is one task of all its
-rows. A task's field pass is its rows' ``rfft``, their product fields
-and every grid's contraction of them, Phi_t[:, rows] F W, into small
-partial sums of its own, over buffers as tall as a half that belong to
-one worker (``_Worker``, about 10 MiB at 1024 x 512). A task reads
-shared plans and writes only its own partial sums, so tasks can run at
-once; after the join the caller adds each trajectory's halves in order
-and writes its rows. The halves run on min(2 M, usable CPUs) workers,
-the first on the calling thread and each other on a helper thread of a
-``ThreadPoolExecutor``, each pinned to its own CPU (``_run``); one part
-per trajectory runs inline and loads no pool. The parts depend on the
-grid alone, so every system is bitwise the one-worker system on every
-host, and below the size rule, where a trajectory is one part, bitwise
-the unsplit pass's.
+A trajectory's time rows are cut into parts by the grid alone
+(``_bounds``, by the size rule ``_THREADED_CELLS``). Each part is a task:
+its rows' ``rfft``, their product fields and every grid's contraction of
+them (``_Plan.start``, ``_Part.contract``), over one worker's buffers
+(``_Worker``). A task reads shared plans and returns its own partial
+sums, so tasks run at once on pinned threads (``_run``); the caller then
+adds each trajectory's parts in order and writes its rows
+(``_Plan.write``). ``assemble`` states what this gives its caller.
 """
 
 from __future__ import annotations
@@ -261,6 +254,18 @@ class _Part(NamedTuple):
     windows: tuple
     which: np.ndarray | None
 
+    def contract(self, field, *phis):
+        """phi F Phi_x^T for each phi, over the part's rows, with Phi_x read
+        from each row's shift: t first when there is one window, per run of
+        rows otherwise."""
+        if len(self.windows) == 1:
+            ((_, window),) = self.windows
+            return [phi @ field @ window for phi in phis]
+        moved = np.empty((len(field), self.windows[0][1].shape[1]))  # F Phi_x^T, run by run
+        for rows, window in self.windows:
+            np.matmul(field[rows], window, out=moved[rows])
+        return [phi @ moved for phi in phis]
+
 
 class _Plan:
     """What one grid's contraction needs besides the data: the test
@@ -333,6 +338,20 @@ class _Plan:
             if a is not None:
                 a.flags.writeable = False
 
+    def start(self, part: _Part, u, u_hat, phased):
+        """A part's partial sums, started from its rows of u and their
+        spectrum: the columns, of which u's own is filled in, the response
+        before its offset and the contracted spectrum. ``phased`` is a
+        complex buffer of u_hat's shape, written when some row moves."""
+        mats = np.zeros((len(self.at), len(part.phi_t), len(self.phi_x)))
+        mats[self.at[0]], b_u = part.contract(u, part.phi_t, part.dphi_t)
+        if self.phases is not None:
+            # which is always in range; mode "raise" would gather through a full-size temporary
+            np.take(self.phases, part.which, axis=0, out=phased, mode="clip")
+            u_hat = np.multiply(phased, u_hat, out=phased)
+        # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
+        return mats, b_u, (part.phi_t @ u_hat.view(float)).view(complex)
+
     def write(self, theta, b, m: int, partials):
         """Trajectory m's rows of ``theta`` and ``b`` from its parts'
         partial sums, each (columns, b before its offset, contracted
@@ -356,91 +375,48 @@ class _Plan:
 _plan = functools.lru_cache(maxsize=16)(_Plan)
 
 
-class _Contraction:
-    """One grid's share of one worker: the scratch in which it contracts
-    one part of a trajectory's u, spectrum and product fields by the
-    grid's plan, into that task's partial sums (see ``assemble``)."""
-
-    def __init__(self, plan: _Plan, n_rows: int):
-        self.plan = plan
-        if any(len(part.windows) > 1 for part in plan.parts):
-            self.moved = np.empty((n_rows, len(plan.phi_x)))  # F Phi_x^T, run by run
-
-    def contract(self, part: _Part, field, *phis):
-        """phi F Phi_x^T for each phi, over the part's rows, with Phi_x read
-        from each row's shift: t first when there is one window, per run of
-        rows otherwise."""
-        if len(part.windows) == 1:
-            ((_, window),) = part.windows
-            return [phi @ field @ window for phi in phis]
-        moved = self.moved[: len(field)]
-        for rows, window in part.windows:
-            np.matmul(field[rows], window, out=moved[rows])
-        return [phi @ moved for phi in phis]
-
-    def data(self, part: _Part, u, u_hat, phased):
-        """Start a part's partial sums from its rows of u and their
-        spectrum: u's own column, the response before its offset and the
-        contracted spectrum. ``phased`` is a complex buffer of u_hat's
-        shape, written when some row moves."""
-        p = self.plan
-        mats = np.zeros((len(p.at), len(part.phi_t), len(p.phi_x)))
-        mats[p.at[0]], b_u = self.contract(part, u, part.phi_t, part.dphi_t)
-        if p.phases is not None:
-            # which is always in range; mode "raise" would gather through a full-size temporary
-            np.take(p.phases, part.which, axis=0, out=phased, mode="clip")
-            u_hat = np.multiply(phased, u_hat, out=phased)
-        # Phi_t is real: contract the (re, im) pairs of u_hat as one real matrix
-        self.partial = (mats, b_u, (part.phi_t @ u_hat.view(float)).view(complex))
-
-    def field(self, part: _Part, term: LibraryTerm, field):
-        """Contract one product field over the part's rows, if an expansion uses it."""
-        if term in self.plan.at:
-            (self.partial[0][self.plan.at[term]],) = self.contract(part, field, part.phi_t)
-
-
 class _Worker:
     """What one worker reuses across its tasks: the spectrum u_hat of a
     part's rows, one complex scratch of its shape (a moved grid's phased
     spectrum, then each derivative order's (ik)^d u_hat), a ``FieldPass``
     with its product buffers and its derivative buffers (one per order
-    needed at once), all as tall as the largest part, and one contraction
-    per grid. For the standard library at 1024 x 512, whose parts are
+    needed at once), all as tall as the largest part, and the plans of its
+    grids. For the standard library at 1024 x 512, whose parts are
     half-trajectories, that is two complex (256, 513) and three real (256,
-    1024) arrays, about 10 MiB per worker, reused by each of its tasks.
+    1024) arrays, about 10 MiB per worker (20 for whole trajectories),
+    reused by each of its tasks.
 
     The caller makes every worker before any thread starts, so a helper
     thread allocates nothing full-size: helpers that made their own
     spectrum and scratch raised large-grid's peak RSS from 115.8 to 123.6
     MB."""
 
-    def __init__(self, grid: Grid1D, bounds, products, plans, partials):
+    def __init__(self, grid: Grid1D, bounds, products, plans):
         self.rows = [slice(a, z) for a, z in zip(bounds, bounds[1:])]
-        n_rows = max(z - a for a, z in zip(bounds, bounds[1:]))
-        shape = (n_rows, grid.nx // 2 + 1)
+        shape = (max(z - a for a, z in zip(bounds, bounds[1:])), grid.nx // 2 + 1)
         self.u_hat, self.scaled = np.empty(shape, complex), np.empty(shape, complex)
-        self.fields = FieldPass(products, grid, scaled=self.scaled, n_rows=n_rows)
-        self.passes = [_Contraction(plan, n_rows) for plan in plans]
-        self.partials = partials
+        self.fields = FieldPass(products, grid, scaled=self.scaled)
+        self.plans = plans
 
     def run(self, tasks):
-        """Contract each (m, h, trajectory) of ``tasks``, part h of
-        trajectory m, on every grid, keeping its partial sums in
-        ``partials[m, h]``, one per grid. An overflowing product warns
-        nowhere: ``assemble`` rejects the system it leaves non-finite. The
-        error state is per thread, so each worker sets its own."""
+        """The partial sums of each (m, h, trajectory) of ``tasks``, part h
+        of trajectory m, as ``{(m, h): sums}`` with one sums per grid. An
+        overflowing product warns nowhere: ``assemble`` rejects the system
+        it leaves non-finite. The error state is per thread, so each worker
+        sets its own."""
+        sums = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for m, h, traj in tasks:
                 rows = self.rows[h]
                 u = traj.values[rows]
                 u_hat = np.fft.rfft(u, out=self.u_hat[: len(u)])
-                parts = [(c, c.plan.parts[h]) for c in self.passes]
-                for c, part in parts:
-                    c.data(part, u, u_hat, self.scaled[: len(u)])
+                parts = [plan.parts[h] for plan in self.plans]
+                sums[m, h] = [plan.start(part, u, u_hat, self.scaled[: len(u)]) for plan, part in zip(self.plans, parts)]
                 for term, field in self.fields(traj, u_hat, rows):
-                    for c, part in parts:
-                        c.field(part, term, field)
-                self.partials[m, h] = [c.partial for c in self.passes]
+                    for plan, part, (mats, _, _) in zip(self.plans, parts, sums[m, h]):
+                        if term in plan.at:
+                            (mats[plan.at[term]],) = part.contract(field, part.phi_t)
+        return sums
 
 
 # A trajectory of at least this many grid cells (nt * nx) is two tasks,
@@ -456,7 +432,7 @@ class _Worker:
 # FFT, BLAS and ufunc calls on full-size arrays, which release the
 # interpreter lock. Halves let M = 1, 2, 3 and 5 all split evenly on two
 # CPUs, where whole trajectories split M = 3 as 2 + 1 and ran M = 1 on
-# one; each worker's buffers are then about 10 MiB, not 20.
+# one.
 _THREADED_CELLS = 2**16
 
 
@@ -484,15 +460,16 @@ def _pin(cpus):
 
 def _run(workers, tasks, cpus):
     """Run worker k of the n on tasks k, k + n, ... pinned to cpus[k]
-    alone: worker 0 on the calling thread, each other worker in a pool
-    thread. The tasks are half-trajectories in trajectory order, (0, 0),
-    (0, 1), (1, 0), ..., so on two workers each runs one half of every
-    trajectory, whatever M is. Left to the scheduler, the threads'
-    hand-offs of the interpreter lock keep them on one CPU: an unpinned
-    caller stayed on its pinned helper's CPU while the other one idled,
-    and three-grid ``assemble`` at 1024 x 512 took 20-60 % longer. So the
-    caller pins itself for its share and then, whatever happens, gets
-    back its own affinity, ``cpus``.
+    alone, worker 0 on the calling thread and each other worker in a pool
+    thread, and return every task's partial sums. The tasks come part by
+    part in trajectory order, (0, 0), (0, 1), (1, 0), ... (``_bounds``),
+    and ``assemble`` makes one worker per task up to the usable CPUs:
+    min(2 M, CPUs) for two parts per trajectory. Left to the scheduler,
+    the threads' hand-offs of the interpreter lock keep them on one CPU:
+    an unpinned caller stayed on its pinned helper's CPU while the other
+    one idled, and three-grid ``assemble`` at 1024 x 512 took 20-60 %
+    longer. So the caller pins itself for its share and then, whatever
+    happens, gets back its own affinity, ``cpus``.
 
     The caller submits the n - 1 helpers and then runs its share inside
     the pool's ``with`` block, whose exit joins every thread it started.
@@ -514,19 +491,20 @@ def _run(workers, tasks, cpus):
 
     def share(k):
         _pin(cpus[k : k + 1])
-        workers[k].run(tasks[k::n])
+        return workers[k].run(tasks[k::n])
 
     with ThreadPoolExecutor(n - 1, thread_name_prefix="eqod-assemble") as pool:
         try:
             futures = [pool.submit(share, k) for k in range(1, n)]
-            share(0)
+            sums = share(0)
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         finally:
             _pin(cpus)
     for future in futures:
-        future.result()
+        sums.update(future.result())
+    return sums
 
 
 def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | BoostedGrid) -> tuple[WeakSystem, ...]:
@@ -608,36 +586,30 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     give rows bitwise equal to the separate products in BLAS. So every
     system is bitwise the one a one-grid call gives.
 
-    A trajectory of at least ``_THREADED_CELLS`` grid cells is two tasks,
-    one per half of its time rows (``_bounds``); a smaller one is one task
-    of all its rows. A task runs its rows' ``rfft``, their product fields
-    and, on every grid, its share of each contraction: Phi_t[:, rows] F W
-    for u, b and each product field, and Phi_t[:, rows] u_hat for the
-    spectrum, phased for a boost, whose runs of rows with one shift are
-    cut at the half boundary. Each plan holds these pieces per part. The
-    task keeps its small partial sums, over one worker's buffers
-    (``_Worker``), as tall as a half: about 10 MiB per worker at 1024 x
-    512. After every task has run, the caller adds each trajectory's
-    partial sums in part order, part 0 + part 1, differentiates the
-    summed spectrum, adds b's offset and the constant column once, and
-    writes the trajectory's rows (``_Plan.write``).
+    Each trajectory's time rows are cut into parts by the grid alone
+    (``_bounds``: two halves from ``_THREADED_CELLS`` grid cells on, else
+    one part). A part's task contracts its rows on every grid into partial
+    sums of its own: Phi_t[:, rows] F W for u, b and each product field,
+    and Phi_t[:, rows] u_hat for the spectrum, phased for a boost, whose
+    runs of rows with one shift are cut at the part boundary. After every
+    task has run, the caller adds each trajectory's partial sums in part
+    order, part 0 + part 1, differentiates the summed spectrum, adds b's
+    offset and the constant column once, and writes the trajectory's rows
+    (``_Plan.write``). Two parts per trajectory run on the calling thread
+    and pinned helper threads (``_run``), which leave the caller's
+    affinity as it was; one part runs inline.
 
-    Two parts per trajectory run on n = min(2 M, usable CPUs) workers,
-    the calling thread and n - 1 helper threads, each pinned to its own
-    CPU (``_run``); the caller gets its own affinity back. One part per
-    trajectory, or one worker, runs inline. On two CPUs M = 1, 2, 3 and 5
-    all split evenly. The caller makes the plans, the systems and every
-    worker before any thread starts, so a plan error raises exactly as
-    inline. The parts depend on the grid alone, never on the worker or
-    CPU count, and a task's arithmetic does not depend on its worker, so
-    every system is bitwise the one-worker system on every host. Below
-    the size rule a trajectory is one part, with no sum of parts, so the
-    arithmetic is that of the unsplit pass: t-first Phi_t F W and c_hat =
-    Phi_t u_hat. Above it the halves' sums round apart from the unsplit
-    pass (by at most 8e-16 of each column's largest entry on heat and ks
-    at 1024 x 512). A
+    The caller makes the plans, the systems and every worker before any
+    thread starts, so a plan error raises exactly as inline, and a
     worker's failure is re-raised from ``assemble``, the first in worker
-    order, once every helper has ended.
+    order, once every helper has ended. A task's arithmetic depends on the
+    grid alone, never on its worker or the CPU count, so every system is
+    bitwise the one-worker system on every host. Below the size rule a
+    trajectory is one part, with no sum of parts, so the arithmetic is
+    that of the unsplit pass: t-first Phi_t F W and c_hat = Phi_t u_hat.
+    Above it the halves' sums round apart from the unsplit pass (by at
+    most 8e-16 of each column's largest entry on heat and ks at 1024 x
+    512).
 
     A trajset that is not a TrajectorySet raises ValueError naming it,
     before any plan is made. The data are finite, but a library product
@@ -657,18 +629,15 @@ def assemble(trajset: TrajectorySet, spec: LibrarySpec, *grids: TestGrid | Boost
     plans = [_plan(grid, bg, spec, bounds) for bg in boosts]
     systems = [(p, np.empty((n_traj * p.n_rows, len(bg.spec))), np.empty(n_traj * p.n_rows)) for p, bg in zip(plans, boosts)]
     products = [t for t in spec.terms if t.power > 1]
-    n_parts, cpus, partials = len(bounds) - 1, _usable_cpus(), {}
+    n_parts, cpus = len(bounds) - 1, _usable_cpus()
     tasks = [(m, h, traj) for m, traj in enumerate(trajset) for h in range(n_parts)]
     n_workers = min(len(tasks), len(cpus)) if n_parts > 1 else 1
-    workers = [_Worker(grid, bounds, products, plans, partials) for _ in range(n_workers)]
-    if n_workers == 1:
-        workers[0].run(tasks)
-    else:
-        _run(workers, tasks, cpus)
+    workers = [_Worker(grid, bounds, products, plans) for _ in range(n_workers)]
+    sums = workers[0].run(tasks) if n_workers == 1 else _run(workers, tasks, cpus)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (plan, theta, b) in enumerate(systems):
             for m in range(n_traj):
-                plan.write(theta, b, m, [partials[m, h][i] for h in range(n_parts)])
+                plan.write(theta, b, m, [sums[m, h][i] for h in range(n_parts)])
     # Not an input check (the data are finite): a product of them may overflow.
     if not all(np.isfinite(theta).all() and np.isfinite(b).all() for _, theta, b in systems):
         peak = max(np.abs(traj.values).max() for traj in trajset)

@@ -4,8 +4,8 @@ Each entry takes an index (``core.as_index``), a real number
 (``core.as_real``) or an array of real numbers (``core.as_reals`` or
 ``core.frozen_reals``). A value of any other kind, or a non-finite one,
 raises ValueError naming the argument before any FFT, solve or LASSO
-path runs. A grid, trajectory set or law of the wrong kind raises
-ValueError naming the argument too (``TestKinds``).
+path runs. A grid, trajectory set, law or base library of the wrong
+kind raises ValueError naming the argument too (``TestKinds``).
 """
 
 import dataclasses
@@ -16,9 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eqod import solvers, sparse, stability, symmetry
+from eqod import pipeline, solvers, sparse, stability, symmetry
 from eqod.core import STANDARD_TERMS, CoefficientVector, RngStream, Trajectory, as_real, as_reals, frozen_reals
 from eqod.oplib import standard_library
+from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.solvers import PDES, add_noise, generate_set, initial_condition, solve
 from eqod.spectral import spectral_derivative, wavenumbers
 from eqod.symmetry import GALILEAN_BASIS
@@ -153,6 +154,23 @@ def test_a_bad_number_is_rejected_by_name_before_any_work(ctx, monkeypatch, entr
         call(ctx, value)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_stability_select_checks_its_seed_before_its_ols_solve(ctx, monkeypatch, seed):
+    solves, lstsq = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    with pytest.raises(ValueError, match="^seed must be"):
+        stability.stability_select(ctx.theta, ctx.b, seed)
+    assert not solves
+    # a good seed reaches the one OLS solve that the count would see
+    stability.stability_select(ctx.theta, ctx.b, 0)
+    assert len(solves) == 1
+
+
 @pytest.mark.parametrize("entry", [pytest.param(e, id=e[0]) for e in ENTRIES if e[2] == "array"])
 def test_every_array_entry_takes_its_good_value(ctx, entry):
     # the bad arrays above differ from an accepted one in the spoiled way only
@@ -201,8 +219,17 @@ WRONG_KINDS = ["grid", [1, 2], None]
 
 
 class TestKinds:
-    """A grid, trajectory set or law of the wrong kind is named, not met
-    as an AttributeError deep in the code."""
+    """A grid, trajectory set, law or base library of the wrong kind is
+    named, not met as an AttributeError deep in the code."""
+
+    @pytest.mark.parametrize("run", [run_eqod, run_wf_lasso_baseline])
+    @pytest.mark.parametrize("base_library", [("u_xx",), ()])
+    def test_a_base_library_that_is_not_a_library_spec_fails_before_the_assembly(self, heat_clean, monkeypatch, run, base_library):
+        # ("u_xx",) used to raise AttributeError in run_eqod and name spec in
+        # the baseline, and () ran the standard library
+        monkeypatch.setattr(pipeline, "assemble", _raises)
+        with pytest.raises(ValueError, match="^base_library must be a LibrarySpec or None, got tuple$"):
+            run(heat_clean, 0, base_library)
 
     @pytest.mark.parametrize("grid", WRONG_KINDS)
     def test_make_test_grid_rejects_a_grid_that_is_not_a_grid1d(self, grid):

@@ -701,6 +701,18 @@ class TestFieldPass:
         fields = FieldPass(products, burgers_clean.grid)
         assert len(self.buffers_used(fields, burgers_clean)) == 4
 
+    def test_a_half_height_scaled_makes_half_height_buffers(self, burgers_clean):
+        # a worker's pass over half-trajectories: the buffers take their rows
+        # from scaled, and its fields are the full pass's rows
+        products = [t for t in standard_library().terms if t.power > 1]
+        tr = burgers_clean.trajectories[0]
+        half, rows = tr.grid.nt // 2, slice(tr.grid.nt // 2, None)
+        fields = FieldPass(products, tr.grid, scaled=np.empty((half, tr.grid.nx // 2 + 1), complex))
+        assert {f.base.shape for _, f in fields(tr, rows=rows)} == {(half, tr.grid.nx)}
+        full = {term: field.copy() for term, field in FieldPass(products, tr.grid)(tr)}
+        for term, field in fields(tr, rows=rows):
+            np.testing.assert_array_equal(field, full[term][rows])
+
     def test_derivative_orders_take_turns_in_one_buffer(self):
         # u_x serves u^2*u_x and u*u_x before u_xx serves u*u_xx; u_x*u_xx
         # needs both orders at once
@@ -973,7 +985,7 @@ class TestThreadedPass:
         def running(worker, tasks):
             ran.append((worker, threading.current_thread()))
             barrier.wait()
-            run(worker, tasks)
+            return run(worker, tasks)
 
         monkeypatch.setattr(weakform._Worker, "__init__", making)
         monkeypatch.setattr(weakform._Worker, "run", running)
@@ -1108,7 +1120,7 @@ class TestThreadedPass:
             # thread; held until the caller has cancelled the queue and
             # restored its affinity, it cannot
             restored.wait(30)
-            recorded(worker, tasks)
+            return recorded(worker, tasks)
 
         monkeypatch.setattr(weakform._Worker, "run", after_the_caller_restores)
         monkeypatch.setattr(weakform, "_THREADED_CELLS", 0)
