@@ -17,8 +17,11 @@ other terms share its assembly: a library product that overflows would
 break this, and ``assemble`` rejects it.
 
 Stage 1 runs the two symmetry tests that steer the run: the weak-form
-Galilean test and the odd-reflection test. Each returns its own record,
-and the result's SymmetryReport holds the two. Stage 2 reduces the
+Galilean test and the odd-reflection test. The same ``assemble`` call
+also gives each trajectory's odd-reflection score from its field pass
+(an OddReflection among the grids), so after the assembly no stage
+reads the trajectories. Each test returns its own record, and the
+result's SymmetryReport holds the two. Stage 2 reduces the
 candidate library: the Galilean-reduced set when a boost is detected,
 otherwise stability selection; an odd field also drops the
 parity-incompatible terms on either path. Stage 3 identifies
@@ -43,7 +46,7 @@ from .oplib import LibrarySpec, galilean_reduced, odd_reflection_prune, standard
 from .sparse import identify_on_system
 from .stability import STABILITY_GRID, stability_gate
 from .symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, SymmetryReport, detect_all
-from .weakform import IDENTIFY_GRID, BoostedGrid, assemble, make_test_grid
+from .weakform import IDENTIFY_GRID, BoostedGrid, OddReflection, assemble, make_test_grid
 
 __all__ = ["IdentificationResult", "run_eqod", "run_wf_lasso_baseline"]
 
@@ -130,17 +133,18 @@ def run_eqod(
     # adds no failure path to the first, and the boosted grid adds none:
     # lib holds GALILEAN_BASIS, so its expansion is closed.
     identify = make_test_grid(trajset.grid, *IDENTIFY_GRID)
-    ws_lib, ws_stab, ws_boost = assemble(
+    ws_lib, ws_stab, ws_boost, odd_scores = assemble(
         trajset,
         lib,
         identify,
         make_test_grid(trajset.grid, *STABILITY_GRID),
         BoostedGrid(identify, GALILEAN_BOOST_C, GALILEAN_BASIS),
+        OddReflection(),
     )
     ws_full = ws_lib.restricted(base)
     coeffs_full, dense_full = identify_on_system(ws_full, seed)
 
-    report = detect_all(trajset, ws_lib, ws_boost)  # catches its own detector failures
+    report = detect_all(odd_scores, ws_lib, ws_boost)  # catches its own detector failures
     symmetric = report.galilean.detected
     mode, gamma = ("symmetry", GAMMA_SYMMETRY) if symmetric else ("stability", GAMMA_STABILITY)
     try:

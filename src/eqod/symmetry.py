@@ -9,8 +9,10 @@ coefficient c1 and whether the fit had full rank, for the Galilean test.
 A ``SymmetryReport`` holds the two records.
 The Galilean test reads two systems that one ``assemble`` call makes
 from one field pass: the data's, and the data's boost by
-GALILEAN_BOOST_C (a ``weakform.BoostedGrid``), so this module assembles
-nothing.
+GALILEAN_BOOST_C (a ``weakform.BoostedGrid``). The parity test reads
+each trajectory's odd-reflection score, which the same call gives from
+the same pass (a ``weakform.OddReflection``). So this module assembles
+nothing and reads no trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import NUMERICAL_FAILURES, Trajectory, TrajectorySet, term_from_tag
+from .core import NUMERICAL_FAILURES, term_from_tag
 from .oplib import LibrarySpec
 from .sparse import _normalize
 from .weakform import WeakSystem
@@ -31,7 +33,6 @@ __all__ = [
     "SymmetryReport",
     "GALILEAN_BASIS",
     "GALILEAN_BOOST_C",
-    "detect_reflection",
     "detect_galilean",
     "detect_all",
 ]
@@ -81,25 +82,6 @@ class SymmetryReport:
         return {"galilean": _entry(self.galilean), "reflection_odd": _entry(self.reflection_odd)}
 
 
-def detect_reflection(traj: Trajectory) -> DetectorResult:
-    """Odd parity of the full space-time field about the domain origin.
-
-    The flip maps grid index j to (nx - j) mod nx; the score is
-    ||U + U_flip||^2 / ||U||^2, and a zero field raises. The flip is
-    gathered once and summed and squared in place, so the score needs
-    one full-size temporary.
-    """
-    u = traj.values
-    norm = float(np.sum(u**2))
-    if norm == 0:
-        raise ValueError("zero field")
-    s = u.take(-np.arange(u.shape[1]) % u.shape[1], axis=1)
-    s += u
-    s *= s
-    score = float(np.sum(s) / norm)
-    return DetectorResult(score < REFLECTION_THRESHOLD, score)
-
-
 def _convective_fit(ws: WeakSystem):
     """Six-column weak-form fit; returns (raw fraction, c1, rank_ok)."""
     ws = ws.restricted(GALILEAN_BASIS)
@@ -141,24 +123,29 @@ def detect_galilean(ws: WeakSystem, ws_boost: WeakSystem) -> GalileanResult:
     return GalileanResult((f > GALILEAN_TAU) and (abs(c1) > GALILEAN_TAU), f, c1, rank_ok)
 
 
-def detect_all(trajset: TrajectorySet, ws: WeakSystem, ws_boost: WeakSystem) -> SymmetryReport:
+def detect_all(odd_scores: tuple[float, ...], ws: WeakSystem, ws_boost: WeakSystem) -> SymmetryReport:
     """Run the Galilean and odd-reflection tests on a trajectory set.
 
-    The Galilean test uses the whole set through ``ws``, a weak system of
-    it whose library contains every GALILEAN_BASIS term, and ``ws_boost``,
-    the system of its boost on the same test grid (see
-    ``detect_galilean``); it assembles nothing. Odd reflection runs per
-    trajectory and reports the most conservative outcome: detected only
-    if every trajectory is odd, with the largest score. A detector error
-    downgrades that test to not-detected with a NaN score (and, for the
-    Galilean test, a NaN c1 and rank_ok False), so this function raises
-    none of the numerical errors it catches.
+    ``odd_scores`` holds each trajectory's odd-reflection score
+    ||U + U_flip||^2 / ||U||^2, the flip mapping grid index j to
+    (nx - j) mod nx, as an ``assemble`` call answers it for a
+    ``weakform.OddReflection`` from the field pass that also makes the
+    systems; NaN marks a trajectory with ||U||^2 = 0. The Galilean test
+    uses the whole set through ``ws``, a weak system of it whose library
+    contains every GALILEAN_BASIS term, and ``ws_boost``, the system of
+    its boost on the same test grid (see ``detect_galilean``); it
+    assembles nothing. The odd-reflection test reports the most
+    conservative outcome: detected only if every trajectory's score is
+    below REFLECTION_THRESHOLD, with the largest score. A NaN score
+    downgrades it to not-detected with a NaN score, and a detector error
+    downgrades the Galilean test to not-detected with a NaN score, a NaN
+    c1 and rank_ok False, so this function raises none of the numerical
+    errors it catches.
     """
-    try:
-        results = [detect_reflection(tr) for tr in trajset]
-        odd = DetectorResult(all(r.detected for r in results), max(r.score for r in results))
-    except NUMERICAL_FAILURES:
+    if any(math.isnan(s) for s in odd_scores):
         odd = DetectorResult(False, math.nan)
+    else:
+        odd = DetectorResult(max(odd_scores) < REFLECTION_THRESHOLD, max(odd_scores))
     try:
         galilean = detect_galilean(ws, ws_boost)
     except NUMERICAL_FAILURES:

@@ -1,9 +1,11 @@
 """Reference implementations that the package no longer carries, kept as
 test oracles: the discrete Galilean boost of a trajectory set, gathered
-copy by copy, the weak-form assembly as it was before the boosted grid
-and the field buffers (one grid kind, fresh fields per trajectory), and
-the assembly as it was before a large trajectory was split into halves
-(each trajectory one task of all its rows)."""
+copy by copy, the odd-reflection test of one trajectory, its flip
+gathered and summed over the whole field, the weak-form assembly as it
+was before the boosted grid and the field buffers (one grid kind, fresh
+fields per trajectory), and the assembly as it was before a large
+trajectory was split into halves (each trajectory one task of all its
+rows)."""
 
 from unittest import mock
 
@@ -13,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from eqod import weakform
 from eqod.core import Trajectory, TrajectorySet
 from eqod.spectral import spectrum_derivatives
+from eqod.symmetry import REFLECTION_THRESHOLD, DetectorResult
 from eqod.weakform import WeakSystem, _bump_matrices
 
 
@@ -37,6 +40,25 @@ def galilean_boost(trajset, c):
         values += c
         boosted.append(Trajectory(g, values))
     return TrajectorySet(tuple(boosted))
+
+
+def detect_reflection(traj):
+    """Odd parity of the full space-time field about the domain origin.
+
+    The flip maps grid index j to (nx - j) mod nx; the score is
+    ||U + U_flip||^2 / ||U||^2, and a zero field raises. The flip is
+    gathered once and summed and squared in place, so the score needs
+    one full-size temporary.
+    """
+    u = traj.values
+    norm = float(np.sum(u**2))
+    if norm == 0:
+        raise ValueError("zero field")
+    s = u.take(-np.arange(u.shape[1]) % u.shape[1], axis=1)
+    s += u
+    s *= s
+    score = float(np.sum(s) / norm)
+    return DetectorResult(score < REFLECTION_THRESHOLD, score)
 
 
 def plain_fields(traj, terms, u_hat=None):

@@ -15,7 +15,7 @@ from eqod.pipeline import run_eqod, run_wf_lasso_baseline
 from eqod.solvers import PDES, generate_set
 from eqod.stability import STABILITY_GRID
 from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, DetectorResult
-from eqod.weakform import IDENTIFY_GRID, BoostedGrid, assemble
+from eqod.weakform import IDENTIFY_GRID, BoostedGrid, OddReflection, assemble
 
 
 # A base that lacks most GALILEAN_BASIS terms.
@@ -151,22 +151,20 @@ class TestRunEqod:
         def shape(tg):
             return len(tg.t_centers), len(tg.x_centers)
 
+        def described(g):
+            if isinstance(g, OddReflection):
+                return "odd reflection"
+            return ("boost", g.c, g.spec, shape(g.test_grid)) if isinstance(g, BoostedGrid) else shape(g)
+
         def counting(trajset, spec, *grids):
-            calls.append(
-                (
-                    spec,
-                    tuple(
-                        ("boost", g.c, g.spec, shape(g.test_grid)) if isinstance(g, BoostedGrid) else shape(g)
-                        for g in grids
-                    ),
-                )
-            )
+            calls.append((spec, tuple(described(g) for g in grids)))
             return assemble(trajset, spec, *grids)
 
         monkeypatch.setattr(pipeline, "assemble", counting)
         run_eqod(request.getfixturevalue(name), 42, base_library=base)
+        # the odd-reflection scores come from the same call and field pass
         assert calls == [
-            (union, (IDENTIFY_GRID, STABILITY_GRID, ("boost", GALILEAN_BOOST_C, GALILEAN_BASIS, IDENTIFY_GRID))),
+            (union, (IDENTIFY_GRID, STABILITY_GRID, ("boost", GALILEAN_BOOST_C, GALILEAN_BASIS, IDENTIFY_GRID), "odd reflection")),
         ]
         assert not hasattr(stability, "assemble")
         assert not hasattr(symmetry, "assemble")

@@ -579,11 +579,11 @@ class TestNonFinite:
 
     def test_detect_all_downgrades_the_galilean_test(self, heat_clean, heat_system, no_solve):
         from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C, detect_all
-        from eqod.weakform import BoostedGrid, assemble
+        from eqod.weakform import BoostedGrid, OddReflection, assemble
 
         tg = heat_system.test_grid
-        (ws_boost,) = assemble(heat_clean, GALILEAN_BASIS, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
-        report = detect_all(heat_clean, self.spoiled(heat_system, "theta", np.nan), ws_boost)
+        scores, ws_boost = assemble(heat_clean, GALILEAN_BASIS, OddReflection(), BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
+        report = detect_all(scores, self.spoiled(heat_system, "theta", np.nan), ws_boost)
         assert not report.galilean.detected and np.isnan(report.galilean.score)
 
 

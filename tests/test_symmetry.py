@@ -1,8 +1,10 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
-from oracles import galilean_boost
+from oracles import detect_reflection, galilean_boost
 
 import eqod.symmetry as symmetry
 from eqod.core import Grid1D, Trajectory, TrajectorySet
@@ -17,9 +19,8 @@ from eqod.symmetry import (
     SymmetryReport,
     detect_all,
     detect_galilean,
-    detect_reflection,
 )
-from eqod.weakform import IDENTIFY_GRID, BoostedGrid, assemble, make_test_grid
+from eqod.weakform import IDENTIFY_GRID, BoostedGrid, OddReflection, assemble, make_test_grid
 
 
 def make_traj(values, t_end=1.0, length=2 * np.pi):
@@ -29,10 +30,12 @@ def make_traj(values, t_end=1.0, length=2 * np.pi):
 
 
 def systems(ts, spec, tg=None):
-    """The system of ``spec`` and the boosted GALILEAN_BASIS system on one
-    test grid (the identification grid by default), from one assembly."""
+    """detect_all's arguments from one assembly: the odd-reflection scores,
+    the system of ``spec`` and the boosted GALILEAN_BASIS system on one
+    test grid (the identification grid by default). detect_galilean takes
+    the last two."""
     tg = tg or make_test_grid(ts.grid, *IDENTIFY_GRID)
-    return assemble(ts, spec, tg, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
+    return assemble(ts, spec, OddReflection(), tg, BoostedGrid(tg, GALILEAN_BOOST_C, GALILEAN_BASIS))
 
 
 def standard_systems(ts):
@@ -52,13 +55,21 @@ def analytic_field(fn, nt=128, nx=128, t_end=1.0):
     return Trajectory(g, fn(xx, tt))
 
 
+def odd_test(*trajs):
+    """detect_all's odd-reflection record of the trajectories, from the field pass."""
+    return detect_all(*basis_systems(TrajectorySet(trajs))).reflection_odd
+
+
 class TestReflection:
+    """The odd-reflection test on the pass's scores, and the oracle that
+    gathers the flip over the whole field."""
+
     def test_even_field(self):
         tr = analytic_field(lambda x, t: np.cos(x) * np.exp(-0.1 * t))
-        assert not detect_reflection(tr).detected
+        assert not odd_test(tr).detected
 
     def test_burgers_odd(self, burgers_clean):
-        assert detect_reflection(burgers_clean.trajectories[0]).detected
+        assert odd_test(burgers_clean.trajectories[0]).detected
 
     def test_score_uses_the_index_flip(self, burgers_clean):
         # the flip maps grid index j to (nx - j) mod nx
@@ -80,7 +91,7 @@ class TestReflection:
 
     def test_mixed_parity(self):
         tr = analytic_field(lambda x, t: (np.sin(x) + np.cos(x)) * np.exp(-0.1 * t))
-        odd = detect_reflection(tr)
+        odd = odd_test(tr)
         assert not odd.detected
         # ||(sin+cos) + (-sin+cos)||^2 / ||sin+cos||^2 = 2 exactly
         assert odd.score == pytest.approx(2.0, abs=1e-9)
@@ -90,9 +101,30 @@ class TestReflection:
             detect_reflection(make_traj(np.zeros((16, 32))))
 
 
+class TestReflectionFromThePass:
+    """The odd-reflection scores that ``assemble`` gives from its field pass
+    agree with the oracle's gathered flip to rounding."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PDES))
+    def test_scores_are_the_oracles(self, name, sigma):
+        # 128 x 128: each trajectory is one part, assembled inline
+        pde = PDES[name]
+        ts = generate_set(pde, pde.default_grid(), 2, sigma, 42)
+        scores, *_ = standard_systems(ts)
+        assert len(scores) == len(ts)
+        for score, tr in zip(scores, ts):
+            assert score >= 0
+            assert score == pytest.approx(detect_reflection(tr).score, abs=1e-12)
+
+    def test_the_package_carries_no_full_size_reflection(self):
+        # the gathered flip is the tests' oracle alone
+        assert not hasattr(symmetry, "detect_reflection")
+
+
 class TestGalilean:
     def test_burgers_detected(self, burgers_clean):
-        res = detect_galilean(*standard_systems(burgers_clean))
+        res = detect_galilean(*standard_systems(burgers_clean)[1:])
         assert isinstance(res, GalileanResult)
         assert res.detected
         assert res.score >= 0.08
@@ -100,12 +132,12 @@ class TestGalilean:
         assert res.rank_ok
 
     def test_heat_not_detected(self, heat_clean):
-        res = detect_galilean(*standard_systems(heat_clean))
+        res = detect_galilean(*standard_systems(heat_clean)[1:])
         assert not res.detected
         assert res.score <= 0.03
 
     def test_kdv_detected(self, kdv_clean):
-        res = detect_galilean(*standard_systems(kdv_clean))
+        res = detect_galilean(*standard_systems(kdv_clean)[1:])
         assert res.detected
         assert res.c1 == pytest.approx(-1.0, abs=0.05)
 
@@ -147,15 +179,15 @@ class TestGalilean:
 
     def test_order_independent(self, burgers_clean):
         flipped = TrajectorySet(tuple(reversed(burgers_clean.trajectories)))
-        a = detect_galilean(*standard_systems(burgers_clean))
-        b = detect_galilean(*standard_systems(flipped))
+        a = detect_galilean(*standard_systems(burgers_clean)[1:])
+        b = detect_galilean(*standard_systems(flipped)[1:])
         assert a.score == pytest.approx(b.score, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["burgers_clean", "heat_clean", "kdv_clean"])
     def test_full_library_system_matches_own_assembly(self, name, request):
         ts = request.getfixturevalue(name)
-        res = detect_galilean(*standard_systems(ts))
-        own = detect_galilean(*basis_systems(ts))
+        res = detect_galilean(*standard_systems(ts)[1:])
+        own = detect_galilean(*basis_systems(ts)[1:])
         assert (res.detected, res.rank_ok) == (own.detected, own.rank_ok)
         assert res.score == pytest.approx(own.score, rel=1e-9)
         assert res.c1 == pytest.approx(own.c1, rel=1e-9)
@@ -164,7 +196,7 @@ class TestGalilean:
         # on the stability grid, the test equals the refit of the gathered
         # boost assembled on that grid
         tg = make_test_grid(burgers_clean.grid, *STABILITY_GRID)
-        ws, ws_boost = systems(burgers_clean, GALILEAN_BASIS, tg)
+        _, ws, ws_boost = systems(burgers_clean, GALILEAN_BASIS, tg)
         assert ws_boost.test_grid.test_grid is tg
         (oracle,) = assemble(galilean_boost(burgers_clean, GALILEAN_BOOST_C), GALILEAN_BASIS, tg)
         got = detect_galilean(ws, ws_boost)
@@ -176,38 +208,56 @@ class TestGalilean:
 
 class TestDetectAll:
     def test_burgers_report(self, burgers_clean):
-        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        rep = detect_all(*standard_systems(burgers_clean))
         assert rep.galilean.detected
         assert rep.reflection_odd.detected
 
     def test_kdv_report(self, kdv_clean):
-        rep = detect_all(kdv_clean, *standard_systems(kdv_clean))
+        rep = detect_all(*standard_systems(kdv_clean))
         assert rep.galilean.detected
         assert not rep.reflection_odd.detected
 
     def test_heat_report(self, heat_clean):
-        rep = detect_all(heat_clean, *standard_systems(heat_clean))
+        rep = detect_all(*standard_systems(heat_clean))
         assert not rep.galilean.detected
 
     def test_deterministic(self, heat_clean):
-        assert detect_all(heat_clean, *standard_systems(heat_clean)) == detect_all(heat_clean, *standard_systems(heat_clean))
+        assert detect_all(*standard_systems(heat_clean)) == detect_all(*standard_systems(heat_clean))
 
     def test_failed_detector_downgrades(self):
-        # all-zero field: the reflection test raises on it -> NaN score
+        # all-zero field: its score is NaN, by test and with no warning -> NaN score
         g = Grid1D(0.0, 2 * np.pi, 32, 0.0, 1.0, 32)
         ts = TrajectorySet((Trajectory(g, np.zeros((32, 32))),))
-        rep = detect_all(ts, *basis_systems(ts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, *rest = basis_systems(ts)
+            rep = detect_all(scores, *rest)
+        assert len(scores) == 1 and math.isnan(scores[0])
         assert not rep.reflection_odd.detected
         assert np.isnan(rep.reflection_odd.score)
         d = rep.to_json_dict()
         assert d["reflection_odd"]["score"] is None
+
+    def test_a_zero_trajectory_beside_an_odd_one_downgrades(self, burgers_clean):
+        # burgers alone is odd; one all-zero trajectory beside it makes the test not-detected
+        odd = burgers_clean.trajectories[0]
+        ts = TrajectorySet((odd, Trajectory(odd.grid, np.zeros_like(odd.values))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, *rest = standard_systems(ts)
+            rep = detect_all(scores, *rest)
+        assert scores[0] == pytest.approx(detect_reflection(odd).score, abs=1e-12) and math.isnan(scores[1])
+        assert detect_all(*standard_systems(TrajectorySet((odd,)))).reflection_odd.detected
+        assert not rep.reflection_odd.detected
+        assert np.isnan(rep.reflection_odd.score)
+        assert rep.to_json_dict()["reflection_odd"]["score"] is None
 
     def test_failed_galilean_fit_downgrades(self, burgers_clean, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(symmetry.np.linalg, "lstsq", singular)
-        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        rep = detect_all(*standard_systems(burgers_clean))
         assert not rep.galilean.detected
         assert isinstance(rep.galilean, GalileanResult)
         assert np.isnan(rep.galilean.score) and np.isnan(rep.galilean.c1)
@@ -217,7 +267,7 @@ class TestDetectAll:
         assert d["score"] is None and d["c1"] is None and d["rank_ok"] is False
 
     def test_report_holds_the_two_records(self, burgers_clean):
-        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        rep = detect_all(*standard_systems(burgers_clean))
         assert [f.name for f in dataclasses.fields(SymmetryReport)] == ["galilean", "reflection_odd"]
         assert isinstance(rep.galilean, GalileanResult) and isinstance(rep.galilean, DetectorResult)
         assert type(rep.reflection_odd) is DetectorResult
@@ -225,7 +275,7 @@ class TestDetectAll:
             rep.galilean.c1 = 0.0
 
     def test_json_carries_each_records_fields(self, burgers_clean):
-        rep = detect_all(burgers_clean, *standard_systems(burgers_clean))
+        rep = detect_all(*standard_systems(burgers_clean))
         g, odd = rep.galilean, rep.reflection_odd
         assert rep.to_json_dict() == {
             "galilean": {"detected": g.detected, "score": g.score, "c1": g.c1, "rank_ok": g.rank_ok},

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import galilean_boost, plain_assemble, plain_fields, unsplit_assemble
+from oracles import detect_reflection, galilean_boost, plain_assemble, plain_fields, unsplit_assemble
 from scipy.interpolate import RectBivariateSpline
 
 import eqod.oplib as oplib
@@ -27,6 +27,7 @@ from eqod.symmetry import GALILEAN_BASIS, GALILEAN_BOOST_C
 from eqod.weakform import (
     IDENTIFY_GRID,
     BoostedGrid,
+    OddReflection,
     WeakSystem,
     assemble,
     bump,
@@ -492,9 +493,10 @@ class TestSeparableAssembly:
     def test_full_size_ffts_per_trajectory(self, burgers_clean, monkeypatch, spec, inverses):
         # the standard library is the pipeline's base union GALILEAN_BASIS:
         # one rfft of u and one irfft per order a product needs; the
-        # contracted spectra are small
+        # contracted spectra are small, and the odd-reflection sums add none
         g = burgers_clean.grid
-        full = full_size_ffts(monkeypatch, burgers_clean, spec, make_test_grid(g, *IDENTIFY_GRID), make_test_grid(g, *STABILITY_GRID))
+        grids = make_test_grid(g, *IDENTIFY_GRID), make_test_grid(g, *STABILITY_GRID), OddReflection()
+        full = full_size_ffts(monkeypatch, burgers_clean, spec, *grids)
         m = len(burgers_clean)
         assert sorted(full) == ["irfft"] * (inverses * m) + ["rfft"] * m
 
@@ -939,6 +941,13 @@ def burgers_256():
     return get
 
 
+@pytest.fixture(scope="module")
+def heat_1024():
+    """large-grid's heat at sigma 0.1: three trajectories on a 1024 x 512 grid."""
+    pde = PDES["heat"]
+    return generate_set(pde, pde.default_grid(1024, 512), 3, 0.1, 42)
+
+
 class TestThreadedPass:
     """A large set's trajectories are assembled in halves on parallel
     workers. With the size rule lowered, a 128 x 128 set takes that path
@@ -1161,12 +1170,11 @@ class TestThreadedPass:
         for ws, ref in zip(got, alone):
             assert ws.theta.tobytes() == ref.theta.tobytes() and ws.b.tobytes() == ref.b.tobytes()
 
-    def test_a_threaded_system_is_the_unsplit_one_to_rounding(self):
+    def test_a_threaded_system_is_the_unsplit_one_to_rounding(self, heat_1024):
         # large-grid's heat at sigma 0.1: the halves' partial sums, added
         # after the join, against each trajectory contracted whole; the
         # boosted grid's runs of one shift are cut at the half boundary
-        pde = PDES["heat"]
-        ts = generate_set(pde, pde.default_grid(1024, 512), 3, 0.1, 42)
+        ts = heat_1024
         grids = pipeline_grids(ts)
         halves = assemble(ts, standard_library(), *grids)
         whole = unsplit_assemble(ts, standard_library(), *grids)
@@ -1187,3 +1195,30 @@ class TestThreadedPass:
         started, (made, ran) = self.starts(monkeypatch), self.runs(monkeypatch, together=2)
         assert_same_systems(assemble(ts, standard_library(), *grids), alone)
         assert len(started) == 1 and len(made) == len(ran) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_threaded_reflection_scores_are_the_one_worker_ones(self, burgers_256, monkeypatch, m, cpus):
+        # each trajectory's halves add their odd-reflection sums in part
+        # order, so the scores are bitwise the one-worker ones on any CPUs
+        ts = burgers_256(m)
+        grids = (*pipeline_grids(ts), OddReflection())
+        alone = self.one_worker(monkeypatch, ts, grids, threaded=False)
+        monkeypatch.setattr(weakform, "_usable_cpus", lambda: list(range(cpus)))
+        monkeypatch.setattr(weakform, "_pin", lambda cpus: None)
+        n = min(2 * m, cpus)
+        started, _ = self.starts(monkeypatch), self.runs(monkeypatch, together=n)
+        *got, scores = assemble(ts, standard_library(), *grids)
+        assert len(started) == n - 1
+        assert_same_systems(got, alone[:-1])
+        assert len(scores) == m and scores == alone[-1]
+        for score, tr in zip(scores, ts):
+            assert score >= 0
+            assert score == pytest.approx(detect_reflection(tr).score, abs=1e-12)
+
+    def test_large_grid_reflection_scores_are_the_oracles(self, heat_1024):
+        *_, scores = assemble(heat_1024, standard_library(), *pipeline_grids(heat_1024), OddReflection())
+        assert len(scores) == len(heat_1024)
+        for score, tr in zip(scores, heat_1024):
+            assert score >= 0
+            assert score == pytest.approx(detect_reflection(tr).score, abs=1e-12)

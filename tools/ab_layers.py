@@ -7,9 +7,10 @@ alternate between the trees (A then B, B then A, ...):
 
 - ``generate_set``: each tree generates the case's data,
   ``generate_set(pde, pde.default_grid(nx, nt), 3, sigma, 42)``;
-- ``assemble``: the pipeline's three-grid call (the identification grid,
+- ``assemble``: the pipeline's three grids (the identification grid,
   the stability grid and the identification grid's Galilean boost) on the
-  union of the standard library and ``GALILEAN_BASIS``;
+  union of the standard library and ``GALILEAN_BASIS``, without the
+  odd-reflection marker, which an older tree lacks;
 - ``lasso_cv``: one CV-LASSO path on the identification system restricted
   to the standard library, as ``identify_on_system`` makes it;
 - ``run_eqod``: the whole pipeline, ``run_eqod(data, 42)``. What a package
@@ -32,6 +33,8 @@ two ``run_eqod`` answers are identical: their ``to_json()`` text, so the
 mode, fallback, library, library size, coefficients, residual ratio and
 every detector field (scores, c1, rank_ok) are compared, each to the
 last digit; answers that differ are described (the fields that differ,
+for differing detectors whether every flag, ``detected`` and
+``rank_ok``, is kept and the largest distance between detector scores,
 whether the support is kept, the largest coefficient distance). It
 exits with status 1 unless every case is bitwise on all
 four counts, so a run of a tree against itself, or of a change that
@@ -55,6 +58,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -148,14 +152,32 @@ def compare(data_a, data_b, outputs_a, outputs_b) -> tuple[bool, str]:
     return data and plain and apart[2] == (0, 0) and same, report
 
 
+FLAGS = ("detected", "rank_ok")  # the detector fields that steer the pipeline
+
+
+def detectors_apart(a: dict, b: dict) -> str:
+    """How two answers' detector reports differ: whether every flag
+    (FLAGS) is kept, and the largest distance between two detector scores
+    (infinite when only one of them is NaN, JSON null)."""
+    pairs = [(a[name], b[name]) for name in a]
+    flags = all(ra[f] == rb[f] for ra, rb in pairs for f in FLAGS if f in ra)
+    scores = [(ra["score"], rb["score"]) for ra, rb in pairs]
+    gap = max((0.0 if x == y else math.inf if None in (x, y) else abs(x - y) for x, y in scores), default=0.0)
+    return f"detector flags {'kept' if flags else 'changed'}; scores apart by {gap:.1e}"
+
+
 def answers_apart(a: dict, b: dict) -> str:
-    """How two ``run_eqod`` answers differ: the fields whose values do, whether
-    the support is kept, and the largest coefficient distance over max|coef|."""
+    """How two ``run_eqod`` answers differ: the fields whose values do, for
+    differing detectors whether their flags are kept and how far apart
+    their scores are, whether the support is kept, and the largest
+    coefficient distance over max|coef|."""
     terms = list(dict.fromkeys([*a["coefficients"], *b["coefficients"]]))
     ca, cb = (np.array([c["coefficients"].get(t, 0.0) for t in terms]) for c in (a, b))
     support = "kept" if np.array_equal(ca != 0, cb != 0) else "changed"
     coef = float(np.abs(ca - cb).max() / max(np.abs(ca).max(), np.abs(cb).max(), np.finfo(float).tiny))
-    return f"differ in {', '.join(k for k in a if a[k] != b[k])}; support {support}; coefficients apart by {coef:.1e}"
+    fields = [k for k in a if a[k] != b[k]]
+    detectors = f"; {detectors_apart(a['detectors'], b['detectors'])}" if "detectors" in fields else ""
+    return f"differ in {', '.join(fields)}{detectors}; support {support}; coefficients apart by {coef:.1e}"
 
 
 def time_case(fns_a, fns_b, reps: int) -> dict:
